@@ -1,168 +1,86 @@
-"""Hot graph kernels: Dijkstra, longest-path relaxation, BFS reachability.
+"""Hot graph kernels: Dijkstra, BFS reachability, longest-path relaxation.
 
-Each kernel is a single self-contained function over numpy arrays.  When
-numba is importable (and NULLDIST_DISABLE_NUMBA is unset) the module-level
-names are @njit-compiled; otherwise the pure interpreted versions run
-unchanged, so both paths produce identical results.  The benchmark in
-benchmarks/bench_kernels.py compares the two.
+Written for the interpreter: Dijkstra walks the CSR arrays through
+``memoryview`` (plain Python scalars, no copies) with a ``heapq`` of
+``(dist, node)`` tuples; reachability and the longest-path pass do their
+per-edge work in numpy, one BFS level or one time layer per step.
 """
 
-import os
+import heapq
 
 import numpy as np
 
-_disable = os.environ.get("NULLDIST_DISABLE_NUMBA", "").strip().lower()
-DISABLE_NUMBA = _disable in ("1", "true", "yes")
 
-try:
-    if DISABLE_NUMBA:
-        raise ImportError("numba disabled by NULLDIST_DISABLE_NUMBA")
-    from numba import njit  # type: ignore
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-INF = np.inf
-
-
-@njit(cache=True)
 def dijkstra(indptr, nbr, wt, src, target):
     """Single-source shortest paths over a CSR graph.
 
-    Uses a binary heap with lazy deletion; ties are broken by node index
-    (smaller pops first) so results are deterministic.  Stops early once
-    ``target`` is settled unless it is -1.  Returns (dist, pred); nodes that
-    were never reached keep dist = inf and pred = -1.
+    Pops the ``(dist, node)``-lexicographic minimum, so ties are broken by
+    node index (smaller pops first) and results are deterministic.  Stops
+    early once ``target`` is settled unless it is -1.  Returns (dist, pred);
+    nodes that were never reached keep dist = inf and pred = -1.
     """
     n = indptr.shape[0] - 1
-    dist = np.full(n, INF)
+    dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=np.bool_)
-    cap = nbr.shape[0] + n + 1
-    hd = np.empty(cap)
-    hn = np.empty(cap, dtype=np.int64)
-    size = 0
-    dist[src] = 0.0
-    hd[0] = 0.0
-    hn[0] = src
-    size = 1
-    while size > 0:
-        # pop the (dist, node)-lexicographic minimum
-        d = hd[0]
-        u = hn[0]
-        size -= 1
-        hd[0] = hd[size]
-        hn[0] = hn[size]
-        i = 0
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            best = left
-            right = left + 1
-            if right < size and (hd[right] < hd[left]
-                                 or (hd[right] == hd[left] and hn[right] < hn[left])):
-                best = right
-            if hd[best] < hd[i] or (hd[best] == hd[i] and hn[best] < hn[i]):
-                tmpd = hd[i]
-                hd[i] = hd[best]
-                hd[best] = tmpd
-                tmpn = hn[i]
-                hn[i] = hn[best]
-                hn[best] = tmpn
-                i = best
-            else:
-                break
+    dv, pv = memoryview(dist), memoryview(pred)
+    ip, nb, w = memoryview(indptr), memoryview(nbr), memoryview(wt)
+    done = bytearray(n)
+    src, target = int(src), int(target)
+    dv[src] = 0.0
+    heap = [(0.0, src)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, u = pop(heap)
         if done[u]:
             continue
-        done[u] = True
+        done[u] = 1
         if u == target:
             break
-        for e in range(indptr[u], indptr[u + 1]):
-            v = nbr[e]
+        a, b = ip[u], ip[u + 1]
+        for v, c in zip(nb[a:b], w[a:b]):
             if done[v]:
                 continue
-            nd = d + wt[e]
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                # sift the new entry up
-                j = size
-                hd[j] = nd
-                hn[j] = v
-                size += 1
-                while j > 0:
-                    parent = (j - 1) >> 1
-                    if hd[j] < hd[parent] or (hd[j] == hd[parent] and hn[j] < hn[parent]):
-                        tmpd = hd[j]
-                        hd[j] = hd[parent]
-                        hd[parent] = tmpd
-                        tmpn = hn[j]
-                        hn[j] = hn[parent]
-                        hn[parent] = tmpn
-                        j = parent
-                    else:
-                        break
+            nd = d + c
+            if nd < dv[v]:
+                dv[v] = nd
+                pv[v] = u
+                push(heap, (nd, v))
     return dist, pred
 
 
-@njit(cache=True)
+def _gather(indptr, nodes):
+    """CSR edge indices leaving ``nodes``, node by node."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+
+
 def bfs_reach(indptr, nbr, src):
     """Reflexive-transitive closure of the directed edge relation from src."""
-    n = indptr.shape[0] - 1
-    seen = np.zeros(n, dtype=np.bool_)
-    queue = np.empty(n, dtype=np.int64)
-    head = 0
-    tail = 0
+    seen = np.zeros(indptr.shape[0] - 1, dtype=np.bool_)
     seen[src] = True
-    queue[tail] = src
-    tail += 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        for e in range(indptr[u], indptr[u + 1]):
-            v = nbr[e]
-            if not seen[v]:
-                seen[v] = True
-                queue[tail] = v
-                tail += 1
+    frontier = np.array([src], dtype=np.int64)
+    while frontier.size:
+        nxt = np.unique(nbr[_gather(indptr, frontier)])
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
     return seen
 
 
-@njit(cache=True)
-def longest_path_values(order, indptr, nbr, length, base):
-    """Longest-path DP over a DAG given a topological order.
+def longest_path_values(layers, indptr, nbr, length, base):
+    """Longest-path DP over a DAG whose nodes come in time layers.
 
-    ``base`` holds initial values (boundary seeds at sources, -inf elsewhere);
-    relaxation maximizes value[u] + length[e] along outgoing edges.
+    Nodes ``layers[k]:layers[k+1]`` form layer k, and every edge leads from a
+    layer to a strictly later one, so a layer's values are final once the
+    layers before it are relaxed.  ``base`` holds initial values (boundary
+    seeds at sources, -inf elsewhere); relaxation maximizes
+    value[u] + length[e] along outgoing edges.
     """
-    n = indptr.shape[0] - 1
     value = base.copy()
-    for k in range(n):
-        u = order[k]
-        vu = value[u]
-        if vu == -INF:
-            continue
-        for e in range(indptr[u], indptr[u + 1]):
-            v = nbr[e]
-            cand = vu + length[e]
-            if cand > value[v]:
-                value[v] = cand
+    for a, b in zip(layers[:-1], layers[1:]):
+        e0, e1 = indptr[a], indptr[b]
+        cand = np.repeat(value[a:b], np.diff(indptr[a:b + 1]))
+        cand += length[e0:e1]
+        np.maximum.at(value, nbr[e0:e1], cand)
     return value
-
-
-# Uncompiled references so the benchmark can time both execution paths.
-dijkstra_py = dijkstra.py_func if HAVE_NUMBA else dijkstra
-bfs_reach_py = bfs_reach.py_func if HAVE_NUMBA else bfs_reach
-longest_path_values_py = longest_path_values.py_func if HAVE_NUMBA else longest_path_values

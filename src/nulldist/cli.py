@@ -152,15 +152,17 @@ def _cmd_cosmo_time(args) -> int:
     ana = analytic(grid.coords) if analytic is not None else None
     dim = st.dim
     header = [f"x{a}" for a in range(dim)] + ["tau_numeric", "tau_analytic_if_known", "abs_err"]
-    rows = []
-    for i in range(grid.n_nodes):
-        row = list(grid.coords[i]) + [float(values[i])]
-        if ana is not None:
-            row += [float(ana[i]), abs(float(values[i]) - float(ana[i]))]
-        else:
-            row += ["", ""]
-        rows.append(row)
-    _emit_csv(header, rows, args.out)
+
+    def rows():
+        for i in range(grid.n_nodes):
+            row = list(grid.coords[i]) + [float(values[i])]
+            if ana is not None:
+                row += [float(ana[i]), abs(float(values[i]) - float(ana[i]))]
+            else:
+                row += ["", ""]
+            yield row
+
+    _emit_csv(header, rows(), args.out)
     return 0
 
 
@@ -453,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "fixed aligned h=0.25), conformal-invariance (g vs 4g), "
                 "ball-cylinder (unit ball boundary)."))
     ap.add_argument("--version", action="version", version=__version__)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="parallelism cap (recorded; orchestration is single-threaded)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("nulldist", help="null distance between two lattice events")

@@ -45,6 +45,10 @@ class GridTooLarge(NullDistError):
     """Lattice would exceed the node-count guardrail."""
 
 
+class NonFiniteValue(NullDistError):
+    """Metric or time function evaluated to NaN or inf on the lattice."""
+
+
 class NodeNotInGrid(NullDistError):
     """Coordinates do not snap to a kept lattice node."""
 

@@ -24,6 +24,7 @@ from .errors import (
     ExcisionSwallowsBox,
     GridTooLarge,
     NodeNotInGrid,
+    NonFiniteValue,
 )
 from .spacetime import NULL_TOL, Spacetime
 
@@ -61,9 +62,6 @@ class StencilSpec:
                     continue
             out.append(o)
         return np.array(sorted(out), dtype=np.int64)
-
-    def max_offset_norm(self) -> float:
-        return self.radius  # per-axis bound; Euclidean length adds sqrt(dim)
 
 
 @dataclass(frozen=True)
@@ -196,11 +194,17 @@ class CausalGrid:
     def coords_of(self, node: int) -> np.ndarray:
         return self.coords[node]
 
-    def topological_order(self) -> np.ndarray:
+    def time_layers(self) -> np.ndarray:
+        """Node-id boundaries of the time layers: a layered topological order.
+
+        Node ids follow the lattice C-order with coordinate 0 first, so nodes
+        ``layers[k]:layers[k+1]`` share one value of coordinate 0.  Raises
+        CyclicGraph if a directed edge fails to increase coordinate 0.
+        """
         t = self.coords[:, 0]
         if self.n_edges and np.any(t[self.edge_v] <= t[self.edge_u]):
             raise CyclicGraph("a directed edge fails to increase coordinate 0")
-        return np.argsort(t, kind="stable")
+        return np.concatenate(([0], np.flatnonzero(np.diff(t)) + 1, [self.n_nodes]))
 
     def in_degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=np.int64)
@@ -215,7 +219,8 @@ def build_grid(st: Spacetime, tau, box, h: float,
 
     Nodes within h/2 of an excision are dropped, as are edges whose straight
     segment passes within h/2 of one; causality of each candidate edge is
-    decided by the metric at the segment midpoint.
+    decided by the metric at the segment midpoint.  Raises NonFiniteValue if
+    ``tau`` at a node or the metric at a candidate midpoint is NaN or inf.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -249,6 +254,7 @@ def build_grid(st: Spacetime, tau, box, h: float,
     ids_full = ids_full.reshape(tuple(shape))
     coords = coords_full[keep]
     tau_values = _tau_batch(tau, coords)
+    _require_finite("time function", tau_values, coords)
 
     offsets = stencil.offsets(dim)
     eu, ev, ew, el = [], [], [], []
@@ -269,6 +275,8 @@ def build_grid(st: Spacetime, tau, box, h: float,
         g = st.metric_batch(mid)
         q = np.einsum("mij,i,j->m", g, delta, delta)
         scale = np.abs(g).reshape(g.shape[0], -1).max(axis=1)
+        _require_finite("metric", q, mid)
+        _require_finite("metric", scale, mid)
         causal = q <= NULL_TOL * scale * float(delta @ delta)
         if not np.any(causal):
             continue
@@ -307,6 +315,12 @@ def build_grid(st: Spacetime, tau, box, h: float,
 
     return CausalGrid(st, tau, params, coords, ids_full, shape,
                       edge_u, edge_v, edge_w, edge_len, tau_values, offsets)
+
+
+def _require_finite(what: str, values: np.ndarray, points: np.ndarray) -> None:
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise NonFiniteValue(f"{what} is not finite at {points[bad][0].tolist()}")
 
 
 def _tau_batch(tau, coords: np.ndarray) -> np.ndarray:

@@ -566,15 +566,8 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     gmid = 0.5 * (gr[u] + gr[v])
     w = np.sqrt(np.einsum("mi,mij,mj->m", delta, gmid, delta))
 
-    uu = np.concatenate([u, v])
-    vv = np.concatenate([v, u])
-    ww = np.concatenate([w, w])
-    order = np.argsort(uu, kind="stable")
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, uu + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    nbr = vv[order].astype(np.int64)
-    wts = ww[order]
+    (indptr, nbr, wts), _ = CausalGrid._to_csr(
+        n_nodes, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]))
 
     rng = np.random.default_rng(seed)
     n_sources = max(2, min(n_nodes, int(math.ceil(n_pairs / max(1, n_nodes - 1)))))

@@ -149,7 +149,7 @@ def cosmological_time_numeric(grid: CausalGrid) -> np.ndarray:
     O(h) deficit of a bare lattice supremum.  Raises CyclicGraph if an edge
     fails to advance coordinate 0.
     """
-    order = grid.topological_order()
+    layers = grid.time_layers()
     base = np.full(grid.n_nodes, -np.inf)
     sources = np.flatnonzero(grid.in_degrees() == 0)
     for s in sources:
@@ -157,7 +157,7 @@ def cosmological_time_numeric(grid: CausalGrid) -> np.ndarray:
     indptr, nbr, _ = grid.csr_out()
     # edge traversal needs Lorentzian lengths, not |dtau| weights
     lengths = grid.out_edge_values(grid.edge_len)
-    return _kernels.longest_path_values(order, indptr, nbr, lengths, base)
+    return _kernels.longest_path_values(layers, indptr, nbr, lengths, base)
 
 
 # ---------------------------------------------------------------------------

@@ -297,3 +297,25 @@ def test_include_null_exact_filter():
     without_set = {tuple(o) for o in offs_without}
     assert (1, 1) in with_set and (1, 1) not in without_set
     assert (1, 0) in without_set
+
+
+def test_non_finite_metric_or_tau_raises():
+    from dataclasses import replace
+
+    from nulldist.errors import NonFiniteValue
+
+    base = nd.builtin("upper_half_minkowski", dim=2)
+    tau = nd.coordinate_time(base)
+    box = [(0.1, 1.1), (-0.5, 0.5)]
+    # phi is NaN on part of the box: a NaN metric entry used to drop the edge
+    holey = nd.builtin("conformal", dim=2, base=base,
+                       factor=lambda pts: np.where(pts[:, 1] > 0.2, np.nan, 1.0))
+    with pytest.raises(NonFiniteValue):
+        nd.build_grid(holey, tau, box, 0.05)
+    # NaN only outside the box: nothing is evaluated there
+    fine = nd.builtin("conformal", dim=2, base=base,
+                      factor=lambda pts: np.where(pts[:, 1] > 0.6, np.nan, 1.0))
+    assert nd.build_grid(fine, tau, box, 0.05).n_edges == nd.build_grid(base, tau, box, 0.05).n_edges
+    tau_inf = replace(tau, batch=lambda pts: np.where(pts[:, 0] > 0.9, np.inf, pts[:, 0]))
+    with pytest.raises(NonFiniteValue):
+        nd.build_grid(base, tau_inf, box, 0.05)

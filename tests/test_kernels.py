@@ -1,0 +1,177 @@
+"""Graph kernels against the plain heap/queue/loop versions they replaced.
+
+The references below are the straightforward interpreted forms: a binary
+heap with (dist, node)-lexicographic pops, a FIFO queue, and a per-node
+relaxation in topological order.  The kernels must agree with them bit for
+bit on random 1+1 and 2+1 lattices, with and without an excised ray.
+"""
+
+from functools import lru_cache
+
+import networkx as nx
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+import nulldist as nd
+from nulldist import _kernels
+from nulldist.grid import StencilSpec
+
+
+def ref_dijkstra(indptr, nbr, wt, src, target):
+    n = indptr.shape[0] - 1
+    dist = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=np.int64)
+    done = np.zeros(n, dtype=np.bool_)
+    hd = np.empty(nbr.shape[0] + n + 1)
+    hn = np.empty(nbr.shape[0] + n + 1, dtype=np.int64)
+    dist[src] = 0.0
+    hd[0] = 0.0
+    hn[0] = src
+    size = 1
+
+    def less(i, j):
+        return hd[i] < hd[j] or (hd[i] == hd[j] and hn[i] < hn[j])
+
+    def swap(i, j):
+        hd[i], hd[j] = hd[j], hd[i]
+        hn[i], hn[j] = hn[j], hn[i]
+
+    while size > 0:
+        d, u = hd[0], hn[0]
+        size -= 1
+        hd[0], hn[0] = hd[size], hn[size]
+        i = 0
+        while 2 * i + 1 < size:
+            best = 2 * i + 1
+            if best + 1 < size and less(best + 1, best):
+                best += 1
+            if not less(best, i):
+                break
+            swap(i, best)
+            i = best
+        if done[u]:
+            continue
+        done[u] = True
+        if u == target:
+            break
+        for e in range(indptr[u], indptr[u + 1]):
+            v = nbr[e]
+            if done[v]:
+                continue
+            nd_ = d + wt[e]
+            if nd_ < dist[v]:
+                dist[v] = nd_
+                pred[v] = u
+                j = size
+                hd[j], hn[j] = nd_, v
+                size += 1
+                while j > 0 and less(j, (j - 1) >> 1):
+                    swap(j, (j - 1) >> 1)
+                    j = (j - 1) >> 1
+    return dist, pred
+
+
+def ref_bfs_reach(indptr, nbr, src):
+    seen = np.zeros(indptr.shape[0] - 1, dtype=np.bool_)
+    seen[src] = True
+    queue = [src]
+    for u in queue:
+        for e in range(indptr[u], indptr[u + 1]):
+            v = nbr[e]
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return seen
+
+
+def ref_longest_path_values(order, indptr, nbr, length, base):
+    value = base.copy()
+    for u in order:
+        if value[u] == -np.inf:
+            continue
+        for e in range(indptr[u], indptr[u + 1]):
+            cand = value[u] + length[e]
+            if cand > value[nbr[e]]:
+                value[nbr[e]] = cand
+    return value
+
+
+@lru_cache(maxsize=None)
+def lattice(dim, radius, h, t0, extent, excised, cubed):
+    st = nd.builtin("missing_ray" if excised else "minkowski", dim=dim)
+    tau = nd.cubed_time(st) if cubed else nd.coordinate_time(st)
+    box = [(t0, t0 + extent)] + [(-0.5 * extent, 0.4 * extent)] * (dim - 1)
+    return nd.build_grid(st, tau, box, h, StencilSpec(radius=radius))
+
+
+@hs.composite
+def grids(draw):
+    dim = draw(hs.sampled_from([2, 3]))
+    h = draw(hs.sampled_from([0.1, 0.125, 0.2] if dim == 2 else [0.2, 0.25]))
+    excised = draw(hs.booleans())
+    # the excised ray starts at t = 2; boxes reaching past it cut edges
+    t0 = draw(hs.sampled_from([1.0, 1.25, 1.5] if excised else [-0.5, 0.0, 0.3]))
+    extent = draw(hs.sampled_from([0.8, 1.2, 1.6]))
+    grid = lattice(dim, draw(hs.integers(1, 3)), h, t0, extent, excised,
+                   draw(hs.booleans()))
+    nodes = hs.integers(0, grid.n_nodes - 1)
+    return grid, draw(nodes), draw(nodes)
+
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@SETTINGS
+@given(grids())
+def test_dijkstra_matches_reference(case):
+    grid, src, tgt = case
+    indptr, nbr, wt = grid.csr_undirected()
+    for target in (tgt, -1):
+        dist, pred = _kernels.dijkstra(indptr, nbr, wt, src, target)
+        ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(pred, ref_pred)
+
+
+@SETTINGS
+@given(grids())
+def test_bfs_reach_matches_reference_and_networkx(case):
+    grid, src, _ = case
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(grid.n_nodes))
+    graph.add_edges_from(zip(grid.edge_u.tolist(), grid.edge_v.tolist()))
+    for csr, closure in ((grid.csr_out(), nx.descendants), (grid.csr_in(), nx.ancestors)):
+        indptr, nbr, _ = csr
+        mask = _kernels.bfs_reach(indptr, nbr, src)
+        assert np.array_equal(mask, ref_bfs_reach(indptr, nbr, src))
+        assert set(np.flatnonzero(mask).tolist()) == closure(graph, src) | {src}
+
+
+@SETTINGS
+@given(grids(), hs.integers(0, 2**32 - 1))
+def test_longest_path_matches_reference(case, seed):
+    grid, src, tgt = case
+    indptr, nbr, _ = grid.csr_out()
+    lengths = grid.out_edge_values(grid.edge_len)
+    # a few seeded nodes leave most of the lattice unreached (-inf)
+    base = np.full(grid.n_nodes, -np.inf)
+    rng = np.random.default_rng(seed)
+    base[[src, tgt]] = rng.uniform(0.0, 1.0, size=2)
+    order = np.argsort(grid.coords[:, 0], kind="stable")
+    value = _kernels.longest_path_values(grid.time_layers(), indptr, nbr, lengths, base)
+    assert np.array_equal(value, ref_longest_path_values(order, indptr, nbr, lengths, base))
+    assert np.isneginf(value).any()
+
+
+@SETTINGS
+@given(grids())
+def test_shortest_null_path_symmetric(case):
+    grid, p, q = case
+    try:
+        forward = nd.shortest_null_path(grid, p, q)
+    except nd.errors.Disconnected:
+        return
+    backward = nd.shortest_null_path(grid, q, p)
+    assert forward[0] == backward[0]
+    assert forward[1] == backward[1][::-1]
