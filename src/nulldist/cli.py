@@ -92,10 +92,6 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",")], dtype=float)
 
 
-def _load_scene(path: str) -> Scene:
-    return Scene.from_file(path)
-
-
 def _grid_from_args(scene: Scene, args):
     st = scene.spacetime()
     tau = scene.time_function(st)
@@ -110,7 +106,7 @@ def _grid_from_args(scene: Scene, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_nulldist(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = Scene.from_file(args.scene)
     _, _, params, grid = _grid_from_args(scene, args)
     p = grid.node_of(_parse_point(args.p))
     q = grid.node_of(_parse_point(args.q))
@@ -135,7 +131,7 @@ def _cmd_nulldist(args) -> int:
 
 
 def _cmd_causal(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = Scene.from_file(args.scene)
     _, _, _, grid = _grid_from_args(scene, args)
     p = grid.node_of(_parse_point(args.p))
     q = grid.node_of(_parse_point(args.q))
@@ -145,7 +141,7 @@ def _cmd_causal(args) -> int:
 
 
 def _cmd_cosmo_time(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = Scene.from_file(args.scene)
     st, tau, params, grid = _grid_from_args(scene, args)
     values = cosmological_time_numeric(grid)
     analytic = st.cosmological_time_analytic
@@ -167,7 +163,7 @@ def _cmd_cosmo_time(args) -> int:
 
 
 def _cmd_check_antilip(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = Scene.from_file(args.scene)
     _, tau, params, grid = _grid_from_args(scene, args)
     region = params.box if args.region is None else tuple(
         tuple(float(x) for x in pair.split(",")) for pair in args.region.split(";"))
@@ -187,7 +183,7 @@ def _cmd_check_antilip(args) -> int:
 
 
 def _cmd_optical(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = Scene.from_file(args.scene)
     st = scene.spacetime()
     center = _parse_point(args.center)
     sense = TimeSense.FUTURE if args.sense == "future" else TimeSense.PAST
@@ -210,7 +206,7 @@ def _cmd_optical(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = Scene.from_file(args.scene)
     st, tau, params, grid = _grid_from_args(scene, args)
     center = _parse_point(args.center)
     rows = ball_boundary_sample(st, tau, center, args.radius, args.n_dirs,
@@ -222,7 +218,7 @@ def _cmd_ball(args) -> int:
 
 
 def _cmd_encode_test(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = Scene.from_file(args.scene)
     st, tau, params, grid = _grid_from_args(scene, args)
     with open(args.pairs, "r", encoding="utf-8") as fh:
         pairs = json.load(fh)
@@ -263,16 +259,8 @@ def _parse_map(spec: str, dim: int) -> PointMap:
 
 
 def _cmd_isometry(args) -> int:
-    scene1 = _load_scene(args.scene1)
-    scene2 = _load_scene(args.scene2)
-    st1 = scene1.spacetime()
-    st2 = scene2.spacetime()
-    tau1 = scene1.time_function(st1)
-    tau2 = scene2.time_function(st2)
-    params1 = scene1.grid_params()
-    params2 = scene2.grid_params()
-    grid1 = build_grid(st1, tau1, params1.box, params1.h, params1.stencil)
-    grid2 = build_grid(st2, tau2, params2.box, params2.h, params2.stencil)
+    st1, tau1, params1, grid1 = _grid_from_args(Scene.from_file(args.scene1), args)
+    st2, tau2, _, grid2 = _grid_from_args(Scene.from_file(args.scene2), args)
     pmap = _parse_map(args.map, st1.dim)
     pres = check_preserving(pmap, grid1, grid2, tau1, tau2,
                             n_pairs=args.n_pairs, tol=args.tol, seed=args.seed)
@@ -464,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None)
     sp.add_argument("--path-csv", default=None, dest="path_csv")
-    sp.set_defaults(fn=_cmd_nulldist)
+    sp.set_defaults(handler=_cmd_nulldist)
 
     sp = sub.add_parser("causal", help="directed reachability q in J+(p)")
     sp.add_argument("scene")
@@ -472,13 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", required=True)
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_causal)
+    sp.set_defaults(handler=_cmd_causal)
 
     sp = sub.add_parser("cosmo-time", help="numeric cosmological time per node (CSV)")
     sp.add_argument("scene")
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_cosmo_time)
+    sp.set_defaults(handler=_cmd_cosmo_time)
 
     sp = sub.add_parser("check-antilip", help="best anti-Lipschitz constant in a region")
     sp.add_argument("scene")
@@ -488,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_check_antilip)
+    sp.set_defaults(handler=_cmd_check_antilip)
 
     sp = sub.add_parser("optical", help="optical function values at query points (CSV)")
     sp.add_argument("scene")
@@ -497,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.5, help="chart half-width")
     sp.add_argument("--queries", required=True, help="JSON file with a list of points")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_optical)
+    sp.set_defaults(handler=_cmd_optical)
 
     sp = sub.add_parser("ball", help="null-distance ball boundary along rays (CSV)")
     sp.add_argument("scene")
@@ -506,14 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-dirs", type=int, default=8, dest="n_dirs")
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_ball)
+    sp.set_defaults(handler=_cmd_ball)
 
     sp = sub.add_parser("encode-test", help="causality-encoding verdicts for a pair file")
     sp.add_argument("scene")
     sp.add_argument("--pairs", required=True, help="JSON file with [[p, q], ...]")
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_encode_test)
+    sp.set_defaults(handler=_cmd_encode_test)
 
     sp = sub.add_parser("isometry", help="distance/time preservation + conformal factor")
     sp.add_argument("scene1")
@@ -524,12 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_isometry)
+    sp.set_defaults(handler=_cmd_isometry)
 
     sp = sub.add_parser("paper-suite", help="run the bundled example presets")
     sp.add_argument("--h", type=float, default=0.05,
                     help="lattice spacing for the slab presets (missing-ray keeps its aligned 0.25)")
-    sp.set_defaults(fn=_cmd_paper_suite)
+    sp.set_defaults(handler=_cmd_paper_suite)
 
     return ap
 
@@ -538,7 +526,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.handler(args)
     except SceneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from .grid import (
     CausalGrid,
     GridParams,
     ReachSense,
+    axis_corner_directions,
     build_grid,
     null_distances_from,
     reach,
@@ -112,7 +113,7 @@ def curve_from_grid_path(grid: CausalGrid, path: Sequence[int]) -> PiecewiseCaus
 def null_length(curve: PiecewiseCausalCurve, tau) -> float:
     """Sum of |dtau| over the segment breakpoints."""
     curve.validate()
-    vals = _tau_vertices(curve, tau)
+    vals = tau.batch(curve.vertices)
     return float(np.abs(np.diff(vals)).sum())
 
 
@@ -180,7 +181,7 @@ def grid_distance_oracle(grid: CausalGrid) -> Callable:
 def zigzag_decompose(curve: PiecewiseCausalCurve, tau) -> tuple:
     """(future_len, past_len) with future - past = dtau(end) - dtau(start)."""
     curve.validate()
-    vals = _tau_vertices(curve, tau)
+    vals = tau.batch(curve.vertices)
     future = 0.0
     past = 0.0
     for i, sense in enumerate(curve.senses):
@@ -202,7 +203,7 @@ def small_zags_check(curve: PiecewiseCausalCurve, dhat_pq: float, tau,
     """
     future, past = zigzag_decompose(curve, tau)
     total = null_length(curve, tau)
-    vals = _tau_vertices(curve, tau)
+    vals = tau.batch(curve.vertices)
     bound = total - dhat_pq + tol
     report = {
         "future_len": future,
@@ -213,17 +214,6 @@ def small_zags_check(curve: PiecewiseCausalCurve, dhat_pq: float, tau,
         "telescope_residual": abs((future - past) - (vals[-1] - vals[0])),
     }
     return past < bound, report
-
-
-def _tau_vertices(curve: PiecewiseCausalCurve, tau) -> np.ndarray:
-    return _tau_points(curve.vertices, tau)
-
-
-def _tau_points(pts: np.ndarray, tau) -> np.ndarray:
-    batch = getattr(tau, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(pts), dtype=float)
-    return np.array([tau(v) for v in pts], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +260,7 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float,
         return np.concatenate([verts[:1], x.reshape(-1, dim), verts[-1:]])
 
     def null_len(x):
-        return float(sign @ np.diff(_tau_points(chain(x), tau)))
+        return float(sign @ np.diff(tau.batch(chain(x))))
 
     def in_cone(x):
         v = chain(x)
@@ -452,17 +442,7 @@ def ray_directions(dim: int, n_dirs: int) -> np.ndarray:
     if dim == 2:
         angles = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    dirs = []
-    for a in range(dim):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(dim)
-            e[a] = sgn
-            dirs.append(e)
-    import itertools
-    for corner in itertools.product((1.0, -1.0), repeat=dim):
-        v = np.array(corner)
-        dirs.append(v / np.linalg.norm(v))
-    dirs = np.array(dirs)
+    dirs = axis_corner_directions(dim)
     reps = int(np.ceil(n_dirs / dirs.shape[0]))
     return np.tile(dirs, (reps, 1))[:n_dirs]
 

@@ -45,6 +45,10 @@ class GridTooLarge(NullDistError):
     """Lattice would exceed the node-count guardrail."""
 
 
+class NoCausalEdges(NullDistError):
+    """No future-causal edge survives between the kept lattice nodes."""
+
+
 class NonFiniteValue(NullDistError):
     """Metric or time function evaluated to NaN or inf on the lattice."""
 

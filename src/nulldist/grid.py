@@ -23,6 +23,7 @@ from .errors import (
     EmptyGrid,
     ExcisionSwallowsBox,
     GridTooLarge,
+    NoCausalEdges,
     NodeNotInGrid,
     NonFiniteValue,
 )
@@ -134,12 +135,12 @@ class CausalGrid:
 
     @staticmethod
     def _to_csr(n, u, v, w):
+        # no sorted copy of u and no second copy of v: the first CSR build
+        # follows build_grid, and its temporaries can raise the peak memory
         order = np.argsort(u, kind="stable")
-        us, vs, ws = u[order], v[order], w[order]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, us + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return (indptr, vs.astype(np.int64), ws), order
+        np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+        return (indptr, v[order].astype(np.int64, copy=False), w[order]), order
 
     def csr_out(self):
         if self._csr_out is None:
@@ -167,26 +168,25 @@ class CausalGrid:
 
     # -- node lookup --------------------------------------------------------
 
-    def node_of(self, coords) -> int:
+    def _snap(self, coords):
+        """(coords, lattice index, node id or -1) of the nearest lattice point."""
         c = np.asarray(coords, dtype=float)
         k = np.rint((c - self.lo) / self.h).astype(np.int64)
         if np.any(k < 0) or np.any(k >= self.shape):
             raise NodeNotInGrid(f"{c.tolist()} is outside the grid box")
-        snapped = self.lo + k * self.h
-        if np.abs(snapped - c).max() > 1e-6 * self.h:
+        return c, k, int(self._ids_full[tuple(k)])
+
+    def node_of(self, coords) -> int:
+        c, k, node = self._snap(coords)
+        if np.abs(self.lo + k * self.h - c).max() > 1e-6 * self.h:
             raise NodeNotInGrid(f"{c.tolist()} does not lie on the lattice")
-        node = int(self._ids_full[tuple(k)])
         if node < 0:
             raise NodeNotInGrid(f"lattice point {c.tolist()} was removed from the domain")
         return node
 
     def node_of_nearest(self, coords) -> int:
         """Snap arbitrary coordinates to the nearest kept lattice node."""
-        c = np.asarray(coords, dtype=float)
-        k = np.rint((c - self.lo) / self.h).astype(np.int64)
-        if np.any(k < 0) or np.any(k >= self.shape):
-            raise NodeNotInGrid(f"{c.tolist()} is outside the grid box")
-        node = int(self._ids_full[tuple(k)])
+        c, _, node = self._snap(coords)
         if node < 0:
             raise NodeNotInGrid(f"nearest lattice point to {c.tolist()} was removed")
         return node
@@ -220,7 +220,8 @@ def build_grid(st: Spacetime, tau, box, h: float,
     Nodes within h/2 of an excision are dropped, as are edges whose straight
     segment passes within h/2 of one; causality of each candidate edge is
     decided by the metric at the segment midpoint.  Raises NonFiniteValue if
-    ``tau`` at a node or the metric at a candidate midpoint is NaN or inf.
+    ``tau`` at a node or the metric at a candidate midpoint is NaN or inf, and
+    NoCausalEdges if no causal edge survives.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -253,18 +254,13 @@ def build_grid(st: Spacetime, tau, box, h: float,
     ids_full[keep] = np.arange(int(keep.sum()))
     ids_full = ids_full.reshape(tuple(shape))
     coords = coords_full[keep]
-    tau_values = _tau_batch(tau, coords)
+    tau_values = np.asarray(tau.batch(coords), dtype=float)
     _require_finite("time function", tau_values, coords)
 
     offsets = stencil.offsets(dim)
     eu, ev, ew, el = [], [], [], []
     for o in offsets:
-        src_sl = tuple(slice(max(0, -int(o[a])), shape[a] - max(0, int(o[a])))
-                       for a in range(dim))
-        dst_sl = tuple(slice(max(0, int(o[a])), shape[a] - max(0, -int(o[a])))
-                       for a in range(dim))
-        a_ids = ids_full[src_sl].ravel()
-        b_ids = ids_full[dst_sl].ravel()
+        a_ids, b_ids = offset_pairs(ids_full, o)
         mask = (a_ids >= 0) & (b_ids >= 0)
         if not np.any(mask):
             continue
@@ -302,19 +298,13 @@ def build_grid(st: Spacetime, tau, box, h: float,
         ew.append(np.abs(tau_values[v] - tau_values[u]))
         el.append(np.sqrt(np.abs(q)))
 
-    if eu:
-        edge_u = np.concatenate(eu)
-        edge_v = np.concatenate(ev)
-        edge_w = np.concatenate(ew)
-        edge_len = np.concatenate(el)
-    else:
-        edge_u = np.empty(0, dtype=np.int64)
-        edge_v = np.empty(0, dtype=np.int64)
-        edge_w = np.empty(0, dtype=float)
-        edge_len = np.empty(0, dtype=float)
-
-    return CausalGrid(st, tau, params, coords, ids_full, shape,
-                      edge_u, edge_v, edge_w, edge_len, tau_values, offsets)
+    if not eu:
+        # with no edge every pair is disconnected and every node a source
+        raise NoCausalEdges(f"no causal edge joins two of the {coords.shape[0]} kept nodes "
+                            f"of box {params.box} at h = {h:g}")
+    return CausalGrid(st, tau, params, coords, ids_full, shape, np.concatenate(eu),
+                      np.concatenate(ev), np.concatenate(ew), np.concatenate(el),
+                      tau_values, offsets)
 
 
 def _require_finite(what: str, values: np.ndarray, points: np.ndarray) -> None:
@@ -323,11 +313,29 @@ def _require_finite(what: str, values: np.ndarray, points: np.ndarray) -> None:
         raise NonFiniteValue(f"{what} is not finite at {points[bad][0].tolist()}")
 
 
-def _tau_batch(tau, coords: np.ndarray) -> np.ndarray:
-    batch = getattr(tau, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(coords), dtype=float)
-    return np.array([tau(c) for c in coords], dtype=float)
+def offset_pairs(ids: np.ndarray, offset) -> tuple:
+    """Entries of the lattice array ``ids`` at every index pair (k, k + offset)
+    inside it: (sources, targets), each raveled in C-order."""
+    src = tuple(slice(max(0, -int(c)), n - max(0, int(c))) for c, n in zip(offset, ids.shape))
+    dst = tuple(slice(max(0, int(c)), n - max(0, -int(c))) for c, n in zip(offset, ids.shape))
+    return ids[src].ravel(), ids[dst].ravel()
+
+
+def axis_corner_directions(n: int) -> np.ndarray:
+    """Unit vectors of R^n: +e_a and -e_a for each axis in turn, then the
+    normalized corner diagonals in lexicographic sign order (left out for
+    n = 1, where they repeat the axes)."""
+    dirs = []
+    for a in range(n):
+        for sgn in (1.0, -1.0):
+            e = np.zeros(n)
+            e[a] = sgn
+            dirs.append(e)
+    if n > 1:
+        for corner in itertools.product((1.0, -1.0), repeat=n):
+            v = np.array(corner)
+            dirs.append(v / np.linalg.norm(v))
+    return np.array(dirs)
 
 
 def reach(grid: CausalGrid, node: int, sense: str = ReachSense.FUTURE) -> ReachSet:

@@ -151,8 +151,7 @@ def _fd_jacobian(pmap: PointMap, p: np.ndarray, step: float) -> np.ndarray:
     return J
 
 
-def conformal_factor(pmap: PointMap, st1: Spacetime, st2: Spacetime, p,
-                     fd_step: float = 1e-6, dispersion_tol: float = 0.02):
+def conformal_factor(pmap: PointMap, st1: Spacetime, st2: Spacetime, p):
     """Estimate phi with F* g2 = phi^2 g1 at p; raises nothing on failure but
     reports dispersion so the caller can flag NotConformal.
 
@@ -164,7 +163,7 @@ def conformal_factor(pmap: PointMap, st1: Spacetime, st2: Spacetime, p,
     causal test set.
     """
     p = np.asarray(p, dtype=float)
-    J = _fd_jacobian(pmap, p, fd_step)
+    J = _fd_jacobian(pmap, p, 1e-6)
     g1 = st1.metric_at(p)
     g2 = st2.metric_at(pmap(p))
     M = J.T @ g2 @ J  # pullback of g2
@@ -204,9 +203,6 @@ class CoareaResult:
     phi_min: float
     phi_max: float
     n_cells: int
-
-    def __iter__(self):
-        return iter((self.vol_n, self.vol_nm1))
 
 
 def coarea_volume_compare(st1: Spacetime, phi, tau1, region, h: float,

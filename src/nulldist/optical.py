@@ -9,7 +9,6 @@ below 2, which is what makes omega a usable causal indicator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,7 +23,7 @@ from .errors import (
     OnAxisDegenerate,
     StepTooLarge,
 )
-from .grid import CausalGrid, reach
+from .grid import CausalGrid, StencilSpec, axis_corner_directions, offset_pairs, reach
 from .spacetime import MetricForm, Spacetime, TimeSense, as_event
 
 NULL_DRIFT_TOL = 1e-6  # relative bound on |g(u,u)| along null shots
@@ -179,7 +178,6 @@ def _gram_schmidt_frame(st: Spacetime, p: np.ndarray, e0: np.ndarray) -> np.ndar
 
 
 def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
-                n_frame: Optional[int] = None, n_steps: int = 128,
                 shoot_step: float = 0.25, probe: bool = True) -> NullChart:
     """Integrate the chart axis and its parallel frame through p.
 
@@ -197,9 +195,8 @@ def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
     if sense == TimeSense.PAST:
         e0 = -e0
     frame0 = _gram_schmidt_frame(st, coords, e0)
-    if n_frame is not None:
-        frame0 = frame0[:n_frame]
     n_sp = frame0.shape[0]
+    n_steps = 128  # RK4 steps along the axis on each side of p
 
     def transport(sign):
         dt = sign * eps / n_steps
@@ -304,18 +301,8 @@ def _flat_seed(chart: NullChart, q: np.ndarray):
 
 
 def _coarse_seeds(chart: NullChart, radius: float):
-    n = chart.n_space
     ts = np.linspace(-0.9 * chart.eps, 0.9 * chart.eps, 8)
-    dirs = []
-    for axis in range(n):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(n)
-            e[axis] = sgn
-            dirs.append(e)
-    if n > 1:
-        for corner in itertools.product((1.0, -1.0), repeat=n):
-            v = np.array(corner)
-            dirs.append(v / np.linalg.norm(v))
+    dirs = axis_corner_directions(chart.n_space)
     lams = np.linspace(0.1 * radius, 0.95 * radius, 8)
     for t in ts:
         for d in dirs:
@@ -448,10 +435,6 @@ def _axis_projection(chart: NullChart, q: np.ndarray, tol: float):
     return None
 
 
-def omega(chart: NullChart, q) -> float:
-    return chart_inverse(chart, q).omega
-
-
 # ---------------------------------------------------------------------------
 # the Riemannian comparison metric and the Lipschitz bound
 # ---------------------------------------------------------------------------
@@ -485,20 +468,19 @@ def g_R_eval(chart: NullChart, q, val: Optional[OpticalValue] = None) -> MetricF
     return MetricForm(0.5 * (entries + entries.T))
 
 
-def grad_norm_omega(chart: NullChart, q, fd_step: Optional[float] = None,
-                    strict: bool = True) -> float:
+def grad_norm_omega(chart: NullChart, q) -> float:
     """|grad omega| in the g_R metric at an off-axis event.
 
     Computed from central differences of the inverted chart time, with the
     index raised by g_R; the chart construction guarantees the value stays
-    below 2 wherever |g(X,X)| > 1/2.
+    below 2 wherever |g(X,X)| > 1/2; a value of 2 or more raises.
     """
     q = as_event(q).coords
     val = chart_inverse(chart, q)
     axis_band = 1e-5 * max(1.0, chart.eps)
     if val.lam <= axis_band:
         raise OnAxisDegenerate("omega is not differentiable on the chart axis")
-    h = fd_step if fd_step is not None else 1e-5 * max(1.0, float(np.abs(q).max()))
+    h = 1e-5 * max(1.0, float(np.abs(q).max()))
     dim = chart.st.dim
     grad = np.empty(dim)
     warm = (val.omega, val.lam * val.direction)
@@ -512,13 +494,13 @@ def grad_norm_omega(chart: NullChart, q, fd_step: Optional[float] = None,
         grad[a] = (wp - wm) / (2 * h)
     gR = g_R_eval(chart, q, val).entries
     norm = math.sqrt(float(grad @ np.linalg.solve(gR, grad)))
-    if strict and norm >= 2.0:
+    if norm >= 2.0:
         raise NullDistError(f"optical gradient bound violated: {norm:.6f} >= 2")
     return norm
 
 
 def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
-                       lattice_n: int = 7, box_frac: float = 0.9) -> float:
+                       lattice_n: int = 7) -> float:
     """Largest observed |d omega| / d_{g_R} over lattice node pairs.
 
     d_{g_R} is the shortest-path distance on a fine lattice with g_R edge
@@ -527,7 +509,7 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     supremum and must stay below 2.
     """
     dim = chart.st.dim
-    half = box_frac * chart.domain_radius / math.sqrt(dim)
+    half = 0.9 * chart.domain_radius / math.sqrt(dim)
     axes = [chart.center[a] + np.linspace(-half, half, lattice_n) for a in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
@@ -547,21 +529,10 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
             warm = (val.omega, val.lam * val.direction)
 
     # undirected lattice edges, one per +- offset pair, max-norm radius 1
-    shape = (lattice_n,) * dim
-    ids = np.arange(n_nodes).reshape(shape)
-    us, vs = [], []
-    for o in itertools.product((-1, 0, 1), repeat=dim):
-        if all(c == 0 for c in o):
-            continue
-        lead = next(c for c in o if c != 0)
-        if lead < 0:
-            continue
-        src = ids[tuple(slice(max(0, -c), lattice_n - max(0, c)) for c in o)].ravel()
-        dst = ids[tuple(slice(max(0, c), lattice_n - max(0, -c)) for c in o)].ravel()
-        us.append(src)
-        vs.append(dst)
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
+    ids = np.arange(n_nodes).reshape((lattice_n,) * dim)
+    pairs = [offset_pairs(ids, o) for o in StencilSpec(radius=1).offsets(dim)]
+    u = np.concatenate([src for src, _ in pairs])
+    v = np.concatenate([dst for _, dst in pairs])
     delta = nodes[v] - nodes[u]
     gmid = 0.5 * (gr[u] + gr[v])
     w = np.sqrt(np.einsum("mi,mij,mj->m", delta, gmid, delta))
@@ -609,9 +580,8 @@ class MonotonicityReport:
 
 
 def omega_monotonicity_check(chart: NullChart, grid: CausalGrid,
-                             n_samples: int = 200, seed: int = 0,
-                             delta: Optional[float] = None) -> MonotonicityReport:
-    """omega is monotone along causal pairs, and omega >= delta implies grid
+                             n_samples: int = 200, seed: int = 0) -> MonotonicityReport:
+    """omega is monotone along causal pairs, and omega >= 2h implies grid
     membership in J+ of the chart center.
 
     Grid reach confirms membership only for samples whose spatial L1 slack
@@ -620,7 +590,7 @@ def omega_monotonicity_check(chart: NullChart, grid: CausalGrid,
     """
     rng = np.random.default_rng(seed)
     p_node = grid.node_of(chart.center)
-    delta = 2.0 * grid.h if delta is None else delta
+    delta = 2.0 * grid.h
     reach_p = reach(grid, p_node).members
 
     # restrict sampling to nodes where the chart inverts

@@ -5,6 +5,7 @@ round-trip exactly through emit -> parse."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +26,18 @@ def _check_keys(d: dict, allowed: set, where: str):
         raise SceneError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _positive_int(x, where: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise SceneError(f"{where} must be a positive integer, got {x!r}")
+    return x
+
+
+def _number(x, where: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise SceneError(f"{where} must be a finite number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class Scene:
     dim: int
@@ -43,7 +56,7 @@ class Scene:
             raise SceneError(f"unsupported schema {data.get('schema')!r}; expected {SCHEMA_VERSION}")
         if "dim" not in data or "spacetime" not in data:
             raise SceneError("scene requires 'dim' and 'spacetime'")
-        dim = int(data["dim"])
+        dim = _positive_int(data["dim"], "scene.dim")
         st = dict(data["spacetime"])
         _check_keys(st, _SPACETIME_KEYS, "scene.spacetime")
         if "name" not in st:
@@ -53,6 +66,10 @@ class Scene:
         _check_keys(time_spec, {"kind", "scale", "offset"}, "scene.time")
         if time_spec.get("kind", "coordinate") not in _TIME_KINDS:
             raise SceneError(f"unknown time kind {time_spec.get('kind')!r}")
+        if "offset" in time_spec:
+            _number(time_spec["offset"], "scene.time.offset")
+        if "scale" in time_spec and _number(time_spec["scale"], "scene.time.scale") <= 0:
+            raise SceneError(f"scene.time.scale must be positive, got {time_spec['scale']!r}")
         grid_spec = data.get("grid")
         if grid_spec is not None:
             grid_spec = dict(grid_spec)
@@ -61,8 +78,15 @@ class Scene:
             if "box" not in grid_spec or "h" not in grid_spec:
                 raise SceneError("scene.grid requires 'box' and 'h'")
             box = grid_spec["box"]
-            if len(box) != dim or any(len(b) != 2 for b in box):
+            if (not isinstance(box, (list, tuple)) or len(box) != dim
+                    or any(not isinstance(b, (list, tuple)) or len(b) != 2 for b in box)):
                 raise SceneError("scene.grid.box must hold one [lo, hi] pair per dimension")
+            for lo, hi in box:
+                if _number(lo, "scene.grid.box") > _number(hi, "scene.grid.box"):
+                    raise SceneError(f"scene.grid.box pair [{lo!r}, {hi!r}] has lo > hi")
+            if _number(grid_spec["h"], "scene.grid.h") <= 0:
+                raise SceneError(f"scene.grid.h must be positive, got {grid_spec['h']!r}")
+            _positive_int(grid_spec.get("stencil_radius", 2), "scene.grid.stencil_radius")
         return Scene(dim=dim, spacetime_spec=st, time_spec=time_spec, grid_spec=grid_spec)
 
     @staticmethod

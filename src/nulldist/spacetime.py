@@ -165,10 +165,7 @@ class HalfLine:
             s_int = np.where(safe, (rhs1 + ad * rhs2) / np.where(safe, det, 1.0), -1.0)
             u_int = rhs2 + ad * np.where(safe, s_int, 0.0)
 
-        def seg_point_dist(pts):
-            return self.distance(pts)
-
-        best = np.minimum(seg_point_dist(a), seg_point_dist(b))
+        best = np.minimum(self.distance(a), self.distance(b))
         # u = 0 edge: distance from segment to the ray origin
         with np.errstate(divide="ignore", invalid="ignore"):
             s0 = np.clip(np.where(aa > 0, rhs1 / np.where(aa > 0, aa, 1.0), 0.0), 0.0, 1.0)
@@ -231,7 +228,6 @@ class Spacetime:
     params: dict = field(default_factory=dict)
     metric_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cosmological_time_analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    deriv_step: float = 1e-5
 
     def metric_at(self, coords: np.ndarray) -> np.ndarray:
         return self.metric_batch(np.asarray(coords, float)[None, :])[0]
@@ -257,7 +253,7 @@ class Spacetime:
         if self.metric_deriv is not None:
             return self.metric_deriv(np.asarray(coords, float))
         c = np.asarray(coords, float)
-        h = self.deriv_step * max(1.0, float(np.abs(c).max()))
+        h = 1e-5 * max(1.0, float(np.abs(c).max()))
         pts = np.repeat(c[None, :], 2 * self.dim, axis=0)
         for a in range(self.dim):
             pts[2 * a, a] += h
@@ -463,24 +459,29 @@ def builtin(name: str, **params) -> Spacetime:
 
     Names: minkowski, upper_half_minkowski, missing_ray, warped_product
     (f(t) = slope*t + offset), conformal (base= spacetime or name, factor=
-    positive constant or callable on coordinate batches).
+    positive constant or callable on coordinate batches).  Raises
+    UnknownName for an unknown name or a parameter the name does not take.
     """
     dim = int(params.pop("dim", 4))
     if name == "minkowski":
-        return _make_minkowski(dim)
-    if name == "upper_half_minkowski":
-        return _make_upper_half(dim)
-    if name == "missing_ray":
-        return _make_missing_ray(dim)
-    if name == "warped_product":
+        st = _make_minkowski(dim)
+    elif name == "upper_half_minkowski":
+        st = _make_upper_half(dim)
+    elif name == "missing_ray":
+        st = _make_missing_ray(dim)
+    elif name == "warped_product":
         slope = float(params.pop("slope", 1.0))
         offset = float(params.pop("offset", 0.0))
-        return _make_warped(dim, slope, offset)
-    if name == "conformal":
+        st = _make_warped(dim, slope, offset)
+    elif name == "conformal":
         base = params.pop("base")
         if isinstance(base, str):
             base = builtin(base, dim=dim)
         elif isinstance(base, dict):
             base = builtin(base.pop("name"), **base)
-        return _make_conformal(base, params.pop("factor"))
-    raise UnknownName(f"unknown spacetime {name!r}")
+        st = _make_conformal(base, params.pop("factor"))
+    else:
+        raise UnknownName(f"unknown spacetime {name!r}")
+    if params:
+        raise UnknownName(f"unknown parameters {sorted(params)} for spacetime {name!r}")
+    return st

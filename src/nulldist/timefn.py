@@ -1,9 +1,10 @@
 """Time functions: evaluation, numeric cosmological time, anti-Lipschitz checks.
 
-A TimeFunction is a scalar field with declared claims (generalized,
-anti-Lipschitz, proper, cosmological).  Claims are declarations, not
-inferences: properness in particular cannot be decided from samples, so it
-is carried as metadata and only heuristically spot-checked.
+A TimeFunction is a scalar field, given by one batch evaluator, with
+declared claims (generalized, anti-Lipschitz, proper, cosmological).
+Claims are declarations, not inferences: properness in particular cannot be
+decided from samples, so it is carried as metadata and only heuristically
+spot-checked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .errors import NoCausalPairs
 from .grid import CausalGrid, ReachSense, reach
-from .spacetime import Spacetime, as_event
+from .spacetime import Spacetime
 
 
 @dataclass(frozen=True)
@@ -30,21 +31,22 @@ class TimeClaims:
 
 @dataclass(frozen=True, eq=False)
 class TimeFunction:
-    """Scalar evaluator with claim flags and the supremum of its range."""
+    """Batch evaluator with claim flags and the supremum of its range.
 
-    fn: Callable[[np.ndarray], float]
+    ``batch`` maps an (m, dim) coordinate array to the m values of tau and is
+    the only evaluator: ``tau(p)`` is the batch of one, so scalar and batch
+    values agree bit for bit.
+    """
+
+    batch: Callable[[np.ndarray], np.ndarray]
     claims: TimeClaims
     name: str = "tau"
     range_sup: float = math.inf
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, coords) -> float:
         if hasattr(coords, "coords"):
             coords = coords.coords
-        return float(self.fn(np.asarray(coords, dtype=float)))
-
-    def eval(self, p) -> float:
-        return self(as_event(p).coords)
+        return float(self.batch(np.asarray(coords, dtype=float)[None, :])[0])
 
 
 def coordinate_time(st: Spacetime) -> TimeFunction:
@@ -67,7 +69,7 @@ def coordinate_time(st: Spacetime) -> TimeFunction:
     else:
         claims = claims_by_name.get(st.name, TimeClaims(True, False, False, False))
     return TimeFunction(
-        fn=lambda c: c[0], batch=lambda pts: pts[:, 0].copy(),
+        batch=lambda pts: pts[:, 0].copy(),
         claims=claims, name="t",
     )
 
@@ -75,7 +77,7 @@ def coordinate_time(st: Spacetime) -> TimeFunction:
 def cubed_time(st: Spacetime) -> TimeFunction:
     """tau(p) = t^3; strictly increasing but not anti-Lipschitz across t=0."""
     return TimeFunction(
-        fn=lambda c: c[0] ** 3, batch=lambda pts: pts[:, 0] ** 3,
+        batch=lambda pts: pts[:, 0] ** 3,
         claims=TimeClaims(generalized=True, anti_lipschitz=False,
                           proper=False, cosmological=False),
         name="t^3",
@@ -89,7 +91,6 @@ def affine_time(st: Spacetime, scale: float = 1.0, offset: float = 0.0) -> TimeF
     cosmo = scale == 1.0 and offset == 0.0 and st.name in (
         "upper_half_minkowski", "missing_ray", "warped_product")
     return TimeFunction(
-        fn=lambda c: scale * c[0] + offset,
         batch=lambda pts: scale * pts[:, 0] + offset,
         claims=TimeClaims(True, True, False, cosmo),
         name=f"{scale:g}*t+{offset:g}",
@@ -193,7 +194,7 @@ def check_anti_lipschitz(grid: CausalGrid, tau: TimeFunction, region,
     rng = np.random.default_rng(seed)
     n_pick = min(n_sources, candidates.size)
     sources = candidates[rng.permutation(candidates.size)[:n_pick]]
-    tau_vals = _tau_on(grid, tau)
+    tau_vals = tau.batch(grid.coords)
 
     best = math.inf
     worst_pair = None
@@ -244,7 +245,7 @@ def check_regularity(grid: CausalGrid, tau: TimeFunction) -> RegularityReport:
     length, so a box reaching the past domain boundary passes while shifted
     or unbounded time functions fail.
     """
-    tau_vals = _tau_on(grid, tau)
+    tau_vals = tau.batch(grid.coords)
     all_finite = bool(np.all(np.isfinite(tau_vals)))
     offs = grid.offsets_used
     max_len = float(np.sqrt((offs.astype(float) ** 2).sum(axis=1).max())) if offs.size else 1.0
@@ -254,11 +255,3 @@ def check_regularity(grid: CausalGrid, tau: TimeFunction) -> RegularityReport:
     ok = all_finite and worst <= eps_reg
     return RegularityReport(ok=ok, eps_reg=eps_reg, worst_source_tau=worst,
                             n_sources=int(sources.size), all_finite=all_finite)
-
-
-def _tau_on(grid: CausalGrid, tau: TimeFunction) -> np.ndarray:
-    if tau is grid.tau:
-        return grid.tau_values
-    if tau.batch is not None:
-        return np.asarray(tau.batch(grid.coords), dtype=float)
-    return np.array([tau(c) for c in grid.coords], dtype=float)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from nulldist.cli import main
-from nulldist.errors import SceneError
+from nulldist.errors import SceneError, UnknownName
 from nulldist.scene import Scene
 
 MINK2 = {
@@ -82,6 +82,47 @@ def test_malformed_scene_exit_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert re.search(r"line \d+, column \d+", err)
+
+
+@pytest.mark.parametrize("key, sub, value", [
+    ("dim", None, "two"),
+    ("dim", None, 2.5),
+    ("grid", "h", -0.05),
+    ("grid", "h", 0),
+    ("grid", "h", "0.05"),
+    ("grid", "box", [["a", 0.3], [-0.2, 1.2]]),
+    ("grid", "box", [[0.3, -0.3], [-0.2, 1.2]]),
+    ("grid", "stencil_radius", 0),
+    ("time", None, {"kind": "affine", "scale": -1}),
+    ("time", None, {"kind": "affine", "scale": 0.0}),
+])
+def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
+    data = json.loads(json.dumps(MINK2))
+    if sub is None:
+        data[key] = value
+    else:
+        data[key][sub] = value
+    with pytest.raises(SceneError):
+        Scene.from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["nulldist", str(path), "--p", "0,0", "--q", "0,1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: scene.")
+
+
+def test_unknown_spacetime_params_rejected(tmp_path, capsys):
+    data = json.loads(json.dumps(MINK2))
+    data["spacetime"]["params"] = {"bogus": 1}
+    with pytest.raises(UnknownName):
+        Scene.from_dict(data).spacetime()
+    warped = dict(data, spacetime={"name": "warped_product", "params": {"slope": 1.0, "slop": 2.0}})
+    with pytest.raises(UnknownName):
+        Scene.from_dict(warped).spacetime()
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(data))
+    assert main(["nulldist", str(path), "--p", "0,0", "--q", "0,1"]) == 1
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_nulldist_output_and_determinism(scene_file, tmp_path):

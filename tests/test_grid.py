@@ -319,3 +319,13 @@ def test_non_finite_metric_or_tau_raises():
     tau_inf = replace(tau, batch=lambda pts: np.where(pts[:, 0] > 0.9, np.inf, pts[:, 0]))
     with pytest.raises(NonFiniteValue):
         nd.build_grid(base, tau_inf, box, 0.05)
+
+
+def test_no_causal_edges_raises():
+    from nulldist.errors import NoCausalEdges
+
+    st = nd.builtin("minkowski", dim=2)
+    tau = nd.coordinate_time(st)
+    # zero time extent: every kept node is on one slice, every offset spacelike
+    with pytest.raises(NoCausalEdges):
+        nd.build_grid(st, tau, [(0.5, 0.5), (-0.5, 0.5)], 0.1)

@@ -30,6 +30,15 @@ def test_cubed_time_values():
     assert not tau.claims.anti_lipschitz
 
 
+def test_scalar_value_is_batch_of_one():
+    """tau(p) and tau.batch agree bit for bit, t**3 included."""
+    st = nd.builtin("upper_half_minkowski", dim=3)
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(4000, 3))
+    for tau in (nd.coordinate_time(st), nd.cubed_time(st), affine_time(st, 1.7, -0.3)):
+        mismatched = [p for p in pts if tau(p) != tau.batch(p[None])[0]]
+        assert not mismatched, (tau.name, len(mismatched))
+
+
 def upper_grid(dim=2, h=0.1, box=None):
     st = nd.builtin("upper_half_minkowski", dim=dim)
     tau = nd.coordinate_time(st)
