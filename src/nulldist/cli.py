@@ -26,7 +26,7 @@ from .curves import (
     encodes_causality_test,
     null_distance_result,
 )
-from .errors import NullDistError, SceneError
+from .errors import NullDistError, SceneError, UnknownName
 from .grid import GridParams, build_grid, reach, shortest_null_path
 from .isometry import (
     PointMap,
@@ -527,10 +527,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.handler(args)
-    except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SceneError, UnknownName, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NullDistError as exc:

@@ -27,21 +27,23 @@ from .grid import CausalGrid, StencilSpec, axis_corner_directions, offset_pairs,
 from .spacetime import MetricForm, Spacetime, TimeSense, as_event
 
 NULL_DRIFT_TOL = 1e-6  # relative bound on |g(u,u)| along null shots
+SHOOT_CHUNK = 128  # rows per batched shot; bounds the RK4 temporaries
 
 
 def christoffels(st: Spacetime, coords: np.ndarray) -> np.ndarray:
-    """Connection coefficients Gamma^k_{ij} from metric derivatives."""
-    g = st.metric_at(coords)
-    dg = st.metric_derivatives(coords)
-    ginv = np.linalg.inv(g)
-    # dg_sym[l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}
-    dg_sym = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, dg_sym)
+    """Connection coefficients Gamma^k_{ij} from metric derivatives, at one
+    point (dim,) or at each row of an (m, dim) stack (indexed [m, k, i, j])."""
+    pts = np.asarray(coords, float).reshape(-1, st.dim)
+    ginv = np.linalg.inv(st.metric_batch(pts))
+    dg = st.metric_derivatives(pts)
+    # dg_sym[m,l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}
+    dg_sym = np.einsum("milj->mlij", dg) + np.einsum("mjli->mlij", dg) - dg
+    gamma = 0.5 * np.einsum("mkl,mlij->mkij", ginv, dg_sym)
+    return gamma if np.ndim(coords) == 2 else gamma[0]
 
 
 def _geodesic_rhs(st: Spacetime, x: np.ndarray, u: np.ndarray):
-    gamma = christoffels(st, x)
-    return u, -np.einsum("kij,i,j->k", gamma, u, u)
+    return u, -np.einsum("mkij,mi,mj->mk", christoffels(st, x), u, u)
 
 
 def _rk4_step(st: Spacetime, x, u, dt):
@@ -56,23 +58,42 @@ def _rk4_step(st: Spacetime, x, u, dt):
 
 def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
                  step: float, monitor_null: bool):
-    """Integrate the geodesic equation; returns final (x, u)."""
+    """Integrate the geodesic equation for every row of (m, dim) x0, u0.
+
+    Returns final (x, u), per-row errors (None, or what a shot of that row
+    alone raises; the row stays at its last good step) and the largest
+    relative |g(u,u)| of a step that passed the null monitor."""
     if step <= 0:
         raise ValueError("step must be positive")
     n = max(1, int(math.ceil(abs(s) / step)))
     dt = s / n
-    x, u = x0.astype(float).copy(), u0.astype(float).copy()
+    x_end, u_end = np.array(x0, dtype=float), np.array(u0, dtype=float)
+    x, u, live = x_end, u_end, np.arange(x_end.shape[0])  # live rows only
+    errors, drift = [None] * live.size, 0.0
     for i in range(n):
-        x, u = _rk4_step(st, x, u, dt)
-        if not st.domain_contains(x):
-            raise LeftDomain((i + 1) * dt)
-        if monitor_null:
-            g = st.metric_at(x)
-            q = abs(float(u @ g @ u))
-            if q > NULL_DRIFT_TOL * float(u @ u):
-                raise StepTooLarge(
-                    f"null constraint drift {q:.2e} after step {i + 1}; reduce step")
-    return x, u
+        nx, nu = _rk4_step(st, x, u, dt)
+        ok = np.array(st.domain_batch(nx), dtype=bool)  # a copy: rows are cleared below
+        for r in live[~ok]:
+            errors[r] = LeftDomain((i + 1) * dt)
+        if monitor_null and ok.any():
+            k = np.flatnonzero(ok)
+            uk = nu[k][:, None, :]
+            q = np.abs((uk @ st.metric_batch(nx[k]) @ uk.transpose(0, 2, 1))[:, 0, 0])
+            uu = (uk @ uk.transpose(0, 2, 1))[:, 0, 0]
+            bad = q > NULL_DRIFT_TOL * uu
+            drift = max(drift, float(np.max(q / np.maximum(uu, 1e-300), where=~bad, initial=0)))
+            for r in np.flatnonzero(bad):
+                errors[live[k[r]]] = StepTooLarge(
+                    f"null constraint drift {q[r]:.2e} after step {i + 1}; reduce step")
+                ok[k[r]] = False
+        if not ok.all():  # failed rows keep their last good step
+            x_end[live[~ok]], u_end[live[~ok]] = x[~ok], u[~ok]
+            nx, nu, live = nx[ok], nu[ok], live[ok]
+        x, u = nx, nu
+        if live.size == 0:
+            break
+    x_end[live], u_end[live] = x, u
+    return x_end, u_end, errors, drift
 
 
 def geodesic_shoot(st: Spacetime, p, v, s: float, step: float = 0.05):
@@ -86,8 +107,10 @@ def geodesic_shoot(st: Spacetime, p, v, s: float, step: float = 0.05):
     g = st.metric_at(p.coords)
     q0 = abs(float(vv @ g @ vv))
     monitor = q0 <= NULL_DRIFT_TOL * float(vv @ vv)
-    x, _ = _shoot_state(st, p.coords, vv, s, step, monitor)
-    return as_event(x)
+    x, _, errors, _ = _shoot_state(st, p.coords[None], vv[None], s, step, monitor)
+    if errors[0] is not None:
+        raise errors[0]
+    return as_event(x[0])
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +133,8 @@ class NullChart:
 
     Axis states are stored densely and interpolated with cubic Hermite, so
     flat charts are exact; the frame is parallel-transported alongside the
-    axis integration and its orthonormality drift is recorded.
+    axis integration and its orthonormality drift is recorded.  Its work
+    counters, like wall-clock fields, are outside the determinism guarantee.
     """
 
     def __init__(self, st, center, sense, eps, e0, frame0, ts, pos, vel,
@@ -131,6 +155,8 @@ class NullChart:
         self.speed_drift = 0.0
         self.frame_drift = 0.0
         self.domain_radius = eps
+        self.forward_shots = self.newton_iters = self.multistart_fallbacks = 0
+        self.max_null_drift = 0.0
 
     def state(self, t: float):
         """(position, velocity, frame) on the axis at parameter t."""
@@ -231,17 +257,12 @@ def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
     pos = np.array([s[1] for s in samples])
     vel = np.array([s[2] for s in samples])
     frame = np.array([s[3] for s in samples])
-    frame_dot = np.empty_like(frame)
-    speed_drift = 0.0
-    frame_drift = 0.0
-    for k in range(ts.shape[0]):
-        gamma = christoffels(st, pos[k])
-        frame_dot[k] = -np.einsum("kij,i,nj->nk", gamma, vel[k], frame[k])
-        gk = st.metric_at(pos[k])
-        speed_drift = max(speed_drift, abs(float(vel[k] @ gk @ vel[k]) + 1.0))
-        gram = frame[k] @ gk @ frame[k].T
-        frame_drift = max(frame_drift, float(np.abs(gram - np.eye(n_sp)).max()),
-                          float(np.abs(frame[k] @ gk @ vel[k]).max()))
+    frame_dot = -np.einsum("mkij,mi,mnj->mnk", christoffels(st, pos), vel, frame)
+    g = st.metric_batch(pos)
+    speed_drift = float(np.abs(vel[:, None] @ g @ vel[:, :, None] + 1.0).max())
+    gram = frame @ g @ frame.transpose(0, 2, 1)
+    frame_drift = max(float(np.abs(gram - np.eye(n_sp)).max()),
+                      float(np.abs(frame @ g @ vel[:, :, None]).max()))
 
     chart = NullChart(st, coords, sense, eps, e0, frame0, ts, pos, vel,
                       frame, frame_dot, shoot_step)
@@ -281,14 +302,33 @@ def _probe_domain_radius(chart: NullChart) -> float:
 def chart_forward(chart: NullChart, t: float, x) -> np.ndarray:
     """Event reached by the null geodesic fired from axis time t with
     transverse chart coordinates x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pos, vel, frame = chart.state(float(t))
-    lam = float(np.linalg.norm(x))
-    if lam == 0.0:
-        return pos.copy()
-    v = x @ frame + lam * vel
-    out, _ = _shoot_state(chart.st, pos, v, 1.0, chart.shoot_step, monitor_null=True)
-    return out
+    out, errors = _forward_batch(chart, [t], np.atleast_1d(np.asarray(x, dtype=float))[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return out[0]
+
+
+def _forward_batch(chart: NullChart, ts, xs):
+    """chart_forward at every (ts[r], xs[r]), shot SHOOT_CHUNK rows at a time;
+    returns the events, inf on rows whose shot failed, and per-row errors."""
+    xs = np.asarray(xs, dtype=float)
+    lams = np.array([float(np.linalg.norm(x)) for x in xs])
+    out, v = np.empty((2, len(ts), chart.st.dim))
+    for r, t in enumerate(ts):
+        pos, vel, frame = chart.state(float(t))
+        out[r], v[r] = pos, xs[r] @ frame + lams[r] * vel
+    errors = [None] * len(ts)
+    rows = np.flatnonzero(lams != 0.0)  # axis points are their own image
+    for lo in range(0, rows.size, SHOOT_CHUNK):
+        sel = rows[lo:lo + SHOOT_CHUNK]
+        out[sel], _, errs, drift = _shoot_state(chart.st, out[sel], v[sel], 1.0,
+                                                chart.shoot_step, monitor_null=True)
+        for r, err in zip(sel, errs):
+            if err is not None:
+                out[r], errors[r] = np.inf, err
+        chart.max_null_drift = max(chart.max_null_drift, drift)
+    chart.forward_shots += rows.size
+    return out, errors
 
 
 def _flat_seed(chart: NullChart, q: np.ndarray):
@@ -332,19 +372,15 @@ def chart_inverse(chart: NullChart, q, tol: float = 1e-10,
     candidates = [(t0, np.asarray(x0, dtype=float))]
     if seed is not None:
         candidates.append((float(seed[0]), np.asarray(seed[1], dtype=float)))
-        candidates.sort(key=lambda s: float(
-            np.linalg.norm(_forward_safe(chart, s[0], s[1]) - q)))
+        candidates = _sort_by_miss(chart, q, candidates)
     result = None
     for t_s, x_s in candidates:
         result = _newton(chart, q, t_s, x_s, tol, scale)
         if result is not None:
             break
     if result is None:
-        seeds = sorted(
-            _coarse_seeds(chart, radius),
-            key=lambda s: float(np.linalg.norm(_forward_safe(chart, s[0], s[1]) - q)),
-        )
-        for t_s, x_s in seeds[:24]:
+        chart.multistart_fallbacks += 1
+        for t_s, x_s in _sort_by_miss(chart, q, list(_coarse_seeds(chart, radius)))[:24]:
             result = _newton(chart, q, t_s, x_s, tol, scale)
             if result is not None:
                 break
@@ -357,56 +393,49 @@ def chart_inverse(chart: NullChart, q, tol: float = 1e-10,
     return OpticalValue(omega=float(t), lam=lam, direction=x / lam, residual=res)
 
 
-def _forward_safe(chart, t, x):
-    try:
-        return chart_forward(chart, t, x)
-    except (LeftDomain, StepTooLarge):
-        return np.full(chart.st.dim, np.inf)
+def _sort_by_miss(chart, q, seeds):
+    """Seeds (t, x) in stable order of the distance from their image to q."""
+    images, _ = _forward_batch(chart, [t for t, _ in seeds], [x for _, x in seeds])
+    miss = [float(np.linalg.norm(f - q)) for f in images]
+    return [seeds[i] for i in sorted(range(len(seeds)), key=miss.__getitem__)]
 
 
 def _newton(chart, q, t, x, tol, scale, max_iter=60):
     y = np.concatenate([[t], np.atleast_1d(x)])
-    dim = chart.st.dim
 
-    def F(yy):
-        return _forward_safe(chart, yy[0], yy[1:]) - q
+    def F(ys):
+        return _forward_batch(chart, ys[:, 0], ys[:, 1:])[0] - q
 
-    f = F(y)
+    f = F(y[None])[0]
     if not np.all(np.isfinite(f)):
         return None
     fn = float(np.linalg.norm(f))
     for _ in range(max_iter):
         if fn <= tol * scale:
             return y[0], y[1:], fn
-        J = np.empty((dim, dim))
+        chart.newton_iters += 1
         hstep = 1e-6 * max(1.0, float(np.abs(y).max()))
-        for a in range(dim):
-            yp = y.copy()
-            ym = y.copy()
-            yp[a] += hstep
-            ym[a] -= hstep
-            fp, fm = F(yp), F(ym)
-            if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-                return None
-            J[:, a] = (fp - fm) / (2 * hstep)
+        probes = np.repeat(y[None], 2 * y.size, axis=0)
+        probes[0::2][np.diag_indices(y.size)] += hstep
+        probes[1::2][np.diag_indices(y.size)] -= hstep
+        fpm = F(probes)
+        if not np.all(np.isfinite(fpm)):
+            return None
+        J = (fpm[0::2] - fpm[1::2]).T / (2 * hstep)
         try:
             step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
             return None
-        lam = 1.0
-        success = False
-        for _ in range(25):
-            y_new = y + lam * step
-            f_new = F(y_new)
-            if np.all(np.isfinite(f_new)):
-                fn_new = float(np.linalg.norm(f_new))
-                if fn_new < fn * (1 - 1e-4) or fn_new <= tol * scale:
-                    y, f, fn = y_new, f_new, fn_new
-                    success = True
-                    break
-            lam *= 0.5
-        if not success:
+        ys = y + 0.5 ** np.arange(25)[:, None] * step
+        for batch in (ys[:1], ys[1:]):  # the full step alone: it usually succeeds
+            fs = F(batch)
+            fns = [float(np.linalg.norm(r)) if np.all(np.isfinite(r)) else math.inf for r in fs]
+            ok = [k for k, fk in enumerate(fns) if fk < fn * (1 - 1e-4) or fk <= tol * scale]
+            if ok:
+                break
+        else:
             return None
+        y, f, fn = batch[ok[0]], fs[ok[0]], fns[ok[0]]
     if fn <= tol * scale:
         return y[0], y[1:], fn
     return None
@@ -448,9 +477,11 @@ def _chart_time_field(chart: NullChart, q: np.ndarray, val: OpticalValue,
         return vel
     delta = fd_frac * chart.eps
     x = val.lam * val.direction
-    fp = chart_forward(chart, val.omega + delta, x)
-    fm = chart_forward(chart, val.omega - delta, x)
-    return (fp - fm) / (2 * delta)
+    fpm, errors = _forward_batch(chart, [val.omega + delta, val.omega - delta], [x, x])
+    for err in errors:
+        if err is not None:
+            raise err
+    return (fpm[0] - fpm[1]) / (2 * delta)
 
 
 def g_R_eval(chart: NullChart, q, val: Optional[OpticalValue] = None) -> MetricForm:

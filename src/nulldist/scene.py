@@ -38,6 +38,26 @@ def _number(x, where: str) -> float:
     return float(x)
 
 
+def _check_spacetime(spec, where: str):
+    """{name, params}, dim left to scene.dim; conformal needs base and factor."""
+    if not isinstance(spec, dict) or "name" not in spec:
+        raise SceneError(f"{where} must be an object with a 'name'")
+    _check_keys(spec, _SPACETIME_KEYS, where)
+    params = spec.get("params", {})
+    need = {"base", "factor"} if spec["name"] == "conformal" else set()
+    if not isinstance(params, dict) or "dim" in params or not need <= set(params):
+        raise SceneError(f"{where}.params must be an object with {sorted(need)}, without 'dim'")
+    if isinstance(params.get("base"), dict):
+        _check_spacetime(params["base"], f"{where}.params.base")
+
+
+def _build_spacetime(spec: dict, dim: int) -> Spacetime:
+    params = dict(spec.get("params", {}))
+    if isinstance(params.get("base"), dict):  # a conformal base, itself a spec
+        params["base"] = _build_spacetime(params["base"], dim)
+    return builtin(spec["name"], dim=dim, **params)
+
+
 @dataclass(frozen=True)
 class Scene:
     dim: int
@@ -57,10 +77,8 @@ class Scene:
         if "dim" not in data or "spacetime" not in data:
             raise SceneError("scene requires 'dim' and 'spacetime'")
         dim = _positive_int(data["dim"], "scene.dim")
+        _check_spacetime(data["spacetime"], "scene.spacetime")
         st = dict(data["spacetime"])
-        _check_keys(st, _SPACETIME_KEYS, "scene.spacetime")
-        if "name" not in st:
-            raise SceneError("scene.spacetime requires 'name'")
         st.setdefault("params", {})
         time_spec = dict(data.get("time", {"kind": "coordinate"}))
         _check_keys(time_spec, {"kind", "scale", "offset"}, "scene.time")
@@ -124,13 +142,7 @@ class Scene:
     # -- realization ----------------------------------------------------------
 
     def spacetime(self) -> Spacetime:
-        name = self.spacetime_spec["name"]
-        params = dict(self.spacetime_spec.get("params", {}))
-        if name == "conformal" and isinstance(params.get("base"), dict):
-            base = dict(params["base"])
-            base_params = base.pop("params", {})
-            params["base"] = builtin(base.pop("name"), dim=self.dim, **base_params)
-        return builtin(name, dim=self.dim, **params)
+        return _build_spacetime(self.spacetime_spec, self.dim)
 
     def time_function(self, st: Optional[Spacetime] = None) -> TimeFunction:
         st = st if st is not None else self.spacetime()

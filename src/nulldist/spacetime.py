@@ -216,8 +216,9 @@ class Spacetime:
     """A region of a Lorentzian manifold given by analytic callables.
 
     ``metric_batch`` maps an (m, dim) coordinate array to (m, dim, dim)
-    metric matrices; ``domain_batch`` to a boolean mask.  Values are
-    immutable after construction and safe to share between workers.
+    metric matrices; ``domain_batch`` to a boolean mask; ``metric_deriv``,
+    if given, to (m, dim, dim, dim) derivatives indexed [m, a, i, j].  Values
+    are immutable after construction and safe to share between workers.
     """
 
     dim: int
@@ -246,20 +247,18 @@ class Spacetime:
         return TangentVector(p, self.orientation_batch(p.coords[None, :])[0])
 
     def metric_derivatives(self, coords: np.ndarray) -> np.ndarray:
-        """d g_{ij} / d x^a as an array indexed [a, i, j].
-
-        Central finite differences unless the spacetime ships a closed form.
-        """
-        if self.metric_deriv is not None:
-            return self.metric_deriv(np.asarray(coords, float))
+        """d g_{ij} / d x^a at (m, dim) points, indexed [m, a, i, j]: the closed
+        form if given, else central differences, step 1e-5 * max(1, max|row|)."""
         c = np.asarray(coords, float)
-        h = 1e-5 * max(1.0, float(np.abs(c).max()))
-        pts = np.repeat(c[None, :], 2 * self.dim, axis=0)
-        for a in range(self.dim):
-            pts[2 * a, a] += h
-            pts[2 * a + 1, a] -= h
-        g = self.metric_batch(pts)
-        return (g[0::2] - g[1::2]) / (2.0 * h)
+        if self.metric_deriv is not None:
+            return self.metric_deriv(c)
+        h = 1e-5 * np.maximum(1.0, np.abs(c).max(axis=1))[:, None]
+        axes = np.arange(self.dim)
+        pts = np.repeat(c[:, None, :], 2 * self.dim, axis=1)
+        pts[:, 2 * axes, axes] += h
+        pts[:, 2 * axes + 1, axes] -= h
+        g = self.metric_batch(pts.reshape(-1, self.dim)).reshape(pts.shape + (self.dim,))
+        return (g[:, 0::2] - g[:, 1::2]) / (2.0 * h)[:, :, None, None]
 
 
 def metric_eval(st: Spacetime, p) -> MetricForm:
@@ -332,8 +331,8 @@ def _flat_metric_batch(dim):
 
 
 def _zeros_deriv(dim):
-    def deriv(coords):
-        return np.zeros((dim, dim, dim))
+    def deriv(pts):
+        return np.zeros((pts.shape[0], dim, dim, dim))
 
     return deriv
 
@@ -401,11 +400,11 @@ def _make_warped(dim, slope, offset):
             g[:, i, i] = f2
         return g
 
-    def deriv(coords):
-        out = np.zeros((dim, dim, dim))
-        df2 = 2.0 * f(coords[0]) * slope
+    def deriv(pts):
+        out = np.zeros((pts.shape[0], dim, dim, dim))
+        df2 = 2.0 * f(pts[:, 0]) * slope
         for i in range(1, dim):
-            out[0, i, i] = df2
+            out[:, 0, i, i] = df2
         return out
 
     def domain(pts):
@@ -437,7 +436,7 @@ def _make_conformal(base: Spacetime, factor):
     deriv = None
     if const is not None and base.metric_deriv is not None:
         base_deriv = base.metric_deriv
-        deriv = lambda coords: const * const * base_deriv(coords)
+        deriv = lambda pts: const * const * base_deriv(pts)
 
     analytic = None
     if const is not None and base.cosmological_time_analytic is not None:

@@ -46,6 +46,28 @@ def test_scene_rejects_unknown_keys():
         Scene.from_dict(bad2)
 
 
+def test_conformal_base_rejects_unknown_keys(tmp_path, capsys):
+    bad = json.loads(json.dumps(MINK2))
+    bad["spacetime"] = {"name": "conformal", "params": {
+        "factor": 2.0, "base": {"name": "minkowski", "parms": {"slope": 2.0}}}}
+    with pytest.raises(SceneError, match="parms"):
+        Scene.from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["nulldist", str(path), "--p", "0,0", "--q", "0,1"]) == 2
+    assert "scene.spacetime.params.base" in capsys.readouterr().err
+
+
+def test_nested_conformal_scene_keeps_scene_dim():
+    inner = {"name": "conformal", "params": {"factor": 1.5, "base": {"name": "minkowski"}}}
+    data = dict(MINK2, spacetime={"name": "conformal", "params": {"factor": 2.0, "base": inner}})
+    st = Scene.from_dict(data).spacetime()
+    assert st.dim == 2 and st.params["base"]["base"]["dim"] == 2
+    assert st.metric_at([0.0, 0.0])[1, 1] == 9.0
+    inner["params"]["base"]["params"] = {}
+    assert Scene.from_dict(data).spacetime().dim == 2
+
+
 def test_scene_rejects_wrong_schema():
     bad = dict(MINK2)
     bad["schema"] = 99
@@ -95,6 +117,9 @@ def test_malformed_scene_exit_2(tmp_path, capsys):
     ("grid", "stencil_radius", 0),
     ("time", None, {"kind": "affine", "scale": -1}),
     ("time", None, {"kind": "affine", "scale": 0.0}),
+    ("spacetime", None, {"name": "conformal", "params": {"base": "minkowski"}}),
+    ("spacetime", None, {"name": "conformal", "params": {"factor": 2.0}}),
+    ("spacetime", "params", {"dim": 2}),
 ])
 def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     data = json.loads(json.dumps(MINK2))
@@ -121,7 +146,7 @@ def test_unknown_spacetime_params_rejected(tmp_path, capsys):
         Scene.from_dict(warped).spacetime()
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps(data))
-    assert main(["nulldist", str(path), "--p", "0,0", "--q", "0,1"]) == 1
+    assert main(["nulldist", str(path), "--p", "0,0", "--q", "0,1"]) == 2
     assert "bogus" in capsys.readouterr().err
 
 
