@@ -25,7 +25,7 @@ from .grid import (
     reach,
     shortest_null_path,
 )
-from .spacetime import NULL_TOL, Spacetime
+from .spacetime import NULL_TOL, LightCone, Spacetime
 
 
 class SegmentSense(Enum):
@@ -56,29 +56,33 @@ class PiecewiseCausalCurve:
         return self.vertices.shape[0] - 1
 
     def validate(self, tol: float = NULL_TOL) -> None:
-        """Check every segment against the midpoint metric; InvalidSegment on failure."""
-        for i in range(self.n_segments):
-            a, b = self.vertices[i], self.vertices[i + 1]
-            delta = b - a
-            sense = self.senses[i]
+        """Check every segment against its midpoint metric, one metric
+        evaluation for the whole curve.  InvalidSegment names the first
+        failing segment; a non-finite midpoint metric raises NonFiniteValue."""
+        v = self.vertices
+        d = np.diff(v, axis=0)
+        step = np.abs(d).max(axis=1)
+        rows = [i for i, s in enumerate(self.senses)
+                if s is not SegmentSense.DEGENERATE and step[i] > 0.0]
+        mid = 0.5 * (v[:-1][rows] + v[1:][rows])
+        cone = LightCone(self.st.metric_batch(mid), d[rows], mid, tol)
+        causal = cone.causal
+        runs_future = iter(cone.future(self.st.orientation_batch(mid[causal]), causal))
+        k = 0  # row of segment i in cone
+        for i, sense in enumerate(self.senses):
             if sense is SegmentSense.DEGENERATE:
-                if np.abs(delta).max() > 1e-12 * max(1.0, np.abs(a).max()):
+                if step[i] > 1e-12 * max(1.0, np.abs(v[i]).max()):
                     raise InvalidSegment(f"segment {i} declared degenerate but moves")
                 continue
-            if np.abs(delta).max() == 0.0:
+            if step[i] == 0.0:
                 raise InvalidSegment(f"segment {i} has coincident endpoints but sense {sense}")
-            mid = 0.5 * (a + b)
-            g = self.st.metric_batch(mid[None, :])[0]
-            q = float(delta @ g @ delta)
-            scale = float(np.abs(g).max())
-            if q > tol * scale * float(delta @ delta):
-                raise InvalidSegment(f"segment {i} is spacelike (g(d,d)={q:g})")
-            tvec = self.st.orientation_batch(mid[None, :])[0]
-            s = float(tvec @ g @ delta)
+            if not causal[k]:
+                raise InvalidSegment(f"segment {i} is spacelike (g(d,d)={cone.q[k]:g})")
             want_future = sense is SegmentSense.FUTURE
-            if (s < 0) != want_future:
+            if next(runs_future) != want_future:
                 raise InvalidSegment(f"segment {i} runs {'past' if want_future else 'future'} "
                                      f"but is declared {sense.value}")
+            k += 1
 
     def reverse(self) -> "PiecewiseCausalCurve":
         flip = {SegmentSense.FUTURE: SegmentSense.PAST,
@@ -92,17 +96,14 @@ def curve_from_grid_path(grid: CausalGrid, path: Sequence[int]) -> PiecewiseCaus
     """Wrap a node-id chain as a curve, deriving each segment's sense."""
     verts = grid.coords[np.asarray(path, dtype=int)]
     st = grid.st
-    senses = []
-    for i in range(verts.shape[0] - 1):
-        delta = verts[i + 1] - verts[i]
-        if np.abs(delta).max() == 0.0:
-            senses.append(SegmentSense.DEGENERATE)
-            continue
-        mid = 0.5 * (verts[i] + verts[i + 1])
-        g = st.metric_batch(mid[None, :])[0]
-        tvec = st.orientation_batch(mid[None, :])[0]
-        s = float(tvec @ g @ delta)
-        senses.append(SegmentSense.FUTURE if s < 0 else SegmentSense.PAST)
+    d = np.diff(verts, axis=0)
+    moves = np.abs(d).max(axis=1) > 0.0
+    mid = 0.5 * (verts[:-1][moves] + verts[1:][moves])
+    # every grid edge is causal: take the sense of each moving segment as it is
+    cone = LightCone(st.metric_batch(mid), d[moves], mid, NULL_TOL)
+    future = cone.future(st.orientation_batch(mid), slice(None))
+    senses = np.full(d.shape[0], SegmentSense.DEGENERATE, dtype=object)
+    senses[moves] = np.where(future, SegmentSense.FUTURE, SegmentSense.PAST)
     return PiecewiseCausalCurve(st, verts, tuple(senses))
 
 
@@ -266,12 +267,10 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float,
         v = chain(x)
         d = np.diff(v, axis=0)
         mid = 0.5 * (v[:-1] + v[1:])
-        g = st.metric_batch(mid)
-        scale = np.abs(g).reshape(g.shape[0], -1).max(axis=1)
-        q = np.einsum("mi,mij,mj->m", d, g, d) / scale
-        s = np.einsum("mi,mij,mj->m", st.orientation_batch(mid), g, d) / scale
+        cone = LightCone(st.metric_batch(mid), d, mid, NULL_TOL)
+        s = cone.time_component(st.orientation_batch(mid), slice(None))
         slack = REFINE_CAUSAL_SLACK * np.einsum("mi,mi->m", d, d)
-        return np.concatenate([-q - slack, -sign * s])
+        return np.concatenate([-cone.q / cone.scale - slack, -sign * s / cone.scale])
 
     def clear(x):
         v = chain(x)
@@ -354,11 +353,6 @@ class EncodesReport:
     tau_p: float
     tau_q: float
     properness_claimed: bool
-
-    @property
-    def is_violation(self) -> bool:
-        return self.verdict in (EncodesVerdict.VIOLATION_MISSING_CAUSAL,
-                                EncodesVerdict.VIOLATION_CAUSAL_BUT_STRICT)
 
 
 def default_tol_eq(grid: CausalGrid) -> float:

@@ -25,9 +25,8 @@ from .errors import (
     GridTooLarge,
     NoCausalEdges,
     NodeNotInGrid,
-    NonFiniteValue,
 )
-from .spacetime import NULL_TOL, Spacetime
+from .spacetime import NULL_TOL, LightCone, Spacetime, require_finite
 
 MAX_NODES = 20_000_000
 
@@ -191,9 +190,6 @@ class CausalGrid:
             raise NodeNotInGrid(f"nearest lattice point to {c.tolist()} was removed")
         return node
 
-    def coords_of(self, node: int) -> np.ndarray:
-        return self.coords[node]
-
     def time_layers(self) -> np.ndarray:
         """Node-id boundaries of the time layers: a layered topological order.
 
@@ -255,7 +251,7 @@ def build_grid(st: Spacetime, tau, box, h: float,
     ids_full = ids_full.reshape(tuple(shape))
     coords = coords_full[keep]
     tau_values = np.asarray(tau.batch(coords), dtype=float)
-    _require_finite("time function", tau_values, coords)
+    require_finite("time function", tau_values, coords)
 
     offsets = stencil.offsets(dim)
     eu, ev, ew, el = [], [], [], []
@@ -268,23 +264,15 @@ def build_grid(st: Spacetime, tau, box, h: float,
         b_ids = b_ids[mask]
         delta = o.astype(float) * h
         mid = coords[a_ids] + 0.5 * delta
-        g = st.metric_batch(mid)
-        q = np.einsum("mij,i,j->m", g, delta, delta)
-        scale = np.abs(g).reshape(g.shape[0], -1).max(axis=1)
-        _require_finite("metric", q, mid)
-        _require_finite("metric", scale, mid)
-        causal = q <= NULL_TOL * scale * float(delta @ delta)
+        cone = LightCone(st.metric_batch(mid), delta[None], mid, NULL_TOL)
+        causal = cone.causal
         if not np.any(causal):
             continue
-        a_ids, b_ids = a_ids[causal], b_ids[causal]
-        g = g[causal]
-        q = q[causal]
-        mid = mid[causal]
-        tvec = st.orientation_batch(mid)
-        s = np.einsum("mij,mi,j->m", g, tvec, delta)
+        a_ids, b_ids, q = a_ids[causal], b_ids[causal], cone.q[causal]
+        future = cone.future(st.orientation_batch(mid[causal]), causal)
         # orient each edge so its displacement is future causal
-        u = np.where(s < 0, a_ids, b_ids)
-        v = np.where(s < 0, b_ids, a_ids)
+        u = np.where(future, a_ids, b_ids)
+        v = np.where(future, b_ids, a_ids)
         if st.excisions:
             ca, cb = coords[a_ids], coords[b_ids]
             clear = np.ones(a_ids.shape[0], dtype=bool)
@@ -305,12 +293,6 @@ def build_grid(st: Spacetime, tau, box, h: float,
     return CausalGrid(st, tau, params, coords, ids_full, shape, np.concatenate(eu),
                       np.concatenate(ev), np.concatenate(ew), np.concatenate(el),
                       tau_values, offsets)
-
-
-def _require_finite(what: str, values: np.ndarray, points: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise NonFiniteValue(f"{what} is not finite at {points[bad][0].tolist()}")
 
 
 def offset_pairs(ids: np.ndarray, offset) -> tuple:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MapLeavesGrid, NodeNotInGrid, NonPositivePhi, SingularJacobian
 from .grid import CausalGrid, null_distances_from
-from .spacetime import Spacetime
+from .spacetime import NULL_TOL, LightCone, Spacetime
 
 
 class RigidityVerdict(Enum):
@@ -164,7 +164,6 @@ def conformal_factor(pmap: PointMap, st1: Spacetime, st2: Spacetime, p):
     """
     p = np.asarray(p, dtype=float)
     J = _fd_jacobian(pmap, p, 1e-6)
-    g1 = st1.metric_at(p)
     g2 = st2.metric_at(pmap(p))
     M = J.T @ g2 @ J  # pullback of g2
     dim = st1.dim
@@ -172,13 +171,13 @@ def conformal_factor(pmap: PointMap, st1: Spacetime, st2: Spacetime, p):
     for i in range(1, dim):
         vectors.append(np.eye(dim)[0] + np.eye(dim)[i])
         vectors.append(np.eye(dim)[0] - np.eye(dim)[i])
-    scale1 = float(np.abs(g1).max())
+    at_p = np.tile(p, (len(vectors), 1))
+    cone = LightCone(st1.metric_batch(at_p), np.array(vectors), at_p, NULL_TOL)
     ratios = []
     null_defect = 0.0
-    for v in vectors:
-        q1 = float(v @ g1 @ v)
+    for v, q1, null, scale1 in zip(vectors, cone.q, cone.null, cone.scale):
         q2 = float(v @ M @ v)
-        if abs(q1) > 1e-9 * scale1 * float(v @ v):
+        if not null:
             ratios.append(q2 / q1)
         else:
             null_defect = max(null_defect, abs(q2) / (scale1 * float(v @ v)))

@@ -42,18 +42,22 @@ def christoffels(st: Spacetime, coords: np.ndarray) -> np.ndarray:
     return gamma if np.ndim(coords) == 2 else gamma[0]
 
 
-def _geodesic_rhs(st: Spacetime, x: np.ndarray, u: np.ndarray):
-    return u, -np.einsum("mkij,mi,mj->mk", christoffels(st, x), u, u)
+def _geodesic_rhs(st: Spacetime, x: np.ndarray, u: np.ndarray, *legs):
+    """(dx, du, *dlegs) of the geodesic equation at (m, dim) rows x, u; each
+    (m, n, dim) frame in ``legs`` is parallel-transported along u."""
+    gamma = christoffels(st, x)
+    return (u, -np.einsum("mkij,mi,mj->mk", gamma, u, u),
+            *(-np.einsum("mkij,mi,mnj->mnk", gamma, u, E) for E in legs))
 
 
-def _rk4_step(st: Spacetime, x, u, dt):
-    k1x, k1u = _geodesic_rhs(st, x, u)
-    k2x, k2u = _geodesic_rhs(st, x + 0.5 * dt * k1x, u + 0.5 * dt * k1u)
-    k3x, k3u = _geodesic_rhs(st, x + 0.5 * dt * k2x, u + 0.5 * dt * k2u)
-    k4x, k4u = _geodesic_rhs(st, x + dt * k3x, u + dt * k3u)
-    nx = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    nu = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    return nx, nu
+def _rk4_step(st: Spacetime, dt, *state):
+    """One RK4 step of _geodesic_rhs over state (x, u, *legs)."""
+    k1 = _geodesic_rhs(st, *state)
+    k2 = _geodesic_rhs(st, *(y + 0.5 * dt * k for y, k in zip(state, k1)))
+    k3 = _geodesic_rhs(st, *(y + 0.5 * dt * k for y, k in zip(state, k2)))
+    k4 = _geodesic_rhs(st, *(y + dt * k for y, k in zip(state, k3)))
+    return tuple(y + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                 for y, a, b, c, d in zip(state, k1, k2, k3, k4))
 
 
 def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
@@ -71,7 +75,7 @@ def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
     x, u, live = x_end, u_end, np.arange(x_end.shape[0])  # live rows only
     errors, drift = [None] * live.size, 0.0
     for i in range(n):
-        nx, nu = _rk4_step(st, x, u, dt)
+        nx, nu = _rk4_step(st, dt, x, u)
         ok = np.array(st.domain_batch(nx), dtype=bool)  # a copy: rows are cleared below
         for r in live[~ok]:
             errors[r] = LeftDomain((i + 1) * dt)
@@ -224,39 +228,18 @@ def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
     n_sp = frame0.shape[0]
     n_steps = 128  # RK4 steps along the axis on each side of p
 
-    def transport(sign):
-        dt = sign * eps / n_steps
-        x = coords.copy()
-        u = e0.copy()
-        E = frame0.copy()
-        out = [(0.0, x.copy(), u.copy(), E.copy())]
+    def transport(dt):
+        states = [(coords[None], e0[None], frame0[None])]
         for i in range(n_steps):
-            # augmented RK4: geodesic + parallel transport of each frame leg
-            def rhs(xx, uu, EE):
-                gamma = christoffels(st, xx)
-                du = -np.einsum("kij,i,j->k", gamma, uu, uu)
-                dE = -np.einsum("kij,i,nj->nk", gamma, uu, EE)
-                return uu, du, dE
-
-            k1 = rhs(x, u, E)
-            k2 = rhs(x + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1], E + 0.5 * dt * k1[2])
-            k3 = rhs(x + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1], E + 0.5 * dt * k2[2])
-            k4 = rhs(x + dt * k3[0], u + dt * k3[1], E + dt * k3[2])
-            x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            u = u + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            E = E + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            if not st.domain_contains(x):
+            states.append(_rk4_step(st, dt, *states[-1]))
+            if not st.domain_contains(states[-1][0][0]):
                 raise LeftDomain((i + 1) * dt)
-            out.append(((i + 1) * dt, x.copy(), u.copy(), E.copy()))
-        return out
+        return states
 
-    back = transport(-1.0)
-    fwd = transport(1.0)
-    samples = list(reversed(back[1:])) + fwd
-    ts = np.array([s[0] for s in samples])
-    pos = np.array([s[1] for s in samples])
-    vel = np.array([s[2] for s in samples])
-    frame = np.array([s[3] for s in samples])
+    dt = eps / n_steps
+    samples = transport(-dt)[:0:-1] + transport(dt)  # p's state once, in the forward leg
+    ts = dt * np.arange(-n_steps, n_steps + 1)
+    pos, vel, frame = (np.concatenate(a) for a in zip(*samples))
     frame_dot = -np.einsum("mkij,mi,mnj->mnk", christoffels(st, pos), vel, frame)
     g = st.metric_batch(pos)
     speed_drift = float(np.abs(vel[:, None] @ g @ vel[:, :, None] + 1.0).max())

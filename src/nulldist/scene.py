@@ -47,8 +47,16 @@ def _check_spacetime(spec, where: str):
     need = {"base", "factor"} if spec["name"] == "conformal" else set()
     if not isinstance(params, dict) or "dim" in params or not need <= set(params):
         raise SceneError(f"{where}.params must be an object with {sorted(need)}, without 'dim'")
+    for key in ("slope", "offset"):
+        if key in params:
+            _number(params[key], f"{where}.params.{key}")
+    if "factor" in params and _number(params["factor"], f"{where}.params.factor") <= 0:
+        raise SceneError(f"{where}.params.factor must be positive, got {params['factor']!r}")
     if isinstance(params.get("base"), dict):
         _check_spacetime(params["base"], f"{where}.params.base")
+    elif "base" in params and not isinstance(params["base"], str):
+        raise SceneError(f"{where}.params.base must be a spacetime name or object, "
+                         f"got {params['base']!r}")
 
 
 def _build_spacetime(spec: dict, dim: int) -> Spacetime:

@@ -3,14 +3,16 @@
 Conventions (fixed once for the whole package):
 
 * metric signature is (-, +, ..., +) and the speed of light is 1;
-* a vector v is *causal* iff g(v, v) <= 0, timelike iff strictly negative;
+* a vector v is *causal* iff g(v, v) <= tol * max|g| * |v|^2 and *null* iff
+  |g(v, v)| is within that band (tol = NULL_TOL unless a caller passes its
+  own), timelike iff g(v, v) is below it; LightCone is the one place that
+  decides this;
 * coordinate 0 is the time coordinate of every built-in chart and the
   future orientation field is the coordinate vector d/dx0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -18,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    NonFiniteValue,
     NonPositiveConformalFactor,
     NotCausal,
     OutOfDomain,
@@ -37,7 +40,6 @@ class Event:
     """A point of the spacetime in chart coordinates."""
 
     coords: np.ndarray
-    chart_id: int = 0
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
@@ -50,8 +52,8 @@ class Event:
         return self.coords.shape[0]
 
 
-def as_event(p, chart_id: int = 0) -> Event:
-    return p if isinstance(p, Event) else Event(np.asarray(p, dtype=float), chart_id)
+def as_event(p) -> Event:
+    return p if isinstance(p, Event) else Event(np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +91,6 @@ class MetricForm:
         ev = np.linalg.eigvalsh(self.entries)
         return ev[0] < 0 and np.all(ev[1:] > 0)
 
-    def apply(self, u, v) -> float:
-        uu = u.components if isinstance(u, TangentVector) else np.asarray(u, float)
-        vv = v.components if isinstance(v, TangentVector) else np.asarray(v, float)
-        return float(uu @ self.entries @ vv)
-
 
 class CausalKind(Enum):
     TIMELIKE = "timelike"
@@ -111,6 +108,52 @@ class TimeSense(Enum):
 class CausalCharacter:
     kind: CausalKind
     time_sense: TimeSense
+
+
+def require_finite(what: str, values: np.ndarray, points: np.ndarray) -> None:
+    """NonFiniteValue naming the first of ``points`` whose value is NaN or inf."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise NonFiniteValue(f"{what} is not finite at {points[bad][0].tolist()}")
+
+
+class LightCone:
+    """The cone test of m displacements ``d`` (m, dim), or of one (1, dim)
+    displacement at every row, against the metrics ``g`` (m, dim, dim) at
+    their base ``points`` (m, dim).
+
+    ``q`` = g(d, d) and ``band`` = tol * max|g| * |d|^2, row by row: d is
+    causal iff q <= band and null iff |q| <= band, so the test is exactly
+    conformally invariant.  A non-finite q or metric scale raises
+    NonFiniteValue.
+    """
+
+    def __init__(self, g: np.ndarray, d: np.ndarray, points: np.ndarray, tol: float):
+        self.g = g
+        self.d = np.broadcast_to(d, g.shape[:2])
+        self.q = np.einsum("mij,mi,mj->m", g, self.d, self.d)
+        self.scale = np.abs(g).max(axis=(1, 2))
+        require_finite("metric", self.q, points)
+        require_finite("metric", self.scale, points)
+        self.band = tol * self.scale * np.einsum("mi,mi->m", d, d)
+
+    @property
+    def causal(self) -> np.ndarray:
+        return self.q <= self.band
+
+    @property
+    def null(self) -> np.ndarray:
+        return np.abs(self.q) <= self.band
+
+    def time_component(self, T: np.ndarray, rows) -> np.ndarray:
+        """g(T, d) on ``rows`` (a mask, indices or a slice) for the future
+        vectors T, one per selected row: negative where d points to the future,
+        positive where it points to the past."""
+        return np.einsum("mij,mi,mj->m", self.g[rows], T, self.d[rows])
+
+    def future(self, T: np.ndarray, rows) -> np.ndarray:
+        """Whether each selected d points to the future (time_component < 0)."""
+        return self.time_component(T, rows) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +316,21 @@ def metric_eval(st: Spacetime, p) -> MetricForm:
 
 def causal_character(g_p: MetricForm, T_p: TangentVector, v: TangentVector,
                      tol: float = NULL_TOL) -> CausalCharacter:
-    """Classify v against the cone of g_p, time-oriented by T_p.
-
-    The null band is relative: |g(v,v)| <= tol * scale(g) * |v|^2 with scale
-    the largest metric entry, so classification is exactly conformally
-    invariant.
-    """
+    """Classify v against the cone of g_p, time-oriented by T_p (LightCone's
+    relative null band, so classification is exactly conformally invariant)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     vv = np.asarray(v.components, float)
     if np.all(np.abs(vv) < tol):
         raise ZeroVector("all components below tolerance")
-    g = g_p.entries
-    scale = float(np.abs(g).max())
-    q = float(vv @ g @ vv)
-    band = tol * scale * float(vv @ vv)
-    if abs(q) <= band:
+    cone = LightCone(g_p.entries[None], vv[None], v.base.coords[None], tol)
+    if cone.null[0]:
         kind = CausalKind.NULL
-    elif q < 0:
+    elif cone.q[0] < 0:
         kind = CausalKind.TIMELIKE
     else:
         return CausalCharacter(CausalKind.SPACELIKE, TimeSense.NONE)
-    s = float(np.asarray(T_p.components, float) @ g @ vv)
+    s = cone.time_component(T_p.components[None], slice(None))[0]
     sense = TimeSense.FUTURE if s < 0 else (TimeSense.PAST if s > 0 else TimeSense.NONE)
     return CausalCharacter(kind, sense)
 
@@ -303,17 +339,14 @@ def reverse_cs_gap(g_p: MetricForm, u: TangentVector, v: TangentVector,
                    tol: float = NULL_TOL) -> float:
     """|g(u,v)| - |u|_g |v|_g, nonnegative (up to tol) for causal pairs."""
     g = g_p.entries
-    scale = float(np.abs(g).max())
-    for w in (u, v):
-        ww = np.asarray(w.components, float)
-        q = float(ww @ g @ ww)
-        if q > tol * scale * float(ww @ ww):
-            raise NotCausal("reverse Cauchy-Schwarz needs causal vectors")
     uu = np.asarray(u.components, float)
     vv = np.asarray(v.components, float)
-    nu = math.sqrt(abs(float(uu @ g @ uu)))
-    nv = math.sqrt(abs(float(vv @ g @ vv)))
-    return abs(float(uu @ g @ vv)) - nu * nv
+    cone = LightCone(np.stack([g, g]), np.stack([uu, vv]),
+                     np.stack([u.base.coords, v.base.coords]), tol)
+    if not np.all(cone.causal):
+        raise NotCausal("reverse Cauchy-Schwarz needs causal vectors")
+    nu, nv = np.sqrt(np.abs(cone.q))
+    return abs(float(uu @ g @ vv)) - float(nu) * float(nv)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,12 @@ def test_malformed_scene_exit_2(tmp_path, capsys):
     ("spacetime", None, {"name": "conformal", "params": {"base": "minkowski"}}),
     ("spacetime", None, {"name": "conformal", "params": {"factor": 2.0}}),
     ("spacetime", "params", {"dim": 2}),
+    ("spacetime", None, {"name": "warped_product", "params": {"slope": "x"}}),
+    ("spacetime", None, {"name": "warped_product", "params": {"slope": float("nan")}}),
+    ("spacetime", None, {"name": "conformal", "params": {"base": "minkowski", "factor": -1}}),
+    ("spacetime", None, {"name": "conformal", "params": {"base": "minkowski",
+                                                         "factor": "callable"}}),
+    ("spacetime", None, {"name": "conformal", "params": {"base": 3, "factor": 2.0}}),
 ])
 def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     data = json.loads(json.dumps(MINK2))
