@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 failed assertion in paper-suite, 2 parse errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -70,22 +69,19 @@ def _emit_json(data: dict, out_path):
         sys.stdout.write(text)
 
 
-def _emit_csv(header, rows, out_path):
-    def fmt(x):
-        return f"{x:.12g}" if isinstance(x, (float, np.floating)) else x
-
+def _emit_csv(header, columns, out_path):
+    """Write equal-length numeric ``columns`` (None for a column left empty)
+    under ``header``: the bytes csv.writer gives for f"{x:.12g}" fields,
+    built with one format call per row and written at once."""
+    template = ",".join("" if c is None else "%.12g" for c in columns)
+    values = [np.asarray(c, dtype=float).tolist() for c in columns if c is not None]
+    lines = [",".join(header)] + [template % row for row in zip(*values)]
+    text = "\r\n".join(lines) + "\r\n"
     if out_path:
-        fh = open(out_path, "w", newline="", encoding="utf-8")
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        fh = sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
-    finally:
-        if out_path:
-            fh.close()
+        sys.stdout.write(text)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -126,7 +122,7 @@ def _cmd_nulldist(args) -> int:
     if args.path_csv:
         dim = grid.st.dim
         header = [f"x{a}" for a in range(dim)]
-        _emit_csv(header, [list(v) for v in res.witness.vertices], args.path_csv)
+        _emit_csv(header, res.witness.vertices.T, args.path_csv)
     return 0
 
 
@@ -149,16 +145,11 @@ def _cmd_cosmo_time(args) -> int:
     dim = st.dim
     header = [f"x{a}" for a in range(dim)] + ["tau_numeric", "tau_analytic_if_known", "abs_err"]
 
-    def rows():
-        for i in range(grid.n_nodes):
-            row = list(grid.coords[i]) + [float(values[i])]
-            if ana is not None:
-                row += [float(ana[i]), abs(float(values[i]) - float(ana[i]))]
-            else:
-                row += ["", ""]
-            yield row
-
-    _emit_csv(header, rows(), args.out)
+    if ana is None:
+        extra = [None, None]
+    else:
+        extra = [ana, np.abs(values - ana)]
+    _emit_csv(header, [*grid.coords.T, values, *extra], args.out)
     return 0
 
 
@@ -201,7 +192,7 @@ def _cmd_optical(args) -> int:
         except NullDistError:
             gn = float("nan")
         rows.append(list(qc) + [val.omega, val.lam, gn])
-    _emit_csv(header, rows, args.out)
+    _emit_csv(header, np.array(rows).T, args.out)
     return 0
 
 
@@ -213,7 +204,7 @@ def _cmd_ball(args) -> int:
                                 params, grid=grid)
     dim = st.dim
     header = [f"dir{a}" for a in range(dim)] + [f"x{a}" for a in range(dim)]
-    _emit_csv(header, [list(r) for r in rows], args.out)
+    _emit_csv(header, rows.T, args.out)
     return 0
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BallExitsGrid, InvalidSegment, NodeNotInGrid
+from .errors import BallExitsGrid, InvalidSegment, NodeNotInGrid, SamePoint
 from .grid import (
     CausalGrid,
     GridParams,
@@ -363,6 +363,9 @@ def default_tol_eq(grid: CausalGrid) -> float:
 def null_distance_result(grid: CausalGrid, p_node: int, q_node: int,
                          tol_eq: Optional[float] = None) -> NullDistanceResult:
     est, path = shortest_null_path(grid, p_node, q_node)
+    if len(path) < 2:
+        raise SamePoint(f"p and q are the same point {grid.coords[p_node].tolist()}: "
+                        f"no witness curve joins it to itself")
     lower = abs(float(grid.tau_values[q_node] - grid.tau_values[p_node]))
     tol_eq = default_tol_eq(grid) if tol_eq is None else tol_eq
     witness = curve_from_grid_path(grid, path)

@@ -61,6 +61,10 @@ class Disconnected(NullDistError):
     """No path between the requested nodes in the undirected support graph."""
 
 
+class SamePoint(NullDistError):
+    """Both ends of a null-distance query are the same lattice node."""
+
+
 class InvalidSegment(NullDistError):
     """A curve segment fails its declared causal-sense check."""
 

@@ -176,6 +176,12 @@ def test_nulldist_output_and_determinism(scene_file, tmp_path):
     assert strip(out1) == strip(out2)
 
 
+def test_nulldist_same_point_is_one_error_line(scene_file, capsys):
+    assert main(["nulldist", scene_file, "--p", "0,0.5", "--q", "0,0.5"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: p and q are the same point \[\S+, 0\.5\]: .*\n", err)
+
+
 def test_nulldist_h_override_and_path_dump(scene_file, tmp_path):
     out = tmp_path / "o.json"
     pcsv = tmp_path / "path.csv"
