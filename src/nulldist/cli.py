@@ -42,6 +42,8 @@ from .scene import Scene
 from .spacetime import TimeSense
 from .timefn import check_anti_lipschitz, check_regularity, cosmological_time_numeric
 
+CSV_ROWS = 4096  # rows formatted per write, so the text of a large CSV is never held whole
+
 
 def _round12(obj):
     """12 significant digits on every float, recursively."""
@@ -71,17 +73,19 @@ def _emit_json(data: dict, out_path):
 
 def _emit_csv(header, columns, out_path):
     """Write equal-length numeric ``columns`` (None for a column left empty)
-    under ``header``: the bytes csv.writer gives for f"{x:.12g}" fields,
-    built with one format call per row and written at once."""
-    template = ",".join("" if c is None else "%.12g" for c in columns)
-    values = [np.asarray(c, dtype=float).tolist() for c in columns if c is not None]
-    lines = [",".join(header)] + [template % row for row in zip(*values)]
-    text = "\r\n".join(lines) + "\r\n"
-    if out_path:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    under ``header``: the bytes csv.writer gives for f"{x:.12g}" fields, built
+    one format call per row and written CSV_ROWS rows at a time."""
+    filled = [np.asarray(c, dtype=float) for c in columns if c is not None]
+    line = ",".join("" if c is None else "%.12g" for c in columns) + "\r\n"
+    fh = open(out_path, "w", newline="", encoding="utf-8") if out_path else sys.stdout
+    try:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(filled[0]) if filled else 0, CSV_ROWS):
+            rows = zip(*[c[start:start + CSV_ROWS].tolist() for c in filled])
+            fh.write("".join([line % row for row in rows]))
+    finally:
+        if out_path:
+            fh.close()
 
 
 def _parse_point(text: str) -> np.ndarray:

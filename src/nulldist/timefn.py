@@ -20,7 +20,7 @@ from .errors import NoCausalPairs
 from .grid import CausalGrid, ReachSense, reach
 from .spacetime import Spacetime
 
-INTEGRAL_ROWS = 65536  # metric evaluations per chunk of the boundary length integral
+INTEGRAL_ROWS = 16384  # metric evaluations per chunk of the boundary length integral
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,8 @@ def test_batched_bisection_chunks(monkeypatch):
     assert bits(_boundary_base(grid, sources)) == bits(whole)
 
 
-def test_csv_matches_csv_writer(tmp_path):
+def test_csv_matches_csv_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr("nulldist.cli.CSV_ROWS", 7)  # 60 rows: eight full writes and a short one
     rng = np.random.default_rng(3)
     special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300,
                0.1, 1 / 3, 123456789012345.0, 2.5e-7]
