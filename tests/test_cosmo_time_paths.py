@@ -250,12 +250,11 @@ def test_cosmo_time_bytes_match_row_by_row_reference(tmp_path, capsys):
             "time": {"kind": "coordinate"}, "grid": {"box": box, "h": h}}))
         scene = nd.Scene.from_file(str(path))
         st = scene.spacetime()
-        params_ = scene.grid_params()
-        grid = nd.build_grid(st, scene.time_function(st), params_.box, params_.h,
-                             params_.stencil)
+        gp = scene.grid_params()
+        grid = nd.build_grid(st, scene.time_function(st), gp.box, gp.h, gp.stencil)
         values = nd.cosmological_time_numeric(grid)
-        ana = None if st.cosmological_time_analytic is None else \
-            st.cosmological_time_analytic(grid.coords)
+        analytic = st.cosmological_time_analytic
+        ana = None if analytic is None else analytic(grid.coords)
         assert (ana is None) == (key == "warped")
         rows = []
         for i in range(grid.n_nodes):
