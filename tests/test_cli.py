@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nulldist
 from nulldist.cli import main
 from nulldist.errors import SceneError, UnknownName
 from nulldist.scene import Scene
@@ -379,6 +382,10 @@ def test_preset_suite_exit_zero():
 
 
 def test_console_entry_point():
+    # the child imports the package this suite imports, installed or not
+    src = str(Path(nulldist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "nulldist.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
