@@ -216,10 +216,9 @@ def build_grid(st: Spacetime, tau, box, h: float,
     Nodes within h/2 of an excision are dropped, as are edges whose straight
     segment passes within h/2 of one; causality of each candidate edge is
     decided by the metric at the segment midpoint, evaluated once per offset
-    and distinct midpoint value along ``st.metric_axes`` when the spacetime
-    declares them.  Raises NonFiniteValue if
-    ``tau`` at a node or the metric at a candidate midpoint is NaN or inf, and
-    NoCausalEdges if no causal edge survives.
+    when ``st.constant_metric`` declares it the same everywhere.  Raises
+    NonFiniteValue if ``tau`` at a node or the metric at a candidate midpoint
+    is NaN or inf, and NoCausalEdges if no causal edge survives.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -256,11 +255,6 @@ def build_grid(st: Spacetime, tau, box, h: float,
     require_finite("time function", tau_values, coords)
 
     offsets = stencil.offsets(dim)
-    axes = st.metric_axes
-    if axes:
-        # one key per kept node: its lattice index along the declared axes
-        at = np.unravel_index(np.flatnonzero(keep), tuple(shape))
-        node_key = np.ravel_multi_index(tuple(at[a] for a in axes), tuple(shape[list(axes)]))
     eu, ev, ew, el = [], [], [], []
     for o in offsets:
         a_ids, b_ids = offset_pairs(ids_full, o)
@@ -270,27 +264,18 @@ def build_grid(st: Spacetime, tau, box, h: float,
         a_ids = a_ids[mask]
         b_ids = b_ids[mask]
         delta = o.astype(float) * h
-        # rows: the midpoints the cone test runs on; row_of[i] is candidate i's row
-        if axes is None:
-            rows, row_of = coords[a_ids] + 0.5 * delta, None
-        else:
-            first, row_of = _first_of_each(node_key[a_ids]) if axes else ([0], None)
-            rows = coords[a_ids[first]] + 0.5 * delta
+        # a constant metric is tested on the first candidate's midpoint only
+        rows = coords[a_ids[:1] if st.constant_metric else a_ids] + 0.5 * delta
         cone = LightCone(st.metric_batch(rows), delta[None], rows, NULL_TOL)
         causal = cone.causal
         if not np.any(causal):
             continue
         future = cone.future(st.orientation_batch(rows[causal]), causal)
         length = np.sqrt(np.abs(cone.q[causal]))
-        if row_of is not None:  # from the causal rows back to the candidates
-            rank = np.cumsum(causal) - 1
-            causal = causal[row_of]
-            pick = rank[row_of[causal]]
-            future, length = future[pick], length[pick]
-        elif axes is not None:  # one row, causal: so is every candidate
-            causal = slice(None)
-        a_ids, b_ids = a_ids[causal], b_ids[causal]
-        length = np.broadcast_to(length, a_ids.shape)
+        if st.constant_metric:  # the one causal row stands for every candidate
+            length = np.broadcast_to(length, a_ids.shape)
+        else:
+            a_ids, b_ids = a_ids[causal], b_ids[causal]
         # orient each edge so its displacement is future causal
         u = np.where(future, a_ids, b_ids)
         v = np.where(future, b_ids, a_ids)
@@ -314,16 +299,6 @@ def build_grid(st: Spacetime, tau, box, h: float,
     return CausalGrid(st, tau, params, coords, ids_full, shape, np.concatenate(eu),
                       np.concatenate(ev), np.concatenate(ew), np.concatenate(el),
                       tau_values, offsets)
-
-
-def _first_of_each(keys: np.ndarray) -> tuple:
-    """(first, row_of): the index of each distinct key's first occurrence, in
-    order of occurrence, and for every entry the position of its key in first."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    return first[order], position[inverse]
 
 
 def offset_pairs(ids: np.ndarray, offset) -> tuple:

@@ -263,10 +263,10 @@ class Spacetime:
     if given, to (m, dim, dim, dim) derivatives indexed [m, a, i, j].  Values
     are immutable after construction and safe to share between workers.
 
-    ``metric_axes`` declares the coordinate axes the metric depends on: two
-    points that agree on them get bit-identical ``metric_batch`` rows, so
-    ``build_grid`` evaluates the metric once per distinct value along them.
-    ``None`` (the default) declares nothing and every point is evaluated.
+    ``constant_metric`` declares that ``metric_batch`` gives the same matrix,
+    bit for bit, at every point, so ``build_grid`` tests each stencil offset
+    on one midpoint and applies the answer to every edge along it.  A wrong
+    declaration yields a wrong grid; ``False`` (the default) tests every edge.
     """
 
     dim: int
@@ -277,7 +277,7 @@ class Spacetime:
     params: dict = field(default_factory=dict)
     metric_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cosmological_time_analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    metric_axes: Optional[tuple] = None
+    constant_metric: bool = False
 
     def metric_at(self, coords: np.ndarray) -> np.ndarray:
         return self.metric_batch(np.asarray(coords, float)[None, :])[0]
@@ -386,7 +386,7 @@ def _make_minkowski(dim):
         metric_batch=_flat_metric_batch(dim),
         domain_batch=_all_domain,
         metric_deriv=_zeros_deriv(dim),
-        params={"dim": dim}, metric_axes=(),
+        params={"dim": dim}, constant_metric=True,
     )
 
 
@@ -400,7 +400,7 @@ def _make_upper_half(dim):
         domain_batch=domain,
         metric_deriv=_zeros_deriv(dim),
         cosmological_time_analytic=lambda pts: pts[:, 0].copy(),
-        params={"dim": dim}, metric_axes=(),
+        params={"dim": dim}, constant_metric=True,
     )
 
 
@@ -421,7 +421,7 @@ def _make_missing_ray(dim):
         excisions=(ray,),
         metric_deriv=_zeros_deriv(dim),
         cosmological_time_analytic=lambda pts: pts[:, 0].copy(),
-        params={"dim": dim}, metric_axes=(),
+        params={"dim": dim}, constant_metric=True,
     )
 
 
@@ -454,7 +454,7 @@ def _make_warped(dim, slope, offset):
         dim=dim, name="warped_product",
         metric_batch=metric, domain_batch=domain, metric_deriv=deriv,
         cosmological_time_analytic=analytic,
-        params={"dim": dim, "slope": slope, "offset": offset}, metric_axes=(0,),
+        params={"dim": dim, "slope": slope, "offset": offset},
     )
 
 
@@ -489,7 +489,7 @@ def _make_conformal(base: Spacetime, factor):
         cosmological_time_analytic=analytic,
         params={"base": base.params | {"name": base.name},
                 "factor": const if const is not None else "callable"},
-        metric_axes=base.metric_axes if const is not None else None,
+        constant_metric=base.constant_metric and const is not None,
     )
 
 

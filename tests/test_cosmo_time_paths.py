@@ -1,8 +1,8 @@
 """cosmo-time's batched paths against the code they replaced.
 
-* ``build_grid`` runs the cone test once per distinct midpoint value along a
-  spacetime's declared ``metric_axes``; with the declaration removed it runs
-  it on every candidate edge, and both must give the same grid bit for bit.
+* ``build_grid`` runs the cone test once per offset on a spacetime declared
+  ``constant_metric``; with the declaration removed it runs it on every
+  candidate edge, and both must give the same grid bit for bit.
 * ``_boundary_base`` bisects every source at once; the reference below is the
   scalar bisection, one ``domain_contains`` call per step and source.
 * ``_emit_csv`` formats one row per call; the reference is ``csv.writer``
@@ -90,79 +90,55 @@ def box_for(st):
 
 
 @hs.composite
-def declared_spacetimes(draw):
+def constant_spacetimes(draw):
     dim = draw(hs.integers(2, 4))
     kind = draw(hs.sampled_from(["minkowski", "upper_half_minkowski", "missing_ray",
-                                 "warped_product", "conformal"]))
-    if kind == "warped_product":
-        # a shrinking scale factor makes the late rows of an offset causal, not the early ones
-        slope = draw(hs.floats(-1.0, 2.0))
-        offset = draw(hs.floats(0.0, 1.0)) + (2.0 if slope < 0 else 0.0)
-        return nd.builtin(kind, dim=dim, slope=slope, offset=offset)
+                                 "conformal"]))
     if kind == "conformal":
-        base = draw(hs.sampled_from(["minkowski", "missing_ray", "warped_product"]))
+        base = draw(hs.sampled_from(["minkowski", "upper_half_minkowski", "missing_ray"]))
         return nd.builtin(kind, dim=dim, base=base, factor=draw(hs.floats(0.1, 5.0)))
     return nd.builtin(kind, dim=dim)
 
 
 @SETTINGS
-@given(declared_spacetimes(), hs.integers(1, 3), hs.integers(0, 2**32 - 1))
-def test_declared_axes_hold(st, radius, seed):
-    assert st.metric_axes is not None
+@given(constant_spacetimes(), hs.integers(1, 3), hs.integers(0, 2**32 - 1))
+def test_constant_metric_holds(st, radius, seed):
+    assert st.constant_metric
     rng = np.random.default_rng(seed)
     lo, hi = np.array(box_for(st)).T
-    pts = rng.uniform(lo, hi, size=(50, st.dim))
-    moved = rng.uniform(lo, hi, size=pts.shape)
-    moved[:, list(st.metric_axes)] = pts[:, list(st.metric_axes)]
-    assert bits(st.metric_batch(pts)) == bits(st.metric_batch(moved))
+    g = st.metric_batch(rng.uniform(lo, hi, size=(50, st.dim)))
+    assert bits(g) == bits(np.broadcast_to(g[:1], g.shape))
 
     h = 0.25 if st.dim == 4 else 0.1
     tau = nd.coordinate_time(st)
     stencil = nd.StencilSpec(radius=radius)
     fast = nd.build_grid(st, tau, box_for(st), h, stencil)
-    slow = nd.build_grid(dataclasses.replace(st, metric_axes=None), tau, box_for(st), h, stencil)
+    slow = nd.build_grid(dataclasses.replace(st, constant_metric=False), tau, box_for(st),
+                         h, stencil)
     for name in GRID_ARRAYS:
         assert bits(getattr(fast, name)) == bits(getattr(slow, name)), name
 
 
-def x_dependent(nan_beyond=np.inf):
-    """Hand-built 1+1 metric -dt^2 + (0.4 + x^2)^2 dx^2, NaN where |x| > nan_beyond,
-    with a hole in the early negative-x corner: an offset's rows then meet the x
-    keys out of order, and its causal rows are not a prefix of them."""
-    def metric(pts):
-        x = pts[:, 1]
-        g = np.zeros((pts.shape[0], 2, 2))
-        g[:, 0, 0] = -1.0
-        g[:, 1, 1] = np.where(np.abs(x) > nan_beyond, np.nan, 0.4 + x * x) ** 2
-        return g
-
-    return nd.Spacetime(dim=2, name="x_dependent", metric_batch=metric,
-                        domain_batch=lambda pts: ~((pts[:, 0] < 0.15) & (pts[:, 1] < 0.0)),
-                        metric_axes=(1,))
+def test_constant_metric_of_the_builtins():
+    assert nd.builtin("upper_half_minkowski").constant_metric
+    assert nd.builtin("conformal", base="missing_ray", factor=2.0).constant_metric
+    assert not nd.builtin("warped_product", slope=0.5).constant_metric
+    assert not nd.builtin("conformal", base="warped_product", factor=2.0).constant_metric
+    assert not nd.builtin("conformal", base="minkowski", factor=phi).constant_metric
+    assert not nd.Spacetime(dim=2, name="hand_built", metric_batch=None,
+                            domain_batch=None).constant_metric
 
 
-def test_declared_space_axis():
-    box, h = [[0.0, 1.0], [-0.5, 0.5]], 0.05
-    grids = []
-    for axes in ((1,), None):
-        st = dataclasses.replace(x_dependent(), metric_axes=axes)
-        grids.append(nd.build_grid(st, nd.coordinate_time(st), box, h))
-    for name in GRID_ARRAYS:
-        assert bits(getattr(grids[0], name)) == bits(getattr(grids[1], name)), name
+def test_constant_nan_metric_names_the_same_midpoint():
+    flat = nd.builtin("minkowski", dim=2)
     messages = []
-    for axes in ((1,), None):  # both name the first bad midpoint in candidate order
-        st = dataclasses.replace(x_dependent(nan_beyond=0.3), metric_axes=axes)
+    for constant in (True, False):
+        st = dataclasses.replace(flat, constant_metric=constant,
+                                 metric_batch=lambda pts: np.full((len(pts), 2, 2), np.nan))
         with pytest.raises(NonFiniteValue) as err:
-            nd.build_grid(st, nd.coordinate_time(st), box, h)
+            nd.build_grid(st, nd.coordinate_time(st), [[0.0, 1.0], [-0.5, 0.5]], 0.1)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-
-
-def test_declared_axes_of_the_builtins():
-    assert nd.builtin("upper_half_minkowski").metric_axes == ()
-    assert nd.builtin("warped_product", slope=0.5).metric_axes == (0,)
-    assert nd.builtin("conformal", base="warped_product", factor=2.0).metric_axes == (0,)
-    assert nd.builtin("conformal", base="minkowski", factor=phi).metric_axes is None
 
 
 def closed_half_space(dim):
