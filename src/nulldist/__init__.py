@@ -65,6 +65,7 @@ from .optical import (
     build_chart,
     chart_forward,
     chart_inverse,
+    chart_inverse_batch,
     g_R_eval,
     geodesic_shoot,
     grad_norm_omega,

@@ -25,7 +25,7 @@ from .curves import (
     encodes_causality_test,
     null_distance_result,
 )
-from .errors import NullDistError, SceneError, UnknownName
+from .errors import NoConvergence, NullDistError, SceneError, UnknownName
 from .grid import GridParams, build_grid, reach, shortest_null_path
 from .isometry import (
     PointMap,
@@ -37,12 +37,13 @@ from .isometry import (
     table_map,
     translation_map,
 )
-from .optical import build_chart, chart_inverse, grad_norm_omega
+from .optical import build_chart, chart_inverse_batch, grad_norm_omega
 from .scene import Scene
 from .spacetime import TimeSense
 from .timefn import check_anti_lipschitz, check_regularity, cosmological_time_numeric
 
 CSV_ROWS = 4096  # rows formatted per write, so the text of a large CSV is never held whole
+POINT_FLAGS = ("--p", "--q", "--center", "--region")  # values may start with a minus sign
 
 
 def _round12(obj):
@@ -188,9 +189,10 @@ def _cmd_optical(args) -> int:
     dim = st.dim
     header = [f"x{a}" for a in range(dim)] + ["omega", "lambda", "grad_norm"]
     rows = []
-    for q in queries:
-        qc = np.asarray(q, dtype=float)
-        val = chart_inverse(chart, qc)
+    Q = np.asarray(queries, dtype=float)
+    for qc, val in zip(Q, chart_inverse_batch(chart, Q)):
+        if isinstance(val, NoConvergence):
+            raise val
         try:
             gn = grad_norm_omega(chart, qc)
         except NullDistError:
@@ -517,9 +519,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_point_values(argv):
+    """``--p -0.5,0.25`` -> ``--p=-0.5,0.25``: argparse reads a separate value
+    that starts with a minus sign, and is not one plain number, as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in POINT_FLAGS and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789.":
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (SceneError, UnknownName, FileNotFoundError) as exc:

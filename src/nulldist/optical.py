@@ -263,18 +263,18 @@ def _probe_domain_radius(chart: NullChart) -> float:
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     for frac in (0.7, 0.5, 0.35, 0.25, 0.15, 0.08):
         r = frac * chart.eps
-        ok = True
-        for u in dirs:
-            q = chart.center + r * u
-            if not chart.st.domain_contains(q):
-                ok = False
-                break
-            try:
-                val = chart_inverse(chart, q, tol=1e-8, _radius=chart.eps)
-            except (NoConvergence, LeftDomain, StepTooLarge):
-                ok = False
-                break
-            if val.residual > 1e-7 * max(1.0, float(np.abs(q).max())):
+        Q = chart.center + r * dirs
+        inside = np.asarray(chart.st.domain_batch(Q), dtype=bool)
+        n_in = len(Q) if inside.all() else int(np.argmin(inside))
+        # the directions' own solves run in lockstep; they are then settled
+        # in order, each with its multistart if needed, up to the first failure
+        results, scale = _solve_candidates(chart, Q[:n_in], 1e-8, None)
+        ok = n_in == len(Q)
+        for k in range(n_in):
+            if results[k] is None:
+                results[k] = _multistart(chart, Q[k:k + 1], 1e-8, scale[k:k + 1])[0]
+            val = _optical_value(chart, Q[k], results[k])
+            if isinstance(val, NoConvergence) or val.residual > 1e-7 * scale[k]:
                 ok = False
                 break
         if ok:
@@ -297,8 +297,13 @@ def _forward_batch(chart: NullChart, ts, xs):
     xs = np.asarray(xs, dtype=float)
     lams = np.array([float(np.linalg.norm(x)) for x in xs])
     out, v = np.empty((2, len(ts), chart.st.dim))
+    states = {}  # Jacobian probes and coarse seeds share axis times
     for r, t in enumerate(ts):
-        pos, vel, frame = chart.state(float(t))
+        t = float(t)
+        key = (t, math.copysign(1.0, t))
+        if key not in states:
+            states[key] = chart.state(t)
+        pos, vel, frame = states[key]
         out[r], v[r] = pos, xs[r] @ frame + lams[r] * vel
     errors = [None] * len(ts)
     rows = np.flatnonzero(lams != 0.0)  # axis points are their own image
@@ -314,8 +319,8 @@ def _forward_batch(chart: NullChart, ts, xs):
     return out, errors
 
 
-def _flat_seed(chart: NullChart, q: np.ndarray):
-    g = chart.st.metric_at(chart.center)
+def _flat_seed(chart: NullChart, g: np.ndarray, q: np.ndarray):
+    """Chart coordinates of q in the flat metric g at the center."""
     delta = q - chart.center
     a0 = -float(delta @ g @ chart.e0)
     a = np.array([float(delta @ g @ e) for e in chart.frame0])
@@ -334,94 +339,210 @@ def _coarse_seeds(chart: NullChart, radius: float):
 
 
 def chart_inverse(chart: NullChart, q, tol: float = 1e-10,
-                  seed: Optional[tuple] = None, _radius: Optional[float] = None) -> OpticalValue:
-    """Damped Newton inversion of chart_forward at the event q.
+                  seed: Optional[tuple] = None) -> OpticalValue:
+    """Damped Newton inversion of chart_forward at the event q: the one-row
+    case of chart_inverse_batch, raising its NoConvergence."""
+    val = chart_inverse_batch(chart, [as_event(q).coords], tol,
+                              None if seed is None else [seed])[0]
+    if isinstance(val, NoConvergence):
+        raise val
+    return val
 
-    The closed-form flat-frame seed is tried first, then a deterministic
-    coarse multistart.  On-axis events (radial part below tolerance) return
-    omega by projection onto the axis with direction undefined.
+
+def chart_inverse_batch(chart: NullChart, Q, tol: float = 1e-10, seeds=None) -> list:
+    """chart_inverse at every row of Q: per row an OpticalValue, or the
+    NoConvergence that a one-row call raises.
+
+    ``seeds`` holds an optional warm start (omega, x) per row, None for none.
+    The closed-form flat-frame seed and the row's own seed are tried first,
+    nearest image first; rows left unsolved then try the 24 coarse multistart
+    seeds nearest them.  All solves run in lockstep.  On-axis events without
+    a seed (radial part below tolerance) return omega by projection onto the
+    axis with direction undefined.
     """
-    q = as_event(q).coords
-    radius = chart.domain_radius if _radius is None else _radius
-    scale = max(1.0, float(np.abs(q).max()))
+    Q = np.asarray(Q, dtype=float)
+    if len(Q) == 0:
+        return []
+    results, scale = _solve_candidates(chart, Q, tol, seeds)
+    rows = [r for r, res in enumerate(results) if res is None]
+    for r, res in zip(rows, _multistart(chart, Q[rows], tol, scale[rows])):
+        results[r] = res
+    return [_optical_value(chart, q, res) for q, res in zip(Q, results)]
+
+
+def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
+    """Every row's axis projection or Newton solves from its own candidates.
+
+    Returns per row an OpticalValue (on the axis), a Newton result or None
+    where every candidate failed, and the rows' residual scales."""
+    n = Q.shape[0]
+    seeds = [None] * n if seeds is None else seeds
+    scale = np.maximum(1.0, np.abs(Q).max(axis=1))
     axis_tol = 1e-7 * max(1.0, chart.eps)
+    g = chart.st.metric_at(chart.center)
+    results = [None] * n
+    cands = {}  # row -> its candidate starts (t, x...), in the order tried
+    for r in range(n):
+        t0, x0 = _flat_seed(chart, g, Q[r])
+        if seeds[r] is None and np.linalg.norm(x0) < axis_tol:
+            results[r] = _axis_projection(chart, Q[r], tol)
+            if results[r] is not None:
+                continue
+        cands[r] = [np.concatenate([[t0], x0])]
+        if seeds[r] is not None:
+            cands[r].append(np.concatenate([[float(seeds[r][0])],
+                                            np.asarray(seeds[r][1], dtype=float)]))
+    # one batch shoots both candidates of every seeded row, to sort them by miss
+    pairs = [r for r in cands if len(cands[r]) == 2]
+    if pairs:
+        Y = np.array([y for r in pairs for y in cands[r]])
+        images, _ = _forward_batch(chart, Y[:, 0], Y[:, 1:])
+        for k, r in enumerate(pairs):
+            miss = [float(np.linalg.norm(f - Q[r])) for f in images[2 * k:2 * k + 2]]
+            cands[r] = [cands[r][i] for i in sorted(range(2), key=miss.__getitem__)]
+    for i in range(2):
+        rows = [r for r in cands if results[r] is None and len(cands[r]) > i]
+        if rows:
+            solved = _newton(chart, Q[rows], [cands[r][i] for r in rows], tol, scale[rows])
+            for r, res in zip(rows, solved):
+                results[r] = res
+    return results, scale
 
-    t0, x0 = _flat_seed(chart, q)
-    if seed is None and np.linalg.norm(x0) < axis_tol:
-        val = _axis_projection(chart, q, tol)
-        if val is not None:
-            return val
 
-    candidates = [(t0, np.asarray(x0, dtype=float))]
-    if seed is not None:
-        candidates.append((float(seed[0]), np.asarray(seed[1], dtype=float)))
-        candidates = _sort_by_miss(chart, q, candidates)
-    result = None
-    for t_s, x_s in candidates:
-        result = _newton(chart, q, t_s, x_s, tol, scale)
-        if result is not None:
-            break
+def _multistart(chart: NullChart, Q: np.ndarray, tol: float, scale: np.ndarray) -> list:
+    """Newton from the 24 coarse seeds whose images lie nearest each row of
+    Q, all in lockstep; per row the first success in seed order, or None."""
+    if len(Q) == 0:
+        return []
+    chart.multistart_fallbacks += len(Q)
+    coarse = np.array([np.concatenate([[t], x])
+                       for t, x in _coarse_seeds(chart, chart.domain_radius)])
+    images, _ = _forward_batch(chart, coarse[:, 0], coarse[:, 1:])
+    starts = []
+    for q in Q:
+        miss = [float(np.linalg.norm(f - q)) for f in images]
+        starts.append(coarse[sorted(range(len(coarse)), key=miss.__getitem__)[:24]])
+    solved = _newton(chart, np.repeat(Q, 24, axis=0), np.concatenate(starts), tol,
+                     np.repeat(scale, 24), groups=np.repeat(np.arange(len(Q)), 24))
+    return [next((res for res in solved[24 * r:24 * r + 24] if res is not None), None)
+            for r in range(len(Q))]
+
+
+def _optical_value(chart: NullChart, q: np.ndarray, result):
+    """The OpticalValue of one row's result, or its NoConvergence."""
     if result is None:
-        chart.multistart_fallbacks += 1
-        for t_s, x_s in _sort_by_miss(chart, q, list(_coarse_seeds(chart, radius)))[:24]:
-            result = _newton(chart, q, t_s, x_s, tol, scale)
-            if result is not None:
-                break
-    if result is None:
-        raise NoConvergence(f"chart inversion failed at {q.tolist()}")
+        return NoConvergence(f"chart inversion failed at {q.tolist()}")
+    if isinstance(result, OpticalValue):
+        return result
     t, x, res = result
     lam = float(np.linalg.norm(x))
-    if lam < axis_tol:
+    if lam < 1e-7 * max(1.0, chart.eps):
         return OpticalValue(omega=float(t), lam=lam, direction=None, residual=res)
     return OpticalValue(omega=float(t), lam=lam, direction=x / lam, residual=res)
 
 
-def _sort_by_miss(chart, q, seeds):
-    """Seeds (t, x) in stable order of the distance from their image to q."""
-    images, _ = _forward_batch(chart, [t for t, _ in seeds], [x for _, x in seeds])
-    miss = [float(np.linalg.norm(f - q)) for f in images]
-    return [seeds[i] for i in sorted(range(len(seeds)), key=miss.__getitem__)]
+_RUN, _DONE, _FAILED, _STOPPED = range(4)
 
 
-def _newton(chart, q, t, x, tol, scale, max_iter=60):
-    y = np.concatenate([[t], np.atleast_1d(x)])
+def _newton(chart: NullChart, Q, Y, tol: float, scale, groups=None, max_iter: int = 60) -> list:
+    """Damped Newton for chart_forward(y) = Q[r] from Y[r], all rows in lockstep.
 
-    def F(ys):
-        return _forward_batch(chart, ys[:, 0], ys[:, 1:])[0] - q
+    Each round shoots the 2*dim Jacobian probes of every live row as one
+    batch, then every row's full step, then the 24 halved steps of only the
+    rows whose full step was rejected; a row takes its first acceptable
+    factor.  So each row's iterates are those of a run of that row alone.
+    Rows sharing a ``groups`` label are alternatives for one target, in
+    order: the group stops once its earliest row not yet failed has
+    converged.  Returns per row (t, x, residual), or None where the row
+    failed or was stopped."""
+    Q = np.asarray(Q, dtype=float)
+    Y = np.array(Y, dtype=float)
+    n, dim = Y.shape
+    tols = tol * np.asarray(scale, dtype=float)
+    F = _residuals(chart, Y, Q)
+    fn = _row_norms(F)
+    state = np.where(np.isfinite(F).all(axis=1), _RUN, _FAILED)
+    results = [None] * n
+    factors = 0.5 ** np.arange(25)
+    diag = np.arange(dim)
+    for it in range(max_iter + 1):
+        done = (state == _RUN) & (fn <= tols)
+        state[done] = _DONE
+        for r in np.flatnonzero(done):
+            results[r] = (Y[r, 0], Y[r, 1:].copy(), float(fn[r]))
+        if groups is not None:
+            _stop_settled_groups(groups, state)
+        rows = np.flatnonzero(state == _RUN)
+        if it == max_iter or rows.size == 0:
+            break
+        chart.newton_iters += rows.size
+        y, f = Y[rows], F[rows]
+        h = 1e-6 * np.maximum(1.0, np.abs(y).max(axis=1))
+        probes = np.repeat(y[:, None], 2 * dim, axis=1)
+        probes[:, 2 * diag, diag] += h[:, None]
+        probes[:, 2 * diag + 1, diag] -= h[:, None]
+        fpm = _residuals(chart, probes.reshape(-1, dim),
+                         np.repeat(Q[rows], 2 * dim, axis=0)).reshape(-1, 2 * dim, dim)
+        J = (fpm[:, 0::2] - fpm[:, 1::2]).transpose(0, 2, 1) / (2 * h)[:, None, None]
+        step, ok = _solve_rows(J, -f, np.isfinite(fpm).all(axis=(1, 2)))
+        # the full step first, since it usually succeeds; then the halved ones
+        accepted = np.zeros(rows.size, dtype=bool)
+        y_new, f_new, fn_new = y.copy(), f.copy(), fn[rows].copy()
+        for ks in (factors[:1], factors[1:]):
+            idx = np.flatnonzero(ok & ~accepted)
+            if idx.size == 0:
+                continue
+            trial = y[idx, None] + ks[None, :, None] * step[idx, None]
+            ft = _residuals(chart, trial.reshape(-1, dim),
+                            np.repeat(Q[rows[idx]], ks.size, axis=0)).reshape(idx.size, ks.size, dim)
+            fnt = _row_norms(ft.reshape(-1, dim)).reshape(idx.size, ks.size)
+            good = (fnt < fn[rows[idx], None] * (1 - 1e-4)) | (fnt <= tols[rows[idx], None])
+            hit = np.flatnonzero(good.any(axis=1))
+            k = np.argmax(good[hit], axis=1)  # the first acceptable factor
+            accepted[idx[hit]] = True
+            y_new[idx[hit]], f_new[idx[hit]] = trial[hit, k], ft[hit, k]
+            fn_new[idx[hit]] = fnt[hit, k]
+        state[rows[~accepted]] = _FAILED
+        Y[rows], F[rows], fn[rows] = y_new, f_new, fn_new
+    return results
 
-    f = F(y[None])[0]
-    if not np.all(np.isfinite(f)):
-        return None
-    fn = float(np.linalg.norm(f))
-    for _ in range(max_iter):
-        if fn <= tol * scale:
-            return y[0], y[1:], fn
-        chart.newton_iters += 1
-        hstep = 1e-6 * max(1.0, float(np.abs(y).max()))
-        probes = np.repeat(y[None], 2 * y.size, axis=0)
-        probes[0::2][np.diag_indices(y.size)] += hstep
-        probes[1::2][np.diag_indices(y.size)] -= hstep
-        fpm = F(probes)
-        if not np.all(np.isfinite(fpm)):
-            return None
-        J = (fpm[0::2] - fpm[1::2]).T / (2 * hstep)
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            return None
-        ys = y + 0.5 ** np.arange(25)[:, None] * step
-        for batch in (ys[:1], ys[1:]):  # the full step alone: it usually succeeds
-            fs = F(batch)
-            fns = [float(np.linalg.norm(r)) if np.all(np.isfinite(r)) else math.inf for r in fs]
-            ok = [k for k, fk in enumerate(fns) if fk < fn * (1 - 1e-4) or fk <= tol * scale]
-            if ok:
-                break
-        else:
-            return None
-        y, f, fn = batch[ok[0]], fs[ok[0]], fns[ok[0]]
-    if fn <= tol * scale:
-        return y[0], y[1:], fn
-    return None
+
+def _residuals(chart: NullChart, Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """chart_forward(Y[r]) - Q[r] for every row; inf rows where a shot failed."""
+    return _forward_batch(chart, Y[:, 0], Y[:, 1:])[0] - Q
+
+
+def _row_norms(F: np.ndarray) -> np.ndarray:
+    """The norm of each finite row (as np.linalg.norm of that row), else inf."""
+    return np.array([float(np.linalg.norm(f)) if np.all(np.isfinite(f)) else math.inf
+                     for f in F])
+
+
+def _solve_rows(J: np.ndarray, b: np.ndarray, ok: np.ndarray):
+    """np.linalg.solve(J[r], b[r]) on every ok row; a singular row alone
+    turns not ok (a stacked solve raises for the whole stack)."""
+    step = np.zeros_like(b)
+    idx = np.flatnonzero(ok)
+    try:
+        if idx.size:
+            step[idx] = np.linalg.solve(J[idx], b[idx, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        for r in idx:
+            try:
+                step[r] = np.linalg.solve(J[r], b[r])
+            except np.linalg.LinAlgError:
+                ok[r] = False
+    return step, ok
+
+
+def _stop_settled_groups(groups: np.ndarray, state: np.ndarray) -> None:
+    """Stop the running rows of every group whose earliest row not yet
+    failed has converged."""
+    for g in np.unique(groups[state == _RUN]):
+        members = np.flatnonzero(groups == g)
+        first = members[state[members] != _FAILED][0]
+        if state[first] == _DONE:
+            state[members[state[members] == _RUN]] = _STOPPED
 
 
 def _axis_projection(chart: NullChart, q: np.ndarray, tol: float):
@@ -451,20 +572,42 @@ def _axis_projection(chart: NullChart, q: np.ndarray, tol: float):
 # the Riemannian comparison metric and the Lipschitz bound
 # ---------------------------------------------------------------------------
 
-def _chart_time_field(chart: NullChart, q: np.ndarray, val: OpticalValue,
-                      fd_frac: float = 1e-4) -> np.ndarray:
-    """The d/dt coordinate field X at q (axis velocity on the axis)."""
+def _chart_time_fields(chart: NullChart, vals) -> np.ndarray:
+    """The d/dt coordinate field X at each inverted event (the axis velocity
+    on the axis), by central differences shot as one batch."""
     axis_band = 1e-5 * max(1.0, chart.eps)
-    if val.lam <= axis_band:
-        _, vel, _ = chart.state(val.omega)
-        return vel
-    delta = fd_frac * chart.eps
-    x = val.lam * val.direction
-    fpm, errors = _forward_batch(chart, [val.omega + delta, val.omega - delta], [x, x])
-    for err in errors:
-        if err is not None:
-            raise err
-    return (fpm[0] - fpm[1]) / (2 * delta)
+    delta = 1e-4 * chart.eps
+    X = np.empty((len(vals), chart.st.dim))
+    off = []
+    for r, val in enumerate(vals):
+        if val.lam <= axis_band:
+            X[r] = chart.state(val.omega)[1]
+        else:
+            off.append(r)
+    if off:
+        ts = [t for r in off for t in (vals[r].omega + delta, vals[r].omega - delta)]
+        xs = [vals[r].lam * vals[r].direction for r in off for _ in (0, 1)]
+        fpm, errors = _forward_batch(chart, ts, xs)
+        for err in errors:
+            if err is not None:
+                raise err
+        X[off] = (fpm[0::2] - fpm[1::2]) / (2 * delta)
+    return X
+
+
+def _g_R_entries(chart: NullChart, Q: np.ndarray, vals) -> np.ndarray:
+    """g_R at every row of Q, given its inverted chart values."""
+    X = _chart_time_fields(chart, vals)
+    G = chart.st.metric_batch(Q)
+    out = np.empty_like(G)
+    for r in range(len(Q)):
+        gX = G[r] @ X[r]
+        qXX = abs(float(X[r] @ gX))
+        if qXX < 1e-12:
+            raise NullDistError("chart time field degenerated (g(X,X) ~ 0)")
+        entries = (2.0 / qXX) * np.outer(gX, gX) + G[r]
+        out[r] = 0.5 * (entries + entries.T)
+    return out
 
 
 def g_R_eval(chart: NullChart, q, val: Optional[OpticalValue] = None) -> MetricForm:
@@ -472,14 +615,7 @@ def g_R_eval(chart: NullChart, q, val: Optional[OpticalValue] = None) -> MetricF
     q = as_event(q).coords
     if val is None:
         val = chart_inverse(chart, q)
-    X = _chart_time_field(chart, q, val)
-    g = chart.st.metric_at(q)
-    gX = g @ X
-    qXX = abs(float(X @ gX))
-    if qXX < 1e-12:
-        raise NullDistError("chart time field degenerated (g(X,X) ~ 0)")
-    entries = (2.0 / qXX) * np.outer(gX, gX) + g
-    return MetricForm(0.5 * (entries + entries.T))
+    return MetricForm(_g_R_entries(chart, q[None], [val])[0])
 
 
 def grad_norm_omega(chart: NullChart, q) -> float:
@@ -496,16 +632,16 @@ def grad_norm_omega(chart: NullChart, q) -> float:
         raise OnAxisDegenerate("omega is not differentiable on the chart axis")
     h = 1e-5 * max(1.0, float(np.abs(q).max()))
     dim = chart.st.dim
-    grad = np.empty(dim)
+    stencil = np.repeat(q[None], 2 * dim, axis=0)  # q + h e_a, q - h e_a, for each a
+    stencil[0::2][np.diag_indices(dim)] += h
+    stencil[1::2][np.diag_indices(dim)] -= h
     warm = (val.omega, val.lam * val.direction)
-    for a in range(dim):
-        qp = q.copy()
-        qm = q.copy()
-        qp[a] += h
-        qm[a] -= h
-        wp = chart_inverse(chart, qp, seed=warm).omega
-        wm = chart_inverse(chart, qm, seed=warm).omega
-        grad[a] = (wp - wm) / (2 * h)
+    vals = chart_inverse_batch(chart, stencil, seeds=[warm] * (2 * dim))
+    for v in vals:
+        if isinstance(v, NoConvergence):
+            raise v
+    omegas = np.array([v.omega for v in vals])
+    grad = (omegas[0::2] - omegas[1::2]) / (2 * h)
     gR = g_R_eval(chart, q, val).entries
     norm = math.sqrt(float(grad @ np.linalg.solve(gR, grad)))
     if norm >= 2.0:
@@ -530,17 +666,25 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     n_nodes = nodes.shape[0]
     omegas = np.empty(n_nodes)
     gr = np.empty((n_nodes, dim, dim))
-    warm = None
-    for i in range(n_nodes):
-        # raster-adjacent nodes are close, so the previous solution seeds well
-        try:
-            val = chart_inverse(chart, nodes[i], seed=warm)
-        except NoConvergence:
-            val = chart_inverse(chart, nodes[i])
-        omegas[i] = val.omega
-        gr[i] = g_R_eval(chart, nodes[i], val).entries
-        if val.direction is not None:
-            warm = (val.omega, val.lam * val.direction)
+    # the hyperplanes of constant coordinate 0 are contiguous in raster
+    # order; each is inverted as one batch, seeded node by node from the
+    # hyperplane before it
+    planes = nodes.reshape(lattice_n, -1, dim)
+    seeds = None
+    for k, plane in enumerate(planes):
+        vals = chart_inverse_batch(chart, plane, seeds=seeds)
+        retry = [r for r, v in enumerate(vals)
+                 if isinstance(v, NoConvergence) and seeds is not None and seeds[r] is not None]
+        if retry:
+            for r, v in zip(retry, chart_inverse_batch(chart, plane[retry])):
+                vals[r] = v
+        for v in vals:
+            if isinstance(v, NoConvergence):
+                raise v
+        rows = slice(k * len(plane), (k + 1) * len(plane))
+        omegas[rows] = [v.omega for v in vals]
+        gr[rows] = _g_R_entries(chart, plane, vals)
+        seeds = [None if v.direction is None else (v.omega, v.lam * v.direction) for v in vals]
 
     # undirected lattice edges, one per +- offset pair, max-norm radius 1
     ids = np.arange(n_nodes).reshape((lattice_n,) * dim)

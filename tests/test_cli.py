@@ -354,6 +354,38 @@ def test_optical_csv(tmp_path):
     assert float(rows[2][2]) == pytest.approx(-0.05, abs=1e-8)
 
 
+@pytest.mark.parametrize("argv", [
+    ["nulldist", "SCENE", "--p", "-0.2,0.1", "--q", "0.2,0.1"],
+    ["causal", "SCENE", "--p", "-0.2,0.1", "--q", "0.2,0.1"],
+    ["ball", "SCENE", "--center", "-0.05,0.5", "--radius", "0.1"],
+    ["check-antilip", "SCENE", "--region", "-0.2,0.2;0.0,0.5"],
+    ["optical", "SCENE", "--center", "-0.1,0", "--queries", "QUERIES"],
+])
+def test_negative_point_values(argv, scene_file, tmp_path):
+    # a point or region whose first coordinate is negative parses as the
+    # flag's value, spaced as well as joined with "="
+    queries = tmp_path / "queries.json"
+    queries.write_text(json.dumps([[0.2, 0.15], [-0.05, -0.1]]))
+    argv = [{"SCENE": scene_file, "QUERIES": str(queries)}.get(a, a) for a in argv]
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and joined and joined[-1] in ("--p", "--q", "--center", "--region"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    outputs = []
+    for k, args in enumerate((argv, joined)):
+        out = tmp_path / f"out{k}"
+        assert main(args + ["--out", str(out)]) == 0
+        text = out.read_text()
+        if argv[0] == "nulldist":
+            data = json.loads(text)
+            data.pop("wall_ms")
+            text = json.dumps(data)
+        outputs.append(text)
+    assert outputs[0] == outputs[1]
+
+
 def test_isometry_subcommand(tmp_path):
     s1 = {
         "schema": 1, "dim": 2,

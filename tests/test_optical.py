@@ -194,13 +194,13 @@ def test_grad_norm_formula_consistency():
     ch = build_chart(st, [0.0, 0.0], TimeSense.FUTURE, eps=0.3, shoot_step=0.05,
                      probe=False)
     ch.domain_radius = 0.2
-    from nulldist.optical import _chart_time_field
+    from nulldist.optical import _chart_time_fields
 
     for q in ([0.02, 0.09], [-0.05, 0.12]):
         q = np.asarray(q, dtype=float)
         gn = grad_norm_omega(ch, q)
         val = chart_inverse(ch, q)
-        X = _chart_time_field(ch, q, val)
+        X = _chart_time_fields(ch, [val])[0]
         g = ch.st.metric_at(q)
         expect = math.sqrt(2.0 / abs(float(X @ g @ X)))
         assert gn == pytest.approx(expect, abs=2e-3)

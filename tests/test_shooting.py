@@ -17,7 +17,7 @@ from hypothesis import strategies as hs
 
 import nulldist as nd
 from nulldist import optical
-from nulldist.errors import LeftDomain, StepTooLarge
+from nulldist.errors import LeftDomain, NoConvergence, StepTooLarge
 from nulldist.spacetime import TimeSense
 
 
@@ -85,9 +85,10 @@ def ref_forward_safe(chart, t, x):
         return np.full(chart.st.dim, np.inf)
 
 
-def ref_newton(chart, q, t, x, tol, scale, damped, max_iter=60):
-    """The old Newton iteration; appends each accepted step factor below 1
-    to ``damped``."""
+def ref_newton(chart, q, t, x, tol, scale, trace, max_iter=60):
+    """The old Newton iteration, one shot at a time.  Appends to ``trace``
+    each accepted step factor, then the reason of a failure: "start",
+    "probe", "singular", "search" or "iterations"."""
     y = np.concatenate([[t], np.atleast_1d(x)])
     dim = chart.st.dim
 
@@ -96,6 +97,7 @@ def ref_newton(chart, q, t, x, tol, scale, damped, max_iter=60):
 
     f = F(y)
     if not np.all(np.isfinite(f)):
+        trace.append("start")
         return None
     fn = float(np.linalg.norm(f))
     for _ in range(max_iter):
@@ -110,11 +112,13 @@ def ref_newton(chart, q, t, x, tol, scale, damped, max_iter=60):
             ym[a] -= hstep
             fp, fm = F(yp), F(ym)
             if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+                trace.append("probe")
                 return None
             J[:, a] = (fp - fm) / (2 * hstep)
         try:
             step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
+            trace.append("singular")
             return None
         lam = 1.0
         for _ in range(25):
@@ -124,14 +128,15 @@ def ref_newton(chart, q, t, x, tol, scale, damped, max_iter=60):
                 fn_new = float(np.linalg.norm(f_new))
                 if fn_new < fn * (1 - 1e-4) or fn_new <= tol * scale:
                     y, f, fn = y_new, f_new, fn_new
-                    if lam < 1.0:
-                        damped.append(lam)
+                    trace.append(lam)
                     break
             lam *= 0.5
         else:
+            trace.append("search")
             return None
     if fn <= tol * scale:
         return y[0], y[1:], fn
+    trace.append("iterations")
     return None
 
 
@@ -297,30 +302,244 @@ def test_chart_forward_batch_matches_reference(name):
     assert any(e is None for e in errors) and any(e is not None for e in errors)
 
 
-def test_newton_matches_reference():
-    # seeds off by 0.1-0.2 make the line search damp some steps, and some
-    # runs fail; both must happen exactly as in the reference
-    damped, failed = [], 0
-    for name, sd in [(name, sd) for name in sorted(CHARTS) for sd in (0.1, 0.2)]:
-        chart = CHARTS[name]()
-        rng = np.random.default_rng(100 + len(name))
+def _domain_edge(chart, t):
+    """Bracket (lo, hi) of the radial coordinate at chart time t where a
+    one-space-dimension chart's shots start to fail."""
+    lo, hi = 0.0, 2.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if np.all(np.isfinite(ref_forward_safe(chart, t, [mid]))):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _newton_rows(name, chart):
+    """(target, start, scale) rows for one lockstep batch."""
+    rng = np.random.default_rng(100 + len(name))
+    rows = []
+    for sd in (0.1, 0.2):
         for _ in range(8):
             t = rng.uniform(-0.15, 0.15)
             x = rng.uniform(-0.15, 0.15, size=chart.n_space)
             q = ref_forward_safe(chart, t, x)
-            if not np.all(np.isfinite(q)):
-                continue
-            scale = max(1.0, float(np.abs(q).max()))
-            seed_t, seed_x = t + rng.normal(0, sd), x + rng.normal(0, sd, size=chart.n_space)
-            want = ref_newton(chart, q, seed_t, seed_x, 1e-10, scale, damped)
-            got = optical._newton(chart, q, seed_t, seed_x, 1e-10, scale)
+            if np.all(np.isfinite(q)):
+                start = np.concatenate([[t + rng.normal(0, sd)],
+                                        x + rng.normal(0, sd, size=chart.n_space)])
+                rows.append((q, start, max(1.0, float(np.abs(q).max()))))
+    # past the axis end chart.state is clamped, so the time column of the
+    # Jacobian is exactly zero
+    start = np.full(chart.st.dim, 0.05)
+    start[0] = chart.eps + 0.2
+    q = ref_forward_safe(chart, start[0], start[1:]) + 0.01
+    rows.insert(3, (q, start, max(1.0, float(np.abs(q).max()))))
+    if chart.n_space == 1:
+        # just inside the domain edge: a probe leaves the domain; a little
+        # further in, every step factor toward a target beyond it does
+        lo, _ = _domain_edge(chart, 0.0)
+        for inside, push in ((5e-7, 0.0), (5e-6, 0.1)):
+            start = np.array([0.0, lo - inside])
+            image = ref_forward_safe(chart, 0.0, start[1:])
+            q = ref_forward_safe(chart, 0.0, [0.5 * lo]) if push == 0.0 else image + [-push, push]
+            rows.insert(1, (q, start, max(1.0, float(np.abs(q).max()))))
+    return rows
+
+
+def test_newton_matches_reference():
+    # one lockstep batch per chart mixes rows that converge after different
+    # numbers of steps, damped rows, and rows that fail at the start, on a
+    # probe, on a singular Jacobian or in the line search; every row must
+    # match the reference run of that row alone
+    traces = []
+    for name in sorted(CHARTS):
+        chart = CHARTS[name]()
+        rows = _newton_rows(name, chart)
+        Q = np.array([q for q, _, _ in rows])
+        got = optical._newton(chart, Q, np.array([y for _, y, _ in rows]), 1e-10,
+                              np.array([s for _, _, s in rows]))
+        assert len(got) == len(rows)
+        for (q, y, scale), res in zip(rows, got):
+            trace = []
+            want = ref_newton(chart, q, y[0], y[1:], 1e-10, scale, trace)
+            traces.append(trace)
             if want is None:
-                failed += 1
-                assert got is None
+                assert res is None
                 continue
-            assert got is not None
-            assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
-    assert damped and failed
+            assert res is not None
+            assert res[0] == want[0] and np.array_equal(res[1], want[1]) and res[2] == want[2]
+    ends = {tr[-1] for tr in traces if tr and isinstance(tr[-1], str)}
+    assert {"start", "probe", "singular", "search"} <= ends
+    converged = [tr for tr in traces if not tr or not isinstance(tr[-1], str)]
+    assert len({len(tr) for tr in converged}) > 1
+    assert any(f < 1.0 for tr in converged for f in tr)
+
+
+def ref_sort_by_miss(chart, q, seeds):
+    images, _ = optical._forward_batch(chart, [t for t, _ in seeds], [x for _, x in seeds])
+    miss = [float(np.linalg.norm(f - q)) for f in images]
+    return [seeds[i] for i in sorted(range(len(seeds)), key=miss.__getitem__)]
+
+
+def ref_chart_inverse(chart, q, tol=1e-10, seed=None):
+    """chart_inverse as it was: the flat seed and the given one, then the
+    multistart seeds, one Newton run after another."""
+    q = np.asarray(q, dtype=float)
+    scale = max(1.0, float(np.abs(q).max()))
+    axis_tol = 1e-7 * max(1.0, chart.eps)
+    t0, x0 = optical._flat_seed(chart, chart.st.metric_at(chart.center), q)
+    if seed is None and np.linalg.norm(x0) < axis_tol:
+        val = optical._axis_projection(chart, q, tol)
+        if val is not None:
+            return val
+    candidates = [(t0, x0)]
+    if seed is not None:
+        candidates.append((float(seed[0]), np.asarray(seed[1], dtype=float)))
+        candidates = ref_sort_by_miss(chart, q, candidates)
+
+    def first_success(starts):
+        for t, x in starts:
+            res = optical._newton(chart, q[None], np.concatenate([[t], x])[None], tol, [scale])[0]
+            if res is not None:
+                return res
+        return None
+
+    result = first_success(candidates)
+    if result is None:
+        chart.multistart_fallbacks += 1
+        coarse = list(optical._coarse_seeds(chart, chart.domain_radius))
+        result = first_success(ref_sort_by_miss(chart, q, coarse)[:24])
+    if result is None:
+        raise NoConvergence(f"chart inversion failed at {q.tolist()}")
+    t, x, res = result
+    lam = float(np.linalg.norm(x))
+    if lam < axis_tol:
+        return optical.OpticalValue(omega=float(t), lam=lam, direction=None, residual=res)
+    return optical.OpticalValue(omega=float(t), lam=lam, direction=x / lam, residual=res)
+
+
+def ref_grad_norm(chart, q):
+    """grad_norm_omega as it was: its stencil inverted point by point."""
+    val = ref_chart_inverse(chart, q)
+    h = 1e-5 * max(1.0, float(np.abs(q).max()))
+    grad = np.empty(chart.st.dim)
+    warm = (val.omega, val.lam * val.direction)
+    for a in range(chart.st.dim):
+        qp, qm = q.copy(), q.copy()
+        qp[a] += h
+        qm[a] -= h
+        grad[a] = (ref_chart_inverse(chart, qp, seed=warm).omega
+                   - ref_chart_inverse(chart, qm, seed=warm).omega) / (2 * h)
+    gR = optical.g_R_eval(chart, q, val).entries
+    return math.sqrt(float(grad @ np.linalg.solve(gR, grad)))
+
+
+# (spacetime, center, sense, eps, shoot_step), the probed radius as a
+# fraction of eps and the probe's multistart count, both as before batching
+PROBED_CHARTS = {
+    "warped 3+1": (lambda: nd.builtin("warped_product", dim=4), [1.0, 0.0, 0.0, 0.0],
+                   TimeSense.FUTURE, 0.3, 0.25, 0.5, 1),
+    "warped 1+1": (lambda: nd.builtin("warped_product", dim=2), [1.0, 0.0],
+                   TimeSense.FUTURE, 0.3, 0.25, 0.5, 1),
+    "warped past 2+1": (lambda: nd.builtin("warped_product", dim=3, slope=0.7, offset=0.2),
+                        [0.6, 0.1, 0.0], TimeSense.PAST, 0.3, 0.25, 0.7, 0),
+    "flat 3+1": (lambda: nd.builtin("minkowski", dim=4), [0.0] * 4,
+                 TimeSense.FUTURE, 0.5, 0.25, 0.7, 0),
+    "flat 1+1": (lambda: nd.builtin("minkowski", dim=2), [0.0, 0.0],
+                 TimeSense.FUTURE, 0.5, 0.25, 0.7, 0),
+    "callable conformal 1+1": (lambda: nd.builtin("conformal", dim=2, base="upper_half_minkowski",
+                                                  factor=_bump(0.05, 0.3)),
+                               [0.5, 0.0], TimeSense.FUTURE, 0.3, 0.05, 0.7, 0),
+    "callable conformal 2+1": (lambda: nd.builtin("conformal", dim=3, base="minkowski",
+                                                  factor=_bump(0.01, 0.5)),
+                               [0.0, 0.0, 0.0], TimeSense.FUTURE, 0.3, 0.05, 0.7, 0),
+    "constant conformal 2+1": (lambda: nd.builtin("conformal", dim=3, base="warped_product",
+                                                  factor=1.5),
+                               [1.0, 0.0, 0.0], TimeSense.FUTURE, 0.3, 0.25, 0.35, 2),
+}
+
+# per chart: points whose own candidates fail, and whether the multistart
+# then solves them
+MULTISTART = {
+    "warped 3+1": [([0.905, 0.045, -0.005, 0.145], True)],
+    "warped 1+1": [([0.816, -0.143], True)],
+    "warped past 2+1": [([0.757, -0.134, -0.071], False)],
+    "flat 1+1": [([0.0, 2.0], False)],
+    "flat 3+1": [([0.0, 2.0, 0.0, 0.0], False)],
+    "constant conformal 2+1": [([0.91, -0.016, -0.119], True)],
+}
+
+
+def _same_value(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and got.args == want.args
+    if isinstance(got, Exception):
+        return False
+    same_dir = (got.direction is None and want.direction is None) or (
+        got.direction is not None and want.direction is not None
+        and np.array_equal(got.direction, want.direction))
+    return (got.omega == want.omega and got.lam == want.lam and same_dir
+            and got.residual == want.residual)
+
+
+@pytest.mark.parametrize("name", list(PROBED_CHARTS))
+def test_chart_inverse_batch_matches_loop(name):
+    make, center, sense, eps, step, frac, fallbacks = PROBED_CHARTS[name]
+    chart = optical.build_chart(make(), center, sense, eps=eps, shoot_step=step)
+    assert chart.domain_radius == frac * eps
+    assert chart.multistart_fallbacks == fallbacks
+    rng = np.random.default_rng(len(name))
+    c, dim = chart.center, chart.st.dim
+    Q = [c + chart.domain_radius * rng.uniform(0.2, 0.9) * u / np.linalg.norm(u)
+         for u in rng.normal(size=(3, dim))]
+    first = ref_chart_inverse(chart, Q[0])
+    warm = (first.omega, first.lam * first.direction)
+    seeds = [None] * 3
+    axis = chart.state(0.1 * eps)[0]
+    near = Q[0] + 0.01 * eps * rng.normal(size=dim)
+    for q, seed in [(axis, None), (axis, warm), (near, warm),
+                    (near, (warm[0] + 0.3, -warm[1]))]:  # the flat seed is nearer
+        Q.append(q)
+        seeds.append(seed)
+    multistart = MULTISTART.get(name, [])
+    for q, _ in multistart:
+        Q.append(np.array(q, dtype=float))
+        seeds.append(None)
+    before = chart.multistart_fallbacks
+    want = []
+    for q, seed in zip(Q, seeds):
+        try:
+            want.append(ref_chart_inverse(chart, q, seed=seed))
+        except NoConvergence as exc:
+            want.append(exc)
+    ref_fallbacks = chart.multistart_fallbacks - before
+    got = optical.chart_inverse_batch(chart, np.array(Q), seeds=seeds)
+    assert chart.multistart_fallbacks - before == 2 * ref_fallbacks
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert _same_value(g, w)
+    for q, seed, w in zip(Q, seeds, want):
+        try:
+            one = optical.chart_inverse(chart, q, seed=seed)
+        except NoConvergence as exc:
+            one = exc
+        assert _same_value(one, w)
+    assert want[3].direction is None
+    assert ref_fallbacks == len(multistart)
+    for w, (_, solved) in zip(want[len(want) - len(multistart):], multistart):
+        assert isinstance(w, optical.OpticalValue) == solved
+    assert optical.grad_norm_omega(chart, Q[1]) == ref_grad_norm(chart, Q[1])
+
+
+def test_chart_inverse_batch_edge_rows():
+    chart = optical.build_chart(nd.builtin("minkowski", dim=2), [0.0, 0.0], TimeSense.FUTURE,
+                                eps=0.5)
+    assert optical.chart_inverse_batch(chart, np.empty((0, 2))) == []
+    # the multistart settles each row on its first success in seed order
+    got = optical.chart_inverse_batch(chart, [[0.0, 2.0], [0.1, 0.2], [0.0, 3.0]])
+    assert isinstance(got[0], NoConvergence) and isinstance(got[2], NoConvergence)
+    assert got[1].omega == pytest.approx(-0.1, abs=1e-9)
+    assert got[0].args == (f"chart inversion failed at {[0.0, 2.0]}",)
 
 
 def test_chart_counters():
