@@ -538,7 +538,7 @@ def _solve_rows(J: np.ndarray, b: np.ndarray, ok: np.ndarray):
 def _stop_settled_groups(groups: np.ndarray, state: np.ndarray) -> None:
     """Stop the running rows of every group whose earliest row not yet
     failed has converged."""
-    for g in np.unique(groups[state == _RUN]):
+    for g in set(groups[state == _RUN].tolist()):  # np.unique would import numpy.ma
         members = np.flatnonzero(groups == g)
         first = members[state[members] != _FAILED][0]
         if state[first] == _DONE:
@@ -664,27 +664,26 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     n_nodes = nodes.shape[0]
-    omegas = np.empty(n_nodes)
-    gr = np.empty((n_nodes, dim, dim))
     # the hyperplanes of constant coordinate 0 are contiguous in raster
     # order; each is inverted as one batch, seeded node by node from the
     # hyperplane before it
     planes = nodes.reshape(lattice_n, -1, dim)
-    seeds = None
+    omegas = np.empty(planes.shape[:2])
+    gr = np.empty(planes.shape + (dim,))
+    seeds = [None] * planes.shape[1]
     for k, plane in enumerate(planes):
         vals = chart_inverse_batch(chart, plane, seeds=seeds)
         retry = [r for r, v in enumerate(vals)
-                 if isinstance(v, NoConvergence) and seeds is not None and seeds[r] is not None]
-        if retry:
-            for r, v in zip(retry, chart_inverse_batch(chart, plane[retry])):
-                vals[r] = v
+                 if isinstance(v, NoConvergence) and seeds[r] is not None]
+        for r, v in zip(retry, chart_inverse_batch(chart, plane[retry])):
+            vals[r] = v
         for v in vals:
             if isinstance(v, NoConvergence):
                 raise v
-        rows = slice(k * len(plane), (k + 1) * len(plane))
-        omegas[rows] = [v.omega for v in vals]
-        gr[rows] = _g_R_entries(chart, plane, vals)
+        omegas[k] = [v.omega for v in vals]
+        gr[k] = _g_R_entries(chart, plane, vals)
         seeds = [None if v.direction is None else (v.omega, v.lam * v.direction) for v in vals]
+    omegas, gr = omegas.ravel(), gr.reshape(n_nodes, dim, dim)
 
     # undirected lattice edges, one per +- offset pair, max-norm radius 1
     ids = np.arange(n_nodes).reshape((lattice_n,) * dim)
