@@ -297,13 +297,12 @@ def _forward_batch(chart: NullChart, ts, xs):
     xs = np.asarray(xs, dtype=float)
     lams = np.array([float(np.linalg.norm(x)) for x in xs])
     out, v = np.empty((2, len(ts), chart.st.dim))
-    states = {}  # Jacobian probes and coarse seeds share axis times
+    key = None  # runs of Jacobian probes and of coarse seeds share an axis time
     for r, t in enumerate(ts):
         t = float(t)
-        key = (t, math.copysign(1.0, t))
-        if key not in states:
-            states[key] = chart.state(t)
-        pos, vel, frame = states[key]
+        if (t, math.copysign(1.0, t)) != key:
+            key = (t, math.copysign(1.0, t))
+            pos, vel, frame = chart.state(t)
         out[r], v[r] = pos, xs[r] @ frame + lams[r] * vel
     errors = [None] * len(ts)
     rows = np.flatnonzero(lams != 0.0)  # axis points are their own image
