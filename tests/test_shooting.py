@@ -376,6 +376,33 @@ def test_newton_matches_reference():
     assert any(f < 1.0 for tr in converged for f in tr)
 
 
+def test_newton_groups_take_first_success_in_order():
+    # rows of a group are alternatives in order: the group waits for its
+    # earliest row not yet failed, and stops the rows after it once that
+    # row has converged
+    chart = CHARTS["warped"]()
+    rows = _newton_rows("warped", chart)
+    solo, steps = [], []
+    for q, y, scale in rows:
+        before = chart.newton_iters
+        solo.append(optical._newton(chart, q[None], y[None], 1e-10, [scale])[0])
+        steps.append(chart.newton_iters - before)
+    done = [r for r, res in enumerate(solo) if res is not None]
+    slow, fast = max(done, key=steps.__getitem__), min(done, key=steps.__getitem__)
+    assert steps[slow] > steps[fast]
+    bad = next(r for r, res in enumerate(solo) if res is None)
+    order = [slow, fast, bad, fast, fast, slow]
+    got = optical._newton(chart, np.array([rows[r][0] for r in order]),
+                          np.array([rows[r][1] for r in order]), 1e-10,
+                          np.array([rows[r][2] for r in order]),
+                          groups=np.array([0, 0, 1, 1, 2, 2]))
+    want = [solo[slow], solo[fast], None, solo[fast], solo[fast], None]
+    for res, w in zip(got, want):
+        assert (res is None) == (w is None)
+        if w is not None:
+            assert res[0] == w[0] and np.array_equal(res[1], w[1]) and res[2] == w[2]
+
+
 def ref_sort_by_miss(chart, q, seeds):
     images, _ = optical._forward_batch(chart, [t for t, _ in seeds], [x for _, x in seeds])
     miss = [float(np.linalg.norm(f - q)) for f in images]
