@@ -194,7 +194,7 @@ def _cmd_optical(args) -> int:
         if isinstance(val, NoConvergence):
             raise val
         try:
-            gn = grad_norm_omega(chart, qc)
+            gn = grad_norm_omega(chart, qc, val)
         except NullDistError:
             gn = float("nan")
         rows.append(list(qc) + [val.omega, val.lam, gn])

@@ -34,11 +34,21 @@ def christoffels(st: Spacetime, coords: np.ndarray) -> np.ndarray:
     """Connection coefficients Gamma^k_{ij} from metric derivatives, at one
     point (dim,) or at each row of an (m, dim) stack (indexed [m, k, i, j])."""
     pts = np.asarray(coords, float).reshape(-1, st.dim)
-    ginv = np.linalg.inv(st.metric_batch(pts))
+    g = st.metric_batch(pts)
     dg = st.metric_derivatives(pts)
     # dg_sym[m,l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}
     dg_sym = np.einsum("milj->mlij", dg) + np.einsum("mjli->mlij", dg) - dg
-    gamma = 0.5 * np.einsum("mkl,mlij->mkij", ginv, dg_sym)
+    # a diagonal g's inverse is the reciprocal of its diagonal, and the
+    # einsum's sum over the zero terms starts from +0.0 (so no -0.0 there);
+    # a stack with off-diagonal entries, or a zero, infinite, NaN or
+    # subnormal diagonal entry, goes through the inverse, which decides
+    diag = np.diagonal(g, axis1=1, axis2=2)
+    with np.errstate(all="ignore"):
+        rdiag = 1.0 / diag
+        gamma = 0.5 * (rdiag[:, :, None, None] * dg_sym) + 0.0
+    # so many nonzeros: every off-diagonal entry is zero, or a diagonal one is
+    if np.count_nonzero(g) != diag.size or not (rdiag.all() and np.isfinite(gamma).all()):
+        gamma = 0.5 * np.einsum("mkl,mlij->mkij", np.linalg.inv(g), dg_sym)
     return gamma if np.ndim(coords) == 2 else gamma[0]
 
 
@@ -164,25 +174,30 @@ class NullChart:
 
     def state(self, t: float):
         """(position, velocity, frame) on the axis at parameter t."""
+        pos, vel, frame = self.states([t])
+        return pos[0], vel[0], frame[0]
+
+    def states(self, t):
+        """(positions, velocities, frames) on the axis at every parameter in
+        t, by cubic Hermite between the stored states; times beyond either
+        end take that end's state."""
+        t = np.asarray(t, dtype=float)
         ts = self.ts
-        if t <= ts[0]:
-            return self.pos[0], self.vel[0], self.frame[0]
-        if t >= ts[-1]:
-            return self.pos[-1], self.vel[-1], self.frame[-1]
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        j = min(j, ts.shape[0] - 2)
-        h = ts[j + 1] - ts[j]
-        s = (t - ts[j]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
+        tc = np.clip(t, ts[0], ts[-1])  # rows beyond either end are replaced below
+        j = np.minimum(np.searchsorted(ts, tc, side="right") - 1, ts.shape[0] - 2)
+        h = (ts[j + 1] - ts[j])[:, None]
+        s = (tc - ts[j])[:, None] / h
+        # np.float_power is pow, as in scalar arithmetic; an array's ** 2 is s * s
+        a, b = (1 + 2 * s) * np.float_power(1 - s, 2.0), s * np.float_power(1 - s, 2.0) * h
+        c, d = s * s * (3 - 2 * s), s * s * (s - 1) * h
         # velocity doubles as the position derivative; frame_dot as the frame's
-        pos = (h00 * self.pos[j] + h10 * h * self.vel[j]
-               + h01 * self.pos[j + 1] + h11 * h * self.vel[j + 1])
+        pos = a * self.pos[j] + b * self.vel[j] + c * self.pos[j + 1] + d * self.vel[j + 1]
         vel = self.vel[j] + s * (self.vel[j + 1] - self.vel[j])
-        frame = (h00 * self.frame[j] + h10 * h * self.frame_dot[j]
-                 + h01 * self.frame[j + 1] + h11 * h * self.frame_dot[j + 1])
+        a, b, c, d = a[:, None], b[:, None], c[:, None], d[:, None]
+        frame = (a * self.frame[j] + b * self.frame_dot[j]
+                 + c * self.frame[j + 1] + d * self.frame_dot[j + 1])
+        for end, k in ((t <= ts[0], 0), (t >= ts[-1], -1)):
+            pos[end], vel[end], frame[end] = self.pos[k], self.vel[k], self.frame[k]
         return pos, vel, frame
 
 
@@ -295,15 +310,9 @@ def _forward_batch(chart: NullChart, ts, xs):
     """chart_forward at every (ts[r], xs[r]), shot SHOOT_CHUNK rows at a time;
     returns the events, inf on rows whose shot failed, and per-row errors."""
     xs = np.asarray(xs, dtype=float)
-    lams = np.array([float(np.linalg.norm(x)) for x in xs])
-    out, v = np.empty((2, len(ts), chart.st.dim))
-    key = None  # runs of Jacobian probes and of coarse seeds share an axis time
-    for r, t in enumerate(ts):
-        t = float(t)
-        if (t, math.copysign(1.0, t)) != key:
-            key = (t, math.copysign(1.0, t))
-            pos, vel, frame = chart.state(t)
-        out[r], v[r] = pos, xs[r] @ frame + lams[r] * vel
+    lams = _norms(xs)
+    out, vel, frame = chart.states(ts)
+    v = (xs[:, None, :] @ frame)[:, 0] + lams[:, None] * vel
     errors = [None] * len(ts)
     rows = np.flatnonzero(lams != 0.0)  # axis points are their own image
     for lo in range(0, rows.size, SHOOT_CHUNK):
@@ -396,9 +405,10 @@ def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
     if pairs:
         Y = np.array([y for r in pairs for y in cands[r]])
         images, _ = _forward_batch(chart, Y[:, 0], Y[:, 1:])
-        for k, r in enumerate(pairs):
-            miss = [float(np.linalg.norm(f - Q[r])) for f in images[2 * k:2 * k + 2]]
-            cands[r] = [cands[r][i] for i in sorted(range(2), key=miss.__getitem__)]
+        miss = _norms(images - np.repeat(Q[pairs], 2, axis=0)).reshape(-1, 2)
+        for r, swap in zip(pairs, miss[:, 1] < miss[:, 0]):  # a tie keeps the order
+            if swap:
+                cands[r].reverse()
     for i in range(2):
         rows = [r for r in cands if results[r] is None and len(cands[r]) > i]
         if rows:
@@ -417,10 +427,7 @@ def _multistart(chart: NullChart, Q: np.ndarray, tol: float, scale: np.ndarray) 
     coarse = np.array([np.concatenate([[t], x])
                        for t, x in _coarse_seeds(chart, chart.domain_radius)])
     images, _ = _forward_batch(chart, coarse[:, 0], coarse[:, 1:])
-    starts = []
-    for q in Q:
-        miss = [float(np.linalg.norm(f - q)) for f in images]
-        starts.append(coarse[sorted(range(len(coarse)), key=miss.__getitem__)[:24]])
+    starts = [coarse[np.argsort(_norms(images - q), kind="stable")[:24]] for q in Q]
     solved = _newton(chart, np.repeat(Q, 24, axis=0), np.concatenate(starts), tol,
                      np.repeat(scale, 24), groups=np.repeat(np.arange(len(Q)), 24))
     return [next((res for res in solved[24 * r:24 * r + 24] if res is not None), None)
@@ -511,10 +518,16 @@ def _residuals(chart: NullChart, Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return _forward_batch(chart, Y[:, 0], Y[:, 1:])[0] - Q
 
 
+def _norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row of X, bit for bit: like it, the square
+    root of a dot product (a norm along an axis, or an einsum, sums in
+    another order and differs in the last digit)."""
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
 def _row_norms(F: np.ndarray) -> np.ndarray:
-    """The norm of each finite row (as np.linalg.norm of that row), else inf."""
-    return np.array([float(np.linalg.norm(f)) if np.all(np.isfinite(f)) else math.inf
-                     for f in F])
+    """The norm of each finite row, else inf."""
+    return np.where(np.isfinite(F).all(axis=1), _norms(F), math.inf)
 
 
 def _solve_rows(J: np.ndarray, b: np.ndarray, ok: np.ndarray):
@@ -553,8 +566,7 @@ def _axis_projection(chart: NullChart, q: np.ndarray, tol: float):
     for _ in range(60):
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
-        p1, _, _ = chart.state(m1)
-        p2, _, _ = chart.state(m2)
+        p1, p2 = chart.states([m1, m2])[0]
         if float(np.sum((p1 - q) ** 2)) < float(np.sum((p2 - q) ** 2)):
             b = m2
         else:
@@ -576,13 +588,8 @@ def _chart_time_fields(chart: NullChart, vals) -> np.ndarray:
     on the axis), by central differences shot as one batch."""
     axis_band = 1e-5 * max(1.0, chart.eps)
     delta = 1e-4 * chart.eps
-    X = np.empty((len(vals), chart.st.dim))
-    off = []
-    for r, val in enumerate(vals):
-        if val.lam <= axis_band:
-            X[r] = chart.state(val.omega)[1]
-        else:
-            off.append(r)
+    X = chart.states([v.omega for v in vals])[1]  # the axis velocity, kept on the axis
+    off = [r for r, v in enumerate(vals) if v.lam > axis_band]
     if off:
         ts = [t for r in off for t in (vals[r].omega + delta, vals[r].omega - delta)]
         xs = [vals[r].lam * vals[r].direction for r in off for _ in (0, 1)]
@@ -617,15 +624,17 @@ def g_R_eval(chart: NullChart, q, val: Optional[OpticalValue] = None) -> MetricF
     return MetricForm(_g_R_entries(chart, q[None], [val])[0])
 
 
-def grad_norm_omega(chart: NullChart, q) -> float:
+def grad_norm_omega(chart: NullChart, q, val: Optional[OpticalValue] = None) -> float:
     """|grad omega| in the g_R metric at an off-axis event.
 
     Computed from central differences of the inverted chart time, with the
     index raised by g_R; the chart construction guarantees the value stays
-    below 2 wherever |g(X,X)| > 1/2; a value of 2 or more raises.
+    below 2 wherever |g(X,X)| > 1/2; a value of 2 or more raises.  ``val``
+    is q's chart value if the caller has already inverted q.
     """
     q = as_event(q).coords
-    val = chart_inverse(chart, q)
+    if val is None:
+        val = chart_inverse(chart, q)
     axis_band = 1e-5 * max(1.0, chart.eps)
     if val.lam <= axis_band:
         raise OnAxisDegenerate("omega is not differentiable on the chart axis")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nulldist
+from nulldist import cli, optical
 from nulldist.cli import main
 from nulldist.errors import SceneError, UnknownName
 from nulldist.scene import Scene
@@ -352,6 +353,38 @@ def test_optical_csv(tmp_path):
     # omega = t - |x| in closed form
     assert float(rows[1][2]) == pytest.approx(0.1, abs=1e-8)
     assert float(rows[2][2]) == pytest.approx(-0.05, abs=1e-8)
+
+
+def test_optical_inverts_each_query_once(tmp_path, monkeypatch):
+    # grad_norm_omega takes the batch's chart value instead of inverting the
+    # query again: the same values from fewer forward shots
+    scene = {"schema": 1, "dim": 3,
+             "spacetime": {"name": "warped_product", "params": {"slope": 0.7, "offset": 0.2}},
+             "time": {"kind": "coordinate"}}
+    spath = tmp_path / "warped.json"
+    spath.write_text(json.dumps(scene))
+    queries = [[0.65, 0.12, 0.03], [0.55, 0.05, -0.05]]
+    qpath = tmp_path / "queries.json"
+    qpath.write_text(json.dumps(queries))
+    charts = []
+
+    def build_chart(*args, **kwargs):
+        charts.append(optical.build_chart(*args, **kwargs))
+        return charts[-1]
+
+    monkeypatch.setattr(cli, "build_chart", build_chart)
+    out = tmp_path / "optical.csv"
+    assert main(["optical", str(spath), "--center", "0.6,0.1,0", "--eps", "0.3",
+                 "--queries", str(qpath), "--out", str(out)]) == 0
+    with open(out) as fh:
+        grads = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+    # the calls the command made before: each query inverted a second time
+    chart = optical.build_chart(Scene.from_file(str(spath)).spacetime(), [0.6, 0.1, 0.0],
+                                eps=0.3)
+    optical.chart_inverse_batch(chart, queries)
+    before = [float(f"{optical.grad_norm_omega(chart, q):.12g}") for q in queries]
+    assert grads == before and all(g == g for g in grads)
+    assert charts[0].forward_shots < chart.forward_shots
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,14 +2,17 @@
 
 The references below integrate one geodesic at a time: Christoffel symbols
 from a single 4x4 inverse, the per-point RK4 loop that raises on the first
-failed domain or null-drift check, and chart_forward on top of it, plus the
-Newton iteration that shot every probe and line-search step alone, and the
-chart inversion that ran one Newton solve after another.  The batched code
-must agree with them bit for bit, row by row, and a row that fails must
-carry the exception the reference raises for it alone.
+failed domain or null-drift check, the axis state interpolated one time at a
+time, and chart_forward on top of them, plus the Newton iteration that shot
+every probe and line-search step alone, and the chart inversion that ran one
+Newton solve after another.  The batched code must agree with them bit for
+bit, row by row, and a row that fails must carry the exception the reference
+raises for it alone.
 """
 
+import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,16 @@ from hypothesis import strategies as hs
 import nulldist as nd
 from nulldist import optical
 from nulldist.errors import LeftDomain, NoConvergence, StepTooLarge
-from nulldist.spacetime import TimeSense
+from nulldist.spacetime import Spacetime, TimeSense
+
+
+def same_bits(a, b):
+    """Equal bit for bit (the sign of a zero included), NaN payloads aside."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    keep = ~np.isnan(a)
+    return np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
 
 
 def ref_metric_derivatives(st, c):
@@ -68,9 +80,40 @@ def ref_shoot(st, x0, u0, s, step, monitor_null):
     return x, u
 
 
+def ref_states(chart, times):
+    """NullChart.state as it was, one time after another: a time at or beyond
+    an end takes that end's state; the Hermite weights are scalar arithmetic,
+    where (1 - s) ** 2 is pow; then the same products and sums for all rows."""
+    ts = chart.ts.tolist()
+    out = [np.empty((len(times),) + a.shape[1:]) for a in (chart.pos, chart.vel, chart.frame)]
+    rows, js, weights = [], [], []
+    for r, t in enumerate(np.asarray(times, dtype=float).tolist()):
+        if t <= ts[0] or t >= ts[-1]:
+            k = 0 if t <= ts[0] else -1
+            for o, a in zip(out, (chart.pos, chart.vel, chart.frame)):
+                o[r] = a[k]
+            continue
+        j = min(bisect.bisect_right(ts, t) - 1, len(ts) - 2)
+        h = ts[j + 1] - ts[j]
+        s = (t - ts[j]) / h
+        rows.append(r)
+        js.append(j)
+        weights.append(((1 + 2 * s) * (1 - s) ** 2, s * (1 - s) ** 2 * h,
+                        s * s * (3 - 2 * s), s * s * (s - 1) * h, s))
+    if rows:
+        j = np.array(js)
+        a, b, c, d, s = (np.array(w)[:, None] for w in zip(*weights))
+        out[0][rows] = a * chart.pos[j] + b * chart.vel[j] + c * chart.pos[j + 1] + d * chart.vel[j + 1]
+        out[1][rows] = chart.vel[j] + s * (chart.vel[j + 1] - chart.vel[j])
+        a, b, c, d = a[:, None], b[:, None], c[:, None], d[:, None]
+        out[2][rows] = (a * chart.frame[j] + b * chart.frame_dot[j]
+                        + c * chart.frame[j + 1] + d * chart.frame_dot[j + 1])
+    return out
+
+
 def ref_chart_forward(chart, t, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    pos, vel, frame = chart.state(float(t))
+    pos, vel, frame = (a[0] for a in ref_states(chart, [float(t)]))
     lam = float(np.linalg.norm(x))
     if lam == 0.0:
         return pos.copy()
@@ -169,11 +212,31 @@ def _bump(amp, width):
     return factor
 
 
+def _push(pts, c):
+    out = np.array(pts, dtype=float)
+    out[:, 1] += c * out[:, 0]
+    return out
+
+
+def _sheared(base, c):
+    """base pulled back by (t, x1, ...) -> (t, x1 + c t, ...): the same time
+    domain, and g_01 nonzero wherever the base's g_11 is."""
+    def metric(pts):
+        g = np.array(base.metric_batch(_push(pts, c)))
+        g[:, 0, :] += c * g[:, 1, :]  # A^T g A, A the Jacobian of the push
+        g[:, :, 0] += c * g[:, :, 1]
+        return g
+
+    return Spacetime(dim=base.dim, name=f"sheared {base.name}", metric_batch=metric,
+                     domain_batch=lambda pts: base.domain_batch(_push(pts, c)),
+                     params={"base": base, "shear": c})
+
+
 @hs.composite
 def spacetimes(draw):
     """(spacetime, t_min): its domain is t > t_min, whatever the kind."""
     dim = draw(hs.integers(2, 4))
-    kind = draw(hs.sampled_from(["minkowski", "warped", "conformal", "callable"]))
+    kind = draw(hs.sampled_from(["minkowski", "warped", "conformal", "callable", "sheared"]))
     if kind == "minkowski":
         return nd.builtin("upper_half_minkowski", dim=dim), 0.0
     slope = draw(hs.floats(0.3, 2.0))
@@ -181,6 +244,9 @@ def spacetimes(draw):
     warped = nd.builtin("warped_product", dim=dim, slope=slope, offset=offset)
     if kind == "warped":
         return warped, -offset / slope
+    if kind == "sheared":  # not diagonal: Christoffel symbols take the inverse
+        shear = draw(hs.floats(0.1, 0.5)) * draw(hs.sampled_from([-1.0, 1.0]))
+        return _sheared(warped, shear), -offset / slope
     if kind == "conformal":
         return nd.builtin("conformal", dim=dim, base=warped,
                           factor=draw(hs.floats(0.5, 3.0))), -offset / slope
@@ -191,7 +257,12 @@ def spacetimes(draw):
 
 
 def _null_rows(st, x0, rng, scales):
-    """Null velocities at x0 (diagonal metrics), either time sense."""
+    """Null velocities at x0 (diagonal or sheared metrics), either time sense."""
+    if "shear" in st.params:  # the base's null rows, pulled back
+        c = st.params["shear"]
+        u = _null_rows(st.params["base"], _push(x0, c), rng, scales)
+        u[:, 1] -= c * u[:, 0]
+        return u
     g = st.metric_batch(x0)
     n = rng.normal(size=(x0.shape[0], st.dim - 1))
     spatial = np.einsum("mi,mi,mi->m", n, np.diagonal(g, axis1=1, axis2=2)[:, 1:], n)
@@ -216,6 +287,86 @@ def test_christoffels_batch_matches_points(case, m, seed):
     for r in range(m):
         assert np.array_equal(gam[r], ref_christoffels(st, pts[r]))
         assert np.array_equal(optical.christoffels(st, pts[r]), gam[r])
+
+
+def test_christoffels_diagonal_and_inverse_paths(monkeypatch):
+    # diagonal rows take the reciprocal diagonal alone and the inverse in a
+    # batch with a non-diagonal row, bit for bit the same either way
+    warped = nd.builtin("warped_product", dim=4)
+
+    def tilted(pts):  # g_01 = 0.1 x1: diagonal where x1 = 0
+        g = np.array(warped.metric_batch(pts))
+        g[:, 0, 1] = g[:, 1, 0] = 0.1 * pts[:, 1]
+        return g
+
+    st = Spacetime(dim=4, name="tilted", metric_batch=tilted,
+                   domain_batch=warped.domain_batch)
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-1.0, 1.0, size=(6, 4))
+    pts[:, 0] = rng.uniform(0.2, 1.5, size=6)
+    pts[:4, 1] = [0.0, -0.0, 0.0, 0.0]
+    inverses = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(len(a)) or inv(a))
+    gam = optical.christoffels(st, pts)
+    assert inverses == [6]
+    assert same_bits(optical.christoffels(st, pts[:4]), gam[:4]) and inverses == [6]
+    for r in range(6):
+        assert same_bits(gam[r], ref_christoffels(st, pts[r]))
+    # a zero diagonal entry still leaves the inverse to raise, and a
+    # subnormal one, whose reciprocal overflows, to decide; no division or
+    # overflow warning on the way
+    def squeezed(pts):  # g_22 scaled by |x2|
+        g = np.array(warped.metric_batch(pts))
+        g[:, 2, 2] *= np.abs(pts[:, 2])
+        return g
+
+    st = Spacetime(dim=4, name="squeezed", metric_batch=squeezed,
+                   domain_batch=warped.domain_batch)
+    pts[2, 2] = 0.0
+    with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
+        warnings.simplefilter("error")
+        optical.christoffels(st, pts)
+    pts[2, 2] = 5e-320
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gam = optical.christoffels(st, pts)
+    assert same_bits(gam[2], ref_christoffels(st, pts[2]))
+    # an overflowing row: infinite diagonal entries go to the inverse, with
+    # the same values and no warning beyond the metric's own
+    pts = np.array([[1e200, 0.0, 0.0, 0.0], [1.0, 0.1, -0.2, 0.3]])
+    with warnings.catch_warnings(record=True) as metric_warnings:
+        warnings.simplefilter("always")
+        warped.metric_batch(pts), warped.metric_derivatives(pts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gam = optical.christoffels(warped, pts)
+    assert [(w.category, str(w.message)) for w in caught] == \
+        [(w.category, str(w.message)) for w in metric_warnings]
+    assert inverses[-1] == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for r in range(2):
+            assert same_bits(gam[r], ref_christoffels(warped, pts[r]))
+
+
+def test_row_norms_match_per_row_norm():
+    # rows that are zero, subnormal, tiny, huge (their squares overflow),
+    # infinite or NaN, in 1 to 4 dimensions
+    special = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-160, 1e160, 1e200, 1.7e308,
+                        np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(4)
+    for dim in range(1, 5):
+        F = rng.normal(size=(20000, dim)) * np.exp(rng.uniform(-60, 60, size=(20000, 1)))
+        mask = rng.random(F.shape) < 0.2
+        F[mask] = rng.choice(special, size=mask.sum())
+        F[:len(special)] = special[:, None]
+        with np.errstate(over="ignore"):
+            want = np.array([np.linalg.norm(f) for f in F])
+            got, rows = optical._norms(F), optical._row_norms(F)
+        assert same_bits(got, want)
+        finite = np.isfinite(F).all(axis=1)
+        assert same_bits(rows[finite], want[finite]) and np.all(rows[~finite] == np.inf)
 
 
 @SETTINGS
@@ -278,6 +429,30 @@ CHARTS = {
         nd.builtin("conformal", dim=2, base="upper_half_minkowski", factor=_bump(0.05, 0.3)),
         [0.4, 0.0], TimeSense.PAST, eps=0.3, shoot_step=0.05, probe=False),
 }
+
+
+def _benchmark_chart():
+    # the optical_chart workload's chart; the probe does not touch the axis
+    return optical.build_chart(nd.builtin("warped_product", dim=4), [1.0, 0.0, 0.0, 0.0],
+                               TimeSense.FUTURE, eps=0.3, probe=False)
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS) + ["benchmark"])
+def test_states_match_scalar_state(name):
+    chart = CHARTS[name]() if name in CHARTS else _benchmark_chart()
+    ts = chart.ts
+    special = np.concatenate([ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf),
+                              [0.0, -0.0, ts[0] - 1.0, ts[-1] + 1.0, -1e300, 1e300,
+                               -np.inf, np.inf]])
+    rng = np.random.default_rng(len(name))
+    times = np.concatenate([special, rng.uniform(1.1 * ts[0], 1.1 * ts[-1],
+                                                 size=100_000 - special.size)])
+    got, want = chart.states(times), ref_states(chart, times)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+    for r in range(0, times.size, 499):  # state is the one-row case
+        for g, w in zip(chart.state(times[r]), want):
+            assert same_bits(g, w[r])
 
 
 @pytest.mark.parametrize("name", sorted(CHARTS))
@@ -557,6 +732,7 @@ def test_chart_inverse_batch_matches_loop(name):
     for w, (_, solved) in zip(want[len(want) - len(multistart):], multistart):
         assert isinstance(w, optical.OpticalValue) == solved
     assert optical.grad_norm_omega(chart, Q[1]) == ref_grad_norm(chart, Q[1])
+    assert optical.grad_norm_omega(chart, Q[1], got[1]) == ref_grad_norm(chart, Q[1])
 
 
 def test_chart_inverse_batch_edge_rows():
