@@ -1,50 +1,81 @@
 """Hot graph kernels: Dijkstra, BFS reachability, longest-path relaxation.
 
-Written for the interpreter: Dijkstra walks the CSR arrays through
-``memoryview`` (plain Python scalars, no copies) with a ``heapq`` of
-``(dist, node)`` tuples; reachability and the longest-path pass do their
-per-edge work in numpy, one BFS level or one time layer per step.
-"""
+Each kernel does its per-edge work in numpy, one group of nodes per step:
 
-import heapq
+- Dijkstra settles a whole distance band per step (the OUT criterion of
+  Crauser, Mehlhorn, Meyer and Sanders, MFCS 1998).  With ``wout[u]`` the
+  smallest weight leaving u, the bound ``T = min(dist[u] + wout[u])`` over
+  the open (reached, unsettled) nodes is a floor on every distance still to
+  be found, since rounded addition is monotone; so every open node with
+  ``dist < T`` is final.  The band is relaxed in ``(dist, node)`` order, the
+  order a binary heap of ``(dist, node)`` pairs pops it, and an edge
+  improves a node only strictly, the smallest rank winning a tie, so
+  ``dist`` and ``pred`` are bit for bit those of the heap.  When no open
+  node lies below T (a zero weight, or one lost in rounding), the step
+  settles only the ``(dist, node)``-smallest open node, the heap's next pop.
+  Zero-weight ties therefore settle one node per step, the kernel's worst
+  case; on a causal grid only a time function that is not strictly
+  increasing along causal edges gives zero weights.
+- Reachability runs breadth first, one level per step.
+- The longest-path pass relaxes one time layer per step.
+"""
 
 import numpy as np
 
 
 def dijkstra(indptr, nbr, wt, src, target):
-    """Single-source shortest paths over a CSR graph.
+    """Single-source shortest paths over a CSR graph with weights >= 0.
 
-    Pops the ``(dist, node)``-lexicographic minimum, so ties are broken by
-    node index (smaller pops first) and results are deterministic.  Stops
-    early once ``target`` is settled unless it is -1.  Returns (dist, pred);
-    nodes that were never reached keep dist = inf and pred = -1.
+    Returns what a binary heap of ``(dist, node)`` pairs returns, bit for
+    bit: nodes settle in ``(dist, node)``-lexicographic order, so ties are
+    broken by node index (smaller first), and a node's pred is the first
+    settled node to reach its final distance.  Stops early once ``target``
+    is settled unless it is -1; nodes left open then keep their tentative
+    dist and pred.  Returns (dist, pred); nodes that were never reached keep
+    dist = inf and pred = -1.
     """
     n = indptr.shape[0] - 1
     dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=np.int64)
-    dv, pv = memoryview(dist), memoryview(pred)
-    ip, nb, w = memoryview(indptr), memoryview(nbr), memoryview(wt)
-    done = bytearray(n)
-    src, target = int(src), int(target)
-    dv[src] = 0.0
-    heap = [(0.0, src)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, u = pop(heap)
-        if done[u]:
-            continue
-        done[u] = 1
-        if u == target:
+    deg = np.diff(indptr)
+    wout = np.full(n, np.inf)  # smallest weight leaving each node
+    wout[deg > 0] = np.minimum.reduceat(wt, indptr[:-1][deg > 0])
+    is_open = np.zeros(n, dtype=np.bool_)
+    rank = np.full(n, n, dtype=np.int64)  # tie-break scratch, n = unset
+    dist[src] = 0.0
+    is_open[src] = True
+    while (front := np.flatnonzero(is_open)).size:
+        d = dist[front]
+        band = np.flatnonzero(d < (d + wout[front]).min())
+        if band.size:  # in the heap's pop order: front is sorted by node
+            band = band[np.argsort(d[band], kind="stable")]
+        else:  # a zero or absorbed weight: settle the heap's next pop only
+            band = d.argmin(keepdims=True)
+        batch, d = front[band], d[band]
+        is_open[batch] = False
+        stop = False
+        if target >= 0:  # the heap stops on popping the target
+            hit = np.flatnonzero(batch == target)
+            if hit.size:
+                batch, d, stop = batch[:hit[0]], d[:hit[0]], True
+        if batch.size:
+            counts = deg[batch]
+            e = _gather(indptr, batch)
+            v = nbr[e]
+            nd = np.repeat(d, counts) + wt[e]
+            # strict improvements only; of equal ones the lowest rank wins
+            better = nd < dist[v]
+            v, nd = v[better], nd[better]
+            r = np.repeat(np.arange(batch.size), counts)[better]
+            np.minimum.at(dist, v, nd)
+            won = nd == dist[v]
+            v, r = v[won], r[won]
+            np.minimum.at(rank, v, r)
+            pred[v] = batch[rank[v]]
+            rank[v] = n
+            is_open[v] = True
+        if stop:
             break
-        a, b = ip[u], ip[u + 1]
-        for v, c in zip(nb[a:b], w[a:b]):
-            if done[v]:
-                continue
-            nd = d + c
-            if nd < dv[v]:
-                dv[v] = nd
-                pv[v] = u
-                push(heap, (nd, v))
     return dist, pred
 
 
@@ -62,9 +93,11 @@ def bfs_reach(indptr, nbr, src):
     seen[src] = True
     frontier = np.array([src], dtype=np.int64)
     while frontier.size:
-        nxt = np.unique(nbr[_gather(indptr, frontier)])
-        frontier = nxt[~seen[nxt]]
-        seen[frontier] = True
+        fresh = np.zeros_like(seen)
+        fresh[nbr[_gather(indptr, frontier)]] = True
+        fresh &= ~seen
+        frontier = np.flatnonzero(fresh)
+        seen |= fresh
     return seen
 
 

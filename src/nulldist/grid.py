@@ -91,7 +91,7 @@ class ReachSet:
     sense: str
 
     def __contains__(self, node: int) -> bool:
-        return bool(self.members[node])
+        return 0 <= node < self.members.shape[0] and bool(self.members[node])
 
     def count(self) -> int:
         return int(self.members.sum())
@@ -369,6 +369,8 @@ def shortest_null_path(grid: CausalGrid, p_node: int, q_node: int):
 
 def null_distances_from(grid: CausalGrid, node: int) -> np.ndarray:
     """Single-source variant of shortest_null_path (full sweep)."""
+    if not 0 <= node < grid.n_nodes:
+        raise NodeNotInGrid(f"node {node} not in grid")
     indptr, nbr, wt = grid.csr_undirected()
     dist, _ = _kernels.dijkstra(indptr, nbr, wt, node, -1)
     return dist

@@ -290,6 +290,19 @@ def test_node_of_rejects_off_lattice():
         grid.node_of([5.0, 0.0])
 
 
+def test_node_ids_outside_grid_rejected():
+    st, tau, grid = mink_grid()
+    members = nd.reach(grid, 0)
+    for node in (-1, grid.n_nodes):
+        for query in (lambda: nd.null_distances_from(grid, node),
+                      lambda: nd.shortest_null_path(grid, 0, node),
+                      lambda: nd.reach(grid, node)):
+            with pytest.raises(NodeNotInGrid):
+                query()
+        assert node not in members
+    assert grid.n_nodes - 1 in nd.reach(grid, grid.n_nodes - 1)
+
+
 def test_include_null_exact_filter():
     offs_with = StencilSpec(radius=1, include_null_exact=True).offsets(2)
     offs_without = StencilSpec(radius=1, include_null_exact=False).offsets(2)

@@ -3,7 +3,8 @@
 The references below are the straightforward interpreted forms: a binary
 heap with (dist, node)-lexicographic pops, a FIFO queue, and a per-node
 relaxation in topological order.  The kernels must agree with them bit for
-bit on random 1+1 and 2+1 lattices, with and without an excised ray.
+bit on random 1+1 and 2+1 lattices, with and without an excised ray, and
+Dijkstra also on random CSR graphs with tied, zero and absorbed weights.
 """
 
 from functools import lru_cache
@@ -127,6 +128,46 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 def test_dijkstra_matches_reference(case):
     grid, src, tgt = case
     indptr, nbr, wt = grid.csr_undirected()
+    for target in (tgt, -1):
+        dist, pred = _kernels.dijkstra(indptr, nbr, wt, src, target)
+        ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(pred, ref_pred)
+
+
+# weights whose sums tie (with or without zeros), differ in the last bit
+# (0.1 + 0.2 != 0.3), span eleven decades, or vanish outright or in rounding
+# (1e-20 next to 0.5)
+WEIGHTS = {
+    "tied": hs.integers(1, 3).map(float),
+    "tied_zero": hs.integers(0, 3).map(float),
+    "decades": hs.floats(-8.0, 3.0).map(lambda x: 10.0 ** x),
+    "decimal": hs.sampled_from([0.1, 0.2, 0.3, 0.1 + 0.2]),
+    "absorbed": hs.sampled_from([0.0, 1e-20, 0.5, 1.0]),
+}
+
+
+@hs.composite
+def csr_graphs(draw):
+    """Random directed CSR graphs with multi-edges, self-loops, isolated
+    nodes and unreachable targets."""
+    n = draw(hs.integers(1, 60))
+    node = hs.integers(0, n - 1)
+    weight = WEIGHTS[draw(hs.sampled_from(sorted(WEIGHTS)))]
+    m = draw(hs.integers(0, 4 * n))
+    edges = draw(hs.lists(hs.tuples(node, node, weight), min_size=m, max_size=m))
+    u = np.array([a for a, _, _ in edges], dtype=np.int64)
+    order = np.argsort(u, kind="stable")
+    nbr = np.array([b for _, b, _ in edges], dtype=np.int64)[order]
+    wt = np.array([c for _, _, c in edges], dtype=float)[order]
+    indptr = np.searchsorted(u[order], np.arange(n + 1))
+    return indptr, nbr, wt, draw(node), draw(node)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csr_graphs())
+def test_dijkstra_matches_reference_on_random_graphs(case):
+    indptr, nbr, wt, src, tgt = case
     for target in (tgt, -1):
         dist, pred = _kernels.dijkstra(indptr, nbr, wt, src, target)
         ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
