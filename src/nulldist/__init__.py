@@ -34,7 +34,6 @@ from .timefn import (
 from .grid import (
     CausalGrid,
     GridParams,
-    ReachSense,
     ReachSet,
     StencilSpec,
     build_grid,

@@ -23,6 +23,15 @@ Each kernel does its per-edge work in numpy, one group of nodes per step:
 import numpy as np
 
 
+def csr(n, u, v, w):
+    """(indptr, nbr, wt) of the n-node graph of edges u -> v weighted w, the
+    edges sorted stably by source."""
+    order = np.argsort(u, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    return indptr, v[order], w[order]
+
+
 def dijkstra(indptr, nbr, wt, src, target):
     """Single-source shortest paths over a CSR graph with weights >= 0.
 

@@ -89,8 +89,34 @@ def _emit_csv(header, columns, out_path):
             fh.close()
 
 
-def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")], dtype=float)
+def _parse_point(text: str, flag: str, dim: int) -> np.ndarray:
+    try:
+        point = np.array([float(x) for x in text.split(",")], dtype=float)
+    except ValueError:
+        point = None
+    if point is None or point.shape != (dim,) or not np.isfinite(point).all():
+        raise SceneError(f"{flag} must be {dim} comma-separated finite numbers, got {text!r}")
+    return point
+
+
+def _parse_region(text: str, dim: int) -> tuple:
+    region = tuple(tuple(_parse_point(pair, "--region", 2)) for pair in text.split(";"))
+    if len(region) != dim:
+        raise SceneError(f"--region must be {dim} semicolon-separated lo,hi pairs, got {text!r}")
+    return region
+
+
+def _read_points(path: str, flag: str, shape: tuple) -> np.ndarray:
+    """The JSON list in file ``path``, of finite number arrays of ``shape``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = np.array(json.load(fh), dtype=float)
+    except (TypeError, ValueError):  # not JSON, or entries ragged or not numbers
+        data = None
+    if (data is None or not np.isfinite(data).all()
+            or data.shape[1:] != shape and data.shape != (0,)):
+        raise SceneError(f"{flag} {path} must be a JSON list of finite arrays of shape {shape}")
+    return data
 
 
 def _grid_from_args(scene: Scene, args):
@@ -109,8 +135,8 @@ def _grid_from_args(scene: Scene, args):
 def _cmd_nulldist(args) -> int:
     scene = Scene.from_file(args.scene)
     _, _, params, grid = _grid_from_args(scene, args)
-    p = grid.node_of(_parse_point(args.p))
-    q = grid.node_of(_parse_point(args.q))
+    p = grid.node_of(_parse_point(args.p, "--p", scene.dim))
+    q = grid.node_of(_parse_point(args.q, "--q", scene.dim))
     t0 = time.perf_counter()
     res = null_distance_result(grid, p, q)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -134,8 +160,8 @@ def _cmd_nulldist(args) -> int:
 def _cmd_causal(args) -> int:
     scene = Scene.from_file(args.scene)
     _, _, _, grid = _grid_from_args(scene, args)
-    p = grid.node_of(_parse_point(args.p))
-    q = grid.node_of(_parse_point(args.q))
+    p = grid.node_of(_parse_point(args.p, "--p", scene.dim))
+    q = grid.node_of(_parse_point(args.q, "--q", scene.dim))
     reachable = q in reach(grid, p)
     _emit_json({"reachable": bool(reachable)}, args.out)
     return 0
@@ -160,12 +186,11 @@ def _cmd_cosmo_time(args) -> int:
 
 def _cmd_check_antilip(args) -> int:
     scene = Scene.from_file(args.scene)
-    _, tau, params, grid = _grid_from_args(scene, args)
-    region = params.box if args.region is None else tuple(
-        tuple(float(x) for x in pair.split(",")) for pair in args.region.split(";"))
-    report = check_anti_lipschitz(grid, tau, region, n_sources=args.n_sources,
-                                  seed=args.seed)
-    reg = check_regularity(grid, tau)
+    region = None if args.region is None else _parse_region(args.region, scene.dim)
+    _, _, params, grid = _grid_from_args(scene, args)
+    report = check_anti_lipschitz(grid, params.box if region is None else region,
+                                  n_sources=args.n_sources, seed=args.seed)
+    reg = check_regularity(grid)
     _emit_json({
         "lambda_best": report.lambda_best,
         "pairs_tested": report.pairs_tested,
@@ -181,15 +206,13 @@ def _cmd_check_antilip(args) -> int:
 def _cmd_optical(args) -> int:
     scene = Scene.from_file(args.scene)
     st = scene.spacetime()
-    center = _parse_point(args.center)
+    center = _parse_point(args.center, "--center", scene.dim)
+    Q = _read_points(args.queries, "--queries", (scene.dim,))
     sense = TimeSense.FUTURE if args.sense == "future" else TimeSense.PAST
     chart = build_chart(st, center, sense, eps=args.eps)
-    with open(args.queries, "r", encoding="utf-8") as fh:
-        queries = json.load(fh)
     dim = st.dim
     header = [f"x{a}" for a in range(dim)] + ["omega", "lambda", "grad_norm"]
     rows = []
-    Q = np.asarray(queries, dtype=float)
     for qc, val in zip(Q, chart_inverse_batch(chart, Q)):
         if isinstance(val, NoConvergence):
             raise val
@@ -205,7 +228,7 @@ def _cmd_optical(args) -> int:
 def _cmd_ball(args) -> int:
     scene = Scene.from_file(args.scene)
     st, tau, params, grid = _grid_from_args(scene, args)
-    center = _parse_point(args.center)
+    center = _parse_point(args.center, "--center", scene.dim)
     rows = ball_boundary_sample(st, tau, center, args.radius, args.n_dirs,
                                 params, grid=grid)
     dim = st.dim
@@ -216,16 +239,14 @@ def _cmd_ball(args) -> int:
 
 def _cmd_encode_test(args) -> int:
     scene = Scene.from_file(args.scene)
+    pairs = _read_points(args.pairs, "--pairs", (2, scene.dim))
     st, tau, params, grid = _grid_from_args(scene, args)
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        pairs = json.load(fh)
     verdicts = []
     for p, q in pairs:
-        rep = encodes_causality_test(st, tau, np.asarray(p, float),
-                                     np.asarray(q, float), params, grid=grid)
+        rep = encodes_causality_test(st, tau, p, q, params, grid=grid)
         verdicts.append({
-            "p": list(map(float, p)),
-            "q": list(map(float, q)),
+            "p": p.tolist(),
+            "q": q.tolist(),
             "verdict": rep.verdict.value,
             "estimate": rep.result.estimate,
             "lattice_estimate": rep.result.lattice_estimate,
@@ -239,26 +260,30 @@ def _cmd_encode_test(args) -> int:
 
 
 def _parse_map(spec: str, dim: int) -> PointMap:
-    if spec == "identity":
-        return identity_map()
-    if spec.startswith("translate:"):
-        return translation_map(_parse_point(spec.split(":", 1)[1]))
-    if spec.startswith("dilate:"):
-        return dilation_map(float(spec.split(":", 1)[1]))
-    if spec.startswith("rotate:"):
-        i, j, theta = spec.split(":", 1)[1].split(",")
-        return rotation_map(int(i), int(j), float(theta))
-    if spec.startswith("table:"):
-        path = spec.split(":", 1)[1]
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return table_map(data[:, :dim], data[:, dim:])
+    kind, _, arg = spec.partition(":")
+    try:
+        if spec == "identity":
+            return identity_map()
+        if kind == "translate":
+            return translation_map(_parse_point(arg, "--map translate", dim))
+        if kind == "dilate":
+            return dilation_map(float(arg))
+        if kind == "rotate":
+            i, j, theta = arg.split(",")
+            return rotation_map(int(i), int(j), float(theta))
+        if kind == "table":
+            data = np.loadtxt(arg, delimiter=",", skiprows=1)
+            return table_map(data[:, :dim], data[:, dim:])
+    except (IndexError, ValueError) as exc:
+        raise SceneError(f"--map {spec!r} does not parse: {exc}") from None
     raise SceneError(f"unknown map spec {spec!r}")
 
 
 def _cmd_isometry(args) -> int:
-    st1, tau1, params1, grid1 = _grid_from_args(Scene.from_file(args.scene1), args)
+    scene1 = Scene.from_file(args.scene1)
+    pmap = _parse_map(args.map, scene1.dim)
+    st1, tau1, params1, grid1 = _grid_from_args(scene1, args)
     st2, tau2, _, grid2 = _grid_from_args(Scene.from_file(args.scene2), args)
-    pmap = _parse_map(args.map, st1.dim)
     pres = check_preserving(pmap, grid1, grid2, tau1, tau2,
                             n_pairs=args.n_pairs, tol=args.tol, seed=args.seed)
     out = {

@@ -18,7 +18,6 @@ from .errors import BallExitsGrid, InvalidSegment, NodeNotInGrid, SamePoint
 from .grid import (
     CausalGrid,
     GridParams,
-    ReachSense,
     axis_corner_directions,
     build_grid,
     null_distances_from,
@@ -414,8 +413,9 @@ def encodes_causality_test(st: Spacetime, tau, p, q, grid_params: GridParams,
         res = _refined_result(grid, res, swapped=p_node > q_node)
     tau_p = float(grid.tau_values[p_node])
     tau_q = float(grid.tau_values[q_node])
-    sense = ReachSense.FUTURE if tau_q >= tau_p else ReachSense.PAST
-    reachable = q_node in reach(grid, p_node, sense)
+    # q in J-(p) is p in J+(q): search forward from the earlier event
+    first, last = (p_node, q_node) if tau_q >= tau_p else (q_node, p_node)
+    reachable = last in reach(grid, first)
     if res.encodes_equality and reachable:
         verdict = EncodesVerdict.CAUSAL_AND_EQUAL
     elif res.encodes_equality and not reachable:

@@ -3,8 +3,10 @@
 A box of the spacetime is discretized into a uniform lattice.  For every
 stencil offset whose displacement is future causal at the segment midpoint a
 directed edge is emitted, weighted by the time-function gap |dtau| and by
-the Lorentzian segment length.  Undirected Dijkstra over these weights gives
-an upper estimate of the null distance; directed closure gives J+/J-.
+the Lorentzian segment length, and stored once, sorted by source: the edge
+arrays are the out-CSR, and ``_kernels.csr`` builds the undirected CSR from
+them.  Undirected Dijkstra over the |dtau| weights gives an upper estimate
+of the null distance; directed closure gives J+.
 """
 
 from __future__ import annotations
@@ -79,27 +81,19 @@ class GridParams:
         return np.array([b[1] for b in self.box], dtype=float)
 
 
-class ReachSense:
-    FUTURE = "future"
-    PAST = "past"
-
-
 @dataclass(frozen=True, eq=False)
 class ReachSet:
     origin: int
     members: np.ndarray  # boolean mask over grid nodes
-    sense: str
 
     def __contains__(self, node: int) -> bool:
         return 0 <= node < self.members.shape[0] and bool(self.members[node])
-
-    def count(self) -> int:
-        return int(self.members.sum())
 
 
 class CausalGrid:
     """Immutable lattice with directed future-causal edges.
 
+    Edges come sorted stably by source, so the edge arrays are the out-CSR.
     Construction is the only mutating phase; afterwards concurrent queries
     are safe (each query owns its scratch arrays inside the kernels).
     """
@@ -126,43 +120,20 @@ class CausalGrid:
         # worst-case factor by which axis-null zigzags overestimate spacelike
         # separation (L1 corner direction)
         self.spacelike_overestimate_max = math.sqrt(max(1, st.dim - 1))
-        self._csr_out = None
-        self._csr_in = None
+        self._indptr = np.searchsorted(edge_u, np.arange(self.n_nodes + 1))
         self._csr_undir = None
 
-    # -- CSR caches ---------------------------------------------------------
-
-    @staticmethod
-    def _to_csr(n, u, v, w):
-        # no sorted copy of u and no second copy of v: the first CSR build
-        # follows build_grid, and its temporaries can raise the peak memory
-        order = np.argsort(u, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
-        return (indptr, v[order].astype(np.int64, copy=False), w[order]), order
+    # -- CSR views ----------------------------------------------------------
 
     def csr_out(self):
-        if self._csr_out is None:
-            self._csr_out, self._out_order = self._to_csr(
-                self.n_nodes, self.edge_u, self.edge_v, self.edge_w)
-        return self._csr_out
-
-    def out_edge_values(self, per_edge: np.ndarray) -> np.ndarray:
-        """Reorder a per-edge array to match the csr_out() edge layout."""
-        self.csr_out()
-        return per_edge[self._out_order]
-
-    def csr_in(self):
-        if self._csr_in is None:
-            self._csr_in, _ = self._to_csr(self.n_nodes, self.edge_v, self.edge_u, self.edge_w)
-        return self._csr_in
+        """(indptr, nbr, wt) of the directed graph: the edge arrays themselves."""
+        return self._indptr, self.edge_v, self.edge_w
 
     def csr_undirected(self):
         if self._csr_undir is None:
-            u = np.concatenate([self.edge_u, self.edge_v])
-            v = np.concatenate([self.edge_v, self.edge_u])
-            w = np.concatenate([self.edge_w, self.edge_w])
-            self._csr_undir, _ = self._to_csr(self.n_nodes, u, v, w)
+            u, v, w = self.edge_u, self.edge_v, self.edge_w
+            self._csr_undir = _kernels.csr(self.n_nodes, np.concatenate([u, v]),
+                                           np.concatenate([v, u]), np.concatenate([w, w]))
         return self._csr_undir
 
     # -- node lookup --------------------------------------------------------
@@ -170,6 +141,8 @@ class CausalGrid:
     def _snap(self, coords):
         """(coords, lattice index, node id or -1) of the nearest lattice point."""
         c = np.asarray(coords, dtype=float)
+        if c.shape != (self.st.dim,):
+            raise NodeNotInGrid(f"{c.tolist()} is not a {self.st.dim}-dimensional point")
         k = np.rint((c - self.lo) / self.h).astype(np.int64)
         if np.any(k < 0) or np.any(k >= self.shape):
             raise NodeNotInGrid(f"{c.tolist()} is outside the grid box")
@@ -203,10 +176,7 @@ class CausalGrid:
         return np.concatenate(([0], np.flatnonzero(np.diff(t)) + 1, [self.n_nodes]))
 
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.n_edges:
-            np.add.at(deg, self.edge_v, 1)
-        return deg
+        return np.bincount(self.edge_v, minlength=self.n_nodes)
 
 
 def build_grid(st: Spacetime, tau, box, h: float,
@@ -296,9 +266,14 @@ def build_grid(st: Spacetime, tau, box, h: float,
         # with no edge every pair is disconnected and every node a source
         raise NoCausalEdges(f"no causal edge joins two of the {coords.shape[0]} kept nodes "
                             f"of box {params.box} at h = {h:g}")
-    return CausalGrid(st, tau, params, coords, ids_full, shape, np.concatenate(eu),
-                      np.concatenate(ev), np.concatenate(ew), np.concatenate(el),
-                      tau_values, offsets)
+    order = np.argsort(np.concatenate(eu), kind="stable")
+    edges = []
+    for parts in (eu, ev, ew, el):  # holding every list until all are sorted raises peak memory
+        whole = np.concatenate(parts)
+        parts.clear()
+        edges.append(whole[order])
+        del whole
+    return CausalGrid(st, tau, params, coords, ids_full, shape, *edges, tau_values, offsets)
 
 
 def offset_pairs(ids: np.ndarray, offset) -> tuple:
@@ -326,18 +301,12 @@ def axis_corner_directions(n: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def reach(grid: CausalGrid, node: int, sense: str = ReachSense.FUTURE) -> ReachSet:
-    """Directed causal closure J+(node) (or J- for sense='past')."""
+def reach(grid: CausalGrid, node: int) -> ReachSet:
+    """Directed causal closure J+(node), node included; q is in J-(p) iff p is in J+(q)."""
     if not 0 <= node < grid.n_nodes:
         raise NodeNotInGrid(f"node {node} not in grid")
-    if sense == ReachSense.FUTURE:
-        indptr, nbr, _ = grid.csr_out()
-    elif sense == ReachSense.PAST:
-        indptr, nbr, _ = grid.csr_in()
-    else:
-        raise ValueError(f"unknown sense {sense!r}")
-    members = _kernels.bfs_reach(indptr, nbr, node)
-    return ReachSet(origin=node, members=members, sense=sense)
+    indptr, nbr, _ = grid.csr_out()
+    return ReachSet(origin=node, members=_kernels.bfs_reach(indptr, nbr, node))
 
 
 def shortest_null_path(grid: CausalGrid, p_node: int, q_node: int):

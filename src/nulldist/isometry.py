@@ -32,8 +32,6 @@ class PointMap:
     """Coordinate map between spacetimes; closed-form or a node table."""
 
     forward: Callable[[np.ndarray], np.ndarray]
-    source: str = "N1"
-    target: str = "N2"
     closed_form: bool = True
 
     def __call__(self, coords: np.ndarray) -> np.ndarray:
@@ -41,7 +39,7 @@ class PointMap:
 
 
 def identity_map() -> PointMap:
-    return PointMap(forward=lambda c: c, source="N1", target="N2")
+    return PointMap(forward=lambda c: c)
 
 
 def translation_map(shift) -> PointMap:

@@ -702,7 +702,7 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     gmid = 0.5 * (gr[u] + gr[v])
     w = np.sqrt(np.einsum("mi,mij,mj->m", delta, gmid, delta))
 
-    (indptr, nbr, wts), _ = CausalGrid._to_csr(
+    indptr, nbr, wts = _kernels.csr(
         n_nodes, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]))
 
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NoCausalPairs
-from .grid import CausalGrid, ReachSense, reach
+from .grid import CausalGrid, reach
 from .spacetime import Spacetime
 
 INTEGRAL_ROWS = 16384  # metric evaluations per chunk of the boundary length integral
@@ -160,8 +160,7 @@ def cosmological_time_numeric(grid: CausalGrid) -> np.ndarray:
     base[sources] = _boundary_base(grid, grid.coords[sources])
     indptr, nbr, _ = grid.csr_out()
     # edge traversal needs Lorentzian lengths, not |dtau| weights
-    lengths = grid.out_edge_values(grid.edge_len)
-    return _kernels.longest_path_values(layers, indptr, nbr, lengths, base)
+    return _kernels.longest_path_values(layers, indptr, nbr, grid.edge_len, base)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +176,10 @@ class AntiLipschitzReport:
     worst_pair: Optional[tuple] = None
 
 
-def check_anti_lipschitz(grid: CausalGrid, tau: TimeFunction, region,
-                         n_sources: int = 64, seed: int = 0) -> AntiLipschitzReport:
+def check_anti_lipschitz(grid: CausalGrid, region, n_sources: int = 64,
+                         seed: int = 0) -> AntiLipschitzReport:
     """Best constant lambda with tau(q) - tau(q') >= lambda * |q - q'| over
-    directed pairs inside ``region``.
+    directed pairs inside ``region``, one (lo, hi) pair per axis.
 
     d_U is the coordinate Euclidean distance; the condition only pins lambda
     up to rescaling, so the report carries the best constant rather than a
@@ -188,6 +187,8 @@ def check_anti_lipschitz(grid: CausalGrid, tau: TimeFunction, region,
     guarantees the extremal (null-chain) pairs are seen.
     """
     region = tuple((float(a), float(b)) for a, b in region)
+    if len(region) != grid.st.dim:
+        raise ValueError(f"region dimension {len(region)} != spacetime dimension {grid.st.dim}")
     lo = np.array([r[0] for r in region])
     hi = np.array([r[1] for r in region])
     inside = np.all((grid.coords >= lo - 1e-12) & (grid.coords <= hi + 1e-12), axis=1)
@@ -197,14 +198,14 @@ def check_anti_lipschitz(grid: CausalGrid, tau: TimeFunction, region,
     rng = np.random.default_rng(seed)
     n_pick = min(n_sources, candidates.size)
     sources = candidates[rng.permutation(candidates.size)[:n_pick]]
-    tau_vals = tau.batch(grid.coords)
+    tau_vals = grid.tau_values
 
     best = math.inf
     worst_pair = None
     pairs = 0
     violations = []
     for s in sources:
-        members = reach(grid, int(s), ReachSense.FUTURE).members & inside
+        members = reach(grid, int(s)).members & inside
         members[s] = False
         idx = np.flatnonzero(members)
         if idx.size == 0:
@@ -236,25 +237,22 @@ class RegularityReport:
     eps_reg: float
     worst_source_tau: float
     n_sources: int
-    all_finite: bool
 
 
-def check_regularity(grid: CausalGrid, tau: TimeFunction) -> RegularityReport:
-    """Numeric surrogate for regularity: tau finite everywhere and close to 0
-    at the final node of every maximal past-directed chain.
+def check_regularity(grid: CausalGrid) -> RegularityReport:
+    """Numeric surrogate for regularity of the grid's time function: tau
+    close to 0 at the final node of every maximal past-directed chain.
 
     Sources of the directed grid (no incoming edge) are exactly those final
     nodes; each must satisfy |tau| <= eps_reg = 2h * max stencil Euclidean
     length, so a box reaching the past domain boundary passes while shifted
     or unbounded time functions fail.
     """
-    tau_vals = tau.batch(grid.coords)
-    all_finite = bool(np.all(np.isfinite(tau_vals)))
+    tau_vals = grid.tau_values
     offs = grid.offsets_used
     max_len = float(np.sqrt((offs.astype(float) ** 2).sum(axis=1).max())) if offs.size else 1.0
     eps_reg = 2.0 * grid.h * max_len
     sources = np.flatnonzero(grid.in_degrees() == 0)
     worst = float(np.abs(tau_vals[sources]).max()) if sources.size else 0.0
-    ok = all_finite and worst <= eps_reg
-    return RegularityReport(ok=ok, eps_reg=eps_reg, worst_source_tau=worst,
-                            n_sources=int(sources.size), all_finite=all_finite)
+    return RegularityReport(ok=worst <= eps_reg, eps_reg=eps_reg, worst_source_tau=worst,
+                            n_sources=int(sources.size))

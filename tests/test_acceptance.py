@@ -282,13 +282,13 @@ def test_criterion_10_anti_lipschitz_discrimination():
     tau = nd.coordinate_time(st)
     box = [(0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)]
     grid = nd.build_grid(st, tau, box, 0.25)
-    rep = nd.check_anti_lipschitz(grid, tau, box, n_sources=48, seed=0)
+    rep = nd.check_anti_lipschitz(grid, box, n_sources=48, seed=0)
     lam_ok = rep.lambda_best >= 0.6 and abs(rep.lambda_best - 1 / math.sqrt(2)) <= 0.05
     st2 = nd.builtin("minkowski", dim=2)
     tau3 = nd.cubed_time(st2)
     box2 = [(-0.03, 0.03), (-0.05, 0.05)]
     grid2 = nd.build_grid(st2, tau3, box2, 0.01)
-    rep3 = nd.check_anti_lipschitz(grid2, tau3, box2, n_sources=64, seed=1)
+    rep3 = nd.check_anti_lipschitz(grid2, box2, n_sources=64, seed=1)
     cubed_ok = rep3.lambda_best <= 0.05
     ok = lam_ok and cubed_ok
     assert _line(10, ok, f"tau=t: lambda_best {rep.lambda_best:.4f} "

@@ -146,6 +146,38 @@ def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     assert capsys.readouterr().err.startswith("error: scene.")
 
 
+@pytest.mark.parametrize("flag, argv, content", [
+    ("--p", ["nulldist", "SCENE", "--p", "0,x", "--q", "0,1"], None),
+    ("--p", ["nulldist", "SCENE", "--p", "0", "--q", "0,1"], None),
+    ("--q", ["causal", "SCENE", "--p", "0,0", "--q", "0;1"], None),
+    ("--q", ["causal", "SCENE", "--p", "0,0", "--q", "nan,1"], None),
+    ("--center", ["ball", "SCENE", "--center", "0,", "--radius", "0.1"], None),
+    ("--center", ["optical", "SCENE", "--center", "0.5", "--queries", "FILE"], "[[0.2, 0.1]]"),
+    ("--region", ["check-antilip", "SCENE", "--region", "a,b"], None),
+    ("--region", ["check-antilip", "SCENE", "--region", "0,1"], None),
+    ("--region", ["check-antilip", "SCENE", "--region", "0,1;0,1;0,1"], None),
+    ("--region", ["check-antilip", "SCENE", "--region", "0,1;0,1,2"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "rotate:1"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "dilate:x"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "translate:0,y"], None),
+    ("--pairs", ["encode-test", "SCENE", "--pairs", "FILE"], '{"p": [0, 0], "q": [0, 1]}'),
+    ("--pairs", ["encode-test", "SCENE", "--pairs", "FILE"], "[[0, 0], [0, 1]]"),
+    ("--pairs", ["encode-test", "SCENE", "--pairs", "FILE"], "[[[0, 0], [0, 1], [0, 2]]]"),
+    ("--pairs", ["encode-test", "SCENE", "--pairs", "FILE"], "[[[0], [1]]]"),
+    ("--pairs", ["encode-test", "SCENE", "--pairs", "FILE"], '[[[0, "a"], [0, 1]]]'),
+    ("--pairs", ["encode-test", "SCENE", "--pairs", "FILE"], "[[[0, 0], [0, 1]]"),
+    ("--pairs", ["encode-test", "SCENE", "--pairs", "FILE"], "[[[NaN, 0], [0, 1]]]"),
+    ("--queries", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE"], "[[0.2]]"),
+    ("--queries", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE"], '{"a": 1}'),
+])
+def test_malformed_flag_values_exit_2(flag, argv, content, scene_file, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(content or "[]")
+    argv = [{"SCENE": scene_file, "FILE": str(path)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert re.fullmatch(rf"error: {flag} .*\n", capsys.readouterr().err)
+
+
 def test_unknown_spacetime_params_rejected(tmp_path, capsys):
     data = json.loads(json.dumps(MINK2))
     data["spacetime"]["params"] = {"bogus": 1}

@@ -106,8 +106,7 @@ def test_reach_examples():
     assert origin in r  # reflexive
     assert grid.node_of([2.0, 1.0]) in r
     assert grid.node_of([1.0, 2.0]) not in r
-    past = nd.reach(grid, grid.node_of([2.0, 0.0]), nd.ReachSense.PAST)
-    assert grid.node_of([0.0, 0.0]) in past
+    assert grid.node_of([2.0, 0.0]) in r
 
 
 def test_reach_missing_ray_blocked():
@@ -288,6 +287,14 @@ def test_node_of_rejects_off_lattice():
         grid.node_of([0.013, 0.0])
     with pytest.raises(NodeNotInGrid):
         grid.node_of([5.0, 0.0])
+
+
+@pytest.mark.parametrize("point", [[0.0], 0.0, [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+def test_node_of_rejects_wrong_dimension(point):
+    st, tau, grid = mink_grid()
+    for lookup in (grid.node_of, grid.node_of_nearest):
+        with pytest.raises(NodeNotInGrid, match="2-dimensional"):
+            lookup(point)
 
 
 def test_node_ids_outside_grid_rejected():

@@ -5,6 +5,8 @@ heap with (dist, node)-lexicographic pops, a FIFO queue, and a per-node
 relaxation in topological order.  The kernels must agree with them bit for
 bit on random 1+1 and 2+1 lattices, with and without an excised ray, and
 Dijkstra also on random CSR graphs with tied, zero and absorbed weights.
+Each kernel must also return the same arrays when every node's neighbour
+list is shuffled: the lattice's edge order is not part of any result.
 """
 
 from functools import lru_cache
@@ -98,6 +100,13 @@ def ref_longest_path_values(order, indptr, nbr, length, base):
     return value
 
 
+def shuffle_neighbours(indptr, seed, *per_edge):
+    """The per-edge CSR arrays with each node's neighbour list permuted."""
+    owner = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    perm = np.lexsort((np.random.default_rng(seed).random(owner.shape[0]), owner))
+    return tuple(a[perm] for a in per_edge)
+
+
 @lru_cache(maxsize=None)
 def lattice(dim, radius, h, t0, extent, excised, cubed):
     st = nd.builtin("missing_ray" if excised else "minkowski", dim=dim)
@@ -128,9 +137,13 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 def test_dijkstra_matches_reference(case):
     grid, src, tgt = case
     indptr, nbr, wt = grid.csr_undirected()
+    mixed = shuffle_neighbours(indptr, src, nbr, wt)
     for target in (tgt, -1):
         dist, pred = _kernels.dijkstra(indptr, nbr, wt, src, target)
         ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(pred, ref_pred)
+        dist, pred = _kernels.dijkstra(indptr, *mixed, src, target)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(pred, ref_pred)
 
@@ -168,9 +181,13 @@ def csr_graphs(draw):
 @given(csr_graphs())
 def test_dijkstra_matches_reference_on_random_graphs(case):
     indptr, nbr, wt, src, tgt = case
+    mixed = shuffle_neighbours(indptr, tgt, nbr, wt)
     for target in (tgt, -1):
         dist, pred = _kernels.dijkstra(indptr, nbr, wt, src, target)
         ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(pred, ref_pred)
+        dist, pred = _kernels.dijkstra(indptr, *mixed, src, target)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(pred, ref_pred)
 
@@ -182,11 +199,15 @@ def test_bfs_reach_matches_reference_and_networkx(case):
     graph = nx.DiGraph()
     graph.add_nodes_from(range(grid.n_nodes))
     graph.add_edges_from(zip(grid.edge_u.tolist(), grid.edge_v.tolist()))
-    for csr, closure in ((grid.csr_out(), nx.descendants), (grid.csr_in(), nx.ancestors)):
-        indptr, nbr, _ = csr
-        mask = _kernels.bfs_reach(indptr, nbr, src)
-        assert np.array_equal(mask, ref_bfs_reach(indptr, nbr, src))
-        assert set(np.flatnonzero(mask).tolist()) == closure(graph, src) | {src}
+    # the stored edges are the out-CSR, sorted by source
+    indptr, nbr, _ = grid.csr_out()
+    assert nbr is grid.edge_v
+    assert np.array_equal(np.repeat(np.arange(grid.n_nodes), np.diff(indptr)), grid.edge_u)
+    mask = _kernels.bfs_reach(indptr, nbr, src)
+    assert np.array_equal(mask, ref_bfs_reach(indptr, nbr, src))
+    assert set(np.flatnonzero(mask).tolist()) == nx.descendants(graph, src) | {src}
+    assert np.array_equal(_kernels.bfs_reach(indptr, *shuffle_neighbours(indptr, src, nbr), src),
+                          mask)
 
 
 @SETTINGS
@@ -194,7 +215,7 @@ def test_bfs_reach_matches_reference_and_networkx(case):
 def test_longest_path_matches_reference(case, seed):
     grid, src, tgt = case
     indptr, nbr, _ = grid.csr_out()
-    lengths = grid.out_edge_values(grid.edge_len)
+    lengths = grid.edge_len
     # a few seeded nodes leave most of the lattice unreached (-inf)
     base = np.full(grid.n_nodes, -np.inf)
     rng = np.random.default_rng(seed)
@@ -203,6 +224,9 @@ def test_longest_path_matches_reference(case, seed):
     value = _kernels.longest_path_values(grid.time_layers(), indptr, nbr, lengths, base)
     assert np.array_equal(value, ref_longest_path_values(order, indptr, nbr, lengths, base))
     assert np.isneginf(value).any()
+    mixed = shuffle_neighbours(indptr, seed, nbr, lengths)
+    assert np.array_equal(
+        _kernels.longest_path_values(grid.time_layers(), indptr, *mixed, base), value)
 
 
 @SETTINGS

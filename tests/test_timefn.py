@@ -110,7 +110,7 @@ def test_anti_lipschitz_minkowski_cone_constant():
     tau = nd.coordinate_time(st)
     box = [(0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)]
     grid = nd.build_grid(st, tau, box, 0.25)
-    rep = nd.check_anti_lipschitz(grid, tau, box, n_sources=48, seed=0)
+    rep = nd.check_anti_lipschitz(grid, box, n_sources=48, seed=0)
     assert rep.lambda_best == pytest.approx(1.0 / math.sqrt(2.0), abs=0.05)
     assert rep.lambda_best >= 0.6
     assert rep.pairs_tested > 0 and not rep.violations
@@ -121,7 +121,7 @@ def test_anti_lipschitz_cubed_time_degenerates():
     tau = nd.cubed_time(st)
     box = [(-0.03, 0.03), (-0.05, 0.05)]
     grid = nd.build_grid(st, tau, box, 0.01)
-    rep = nd.check_anti_lipschitz(grid, tau, box, n_sources=64, seed=1)
+    rep = nd.check_anti_lipschitz(grid, box, n_sources=64, seed=1)
     assert rep.lambda_best <= 0.05
 
 
@@ -130,8 +130,7 @@ def test_anti_lipschitz_vertical_pairs_ratio_one():
     tau = nd.coordinate_time(st)
     grid = nd.build_grid(st, tau, [(0.5, 1.5), (-0.5, 0.5)], 0.1)
     # restrict the region to a single spatial column: only vertical pairs
-    rep = nd.check_anti_lipschitz(grid, tau, [(0.5, 1.5), (0.0, 0.0)],
-                                  n_sources=16, seed=0)
+    rep = nd.check_anti_lipschitz(grid, [(0.5, 1.5), (0.0, 0.0)], n_sources=16, seed=0)
     assert rep.lambda_best == pytest.approx(1.0, abs=1e-12)
 
 
@@ -142,17 +141,24 @@ def test_anti_lipschitz_affine_covariance(a, b):
     box = [(0.5, 1.5), (-0.5, 0.5)]
     tau_ref = nd.coordinate_time(st)
     grid_ref = nd.build_grid(st, tau_ref, box, 0.1)
-    base = nd.check_anti_lipschitz(grid_ref, tau_ref, box, n_sources=32, seed=5)
+    base = nd.check_anti_lipschitz(grid_ref, box, n_sources=32, seed=5)
     tau = affine_time(st, scale=a, offset=b)
     grid = nd.build_grid(st, tau, box, 0.1)
-    rep = nd.check_anti_lipschitz(grid, tau, box, n_sources=32, seed=5)
+    rep = nd.check_anti_lipschitz(grid, box, n_sources=32, seed=5)
     assert rep.lambda_best == pytest.approx(a * base.lambda_best, rel=1e-9)
 
 
 def test_anti_lipschitz_no_pairs():
     st, tau, grid = upper_grid()
     with pytest.raises(NoCausalPairs):
-        nd.check_anti_lipschitz(grid, tau, [(5.0, 6.0), (5.0, 6.0)])
+        nd.check_anti_lipschitz(grid, [(5.0, 6.0), (5.0, 6.0)])
+
+
+@pytest.mark.parametrize("region", [[(0.5, 1.5)], [(0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)]])
+def test_anti_lipschitz_region_of_wrong_dimension(region):
+    st, tau, grid = upper_grid()
+    with pytest.raises(ValueError, match="region dimension"):
+        nd.check_anti_lipschitz(grid, region)
 
 
 def test_regularity_upper_half_true():
@@ -160,14 +166,14 @@ def test_regularity_upper_half_true():
     tau = nd.coordinate_time(st)
     # box reaching the past domain boundary: chain ends sit at tau ~ h
     grid = nd.build_grid(st, tau, [(0.0, 1.0), (-0.5, 0.5)], 0.05)
-    assert nd.check_regularity(grid, tau).ok
+    assert nd.check_regularity(grid).ok
 
 
 def test_regularity_full_minkowski_false():
     st = nd.builtin("minkowski", dim=2)
     tau = nd.coordinate_time(st)
     grid = nd.build_grid(st, tau, [(-1.0, 1.0), (-1.0, 1.0)], 0.05)
-    rep = nd.check_regularity(grid, tau)
+    rep = nd.check_regularity(grid)
     assert not rep.ok
     assert rep.worst_source_tau == pytest.approx(1.0)
 
@@ -176,11 +182,11 @@ def test_regularity_shifted_false():
     st = nd.builtin("upper_half_minkowski", dim=2)
     tau = affine_time(st, scale=1.0, offset=5.0)
     grid = nd.build_grid(st, tau, [(0.0, 1.0), (-0.5, 0.5)], 0.05)
-    assert not nd.check_regularity(grid, tau).ok
+    assert not nd.check_regularity(grid).ok
 
 
 def test_regularity_missing_ray_floor_box():
     st = nd.builtin("missing_ray", dim=4)
     tau = nd.coordinate_time(st)
     grid = nd.build_grid(st, tau, [(0.0, 3.0), (-1.0, 1.0), (-0.5, 0.5), (-0.5, 0.5)], 0.25)
-    assert nd.check_regularity(grid, tau).ok
+    assert nd.check_regularity(grid).ok
