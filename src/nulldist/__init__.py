@@ -66,11 +66,11 @@ from .optical import (
     chart_inverse,
     chart_inverse_batch,
     g_R_eval,
-    geodesic_shoot,
     grad_norm_omega,
     lipschitz_estimate,
     omega_monotonicity_check,
 )
+from .shooting import geodesic_shoot
 from .isometry import (
     ConformalReport,
     PointMap,

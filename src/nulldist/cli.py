@@ -209,6 +209,8 @@ def _cmd_optical(args) -> int:
     center = _parse_point(args.center, "--center", scene.dim)
     Q = _read_points(args.queries, "--queries", (scene.dim,))
     sense = TimeSense.FUTURE if args.sense == "future" else TimeSense.PAST
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise SceneError(f"--eps must be a finite positive number, got {args.eps!r}")
     chart = build_chart(st, center, sense, eps=args.eps)
     dim = st.dim
     header = [f"x{a}" for a in range(dim)] + ["omega", "lambda", "grad_norm"]

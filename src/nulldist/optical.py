@@ -16,115 +16,12 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    LeftDomain,
-    NoConvergence,
-    NullDistError,
-    OnAxisDegenerate,
-    StepTooLarge,
-)
+from .errors import LeftDomain, NoConvergence, NullDistError, OnAxisDegenerate
 from .grid import CausalGrid, StencilSpec, axis_corner_directions, offset_pairs, reach
+from .shooting import _rk4_step, _shoot_state, christoffels
 from .spacetime import MetricForm, Spacetime, TimeSense, as_event
 
-NULL_DRIFT_TOL = 1e-6  # relative bound on |g(u,u)| along null shots
 SHOOT_CHUNK = 128  # rows per batched shot; bounds the RK4 temporaries
-
-
-def christoffels(st: Spacetime, coords: np.ndarray) -> np.ndarray:
-    """Connection coefficients Gamma^k_{ij} from metric derivatives, at one
-    point (dim,) or at each row of an (m, dim) stack (indexed [m, k, i, j])."""
-    pts = np.asarray(coords, float).reshape(-1, st.dim)
-    g = st.metric_batch(pts)
-    dg = st.metric_derivatives(pts)
-    # dg_sym[m,l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}
-    dg_sym = np.einsum("milj->mlij", dg) + np.einsum("mjli->mlij", dg) - dg
-    # a diagonal g's inverse is the reciprocal of its diagonal, and the
-    # einsum's sum over the zero terms starts from +0.0 (so no -0.0 there);
-    # a stack with off-diagonal entries, or a zero, infinite, NaN or
-    # subnormal diagonal entry, goes through the inverse, which decides
-    diag = np.diagonal(g, axis1=1, axis2=2)
-    with np.errstate(all="ignore"):
-        rdiag = 1.0 / diag
-        gamma = 0.5 * (rdiag[:, :, None, None] * dg_sym) + 0.0
-    # so many nonzeros: every off-diagonal entry is zero, or a diagonal one is
-    if np.count_nonzero(g) != diag.size or not (rdiag.all() and np.isfinite(gamma).all()):
-        gamma = 0.5 * np.einsum("mkl,mlij->mkij", np.linalg.inv(g), dg_sym)
-    return gamma if np.ndim(coords) == 2 else gamma[0]
-
-
-def _geodesic_rhs(st: Spacetime, x: np.ndarray, u: np.ndarray, *legs):
-    """(dx, du, *dlegs) of the geodesic equation at (m, dim) rows x, u; each
-    (m, n, dim) frame in ``legs`` is parallel-transported along u."""
-    gamma = christoffels(st, x)
-    return (u, -np.einsum("mkij,mi,mj->mk", gamma, u, u),
-            *(-np.einsum("mkij,mi,mnj->mnk", gamma, u, E) for E in legs))
-
-
-def _rk4_step(st: Spacetime, dt, *state):
-    """One RK4 step of _geodesic_rhs over state (x, u, *legs)."""
-    k1 = _geodesic_rhs(st, *state)
-    k2 = _geodesic_rhs(st, *(y + 0.5 * dt * k for y, k in zip(state, k1)))
-    k3 = _geodesic_rhs(st, *(y + 0.5 * dt * k for y, k in zip(state, k2)))
-    k4 = _geodesic_rhs(st, *(y + dt * k for y, k in zip(state, k3)))
-    return tuple(y + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                 for y, a, b, c, d in zip(state, k1, k2, k3, k4))
-
-
-def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
-                 step: float, monitor_null: bool):
-    """Integrate the geodesic equation for every row of (m, dim) x0, u0.
-
-    Returns final (x, u), per-row errors (None, or what a shot of that row
-    alone raises; the row stays at its last good step) and the largest
-    relative |g(u,u)| of a step that passed the null monitor."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n = max(1, int(math.ceil(abs(s) / step)))
-    dt = s / n
-    x_end, u_end = np.array(x0, dtype=float), np.array(u0, dtype=float)
-    x, u, live = x_end, u_end, np.arange(x_end.shape[0])  # live rows only
-    errors, drift = [None] * live.size, 0.0
-    for i in range(n):
-        nx, nu = _rk4_step(st, dt, x, u)
-        ok = np.array(st.domain_batch(nx), dtype=bool)  # a copy: rows are cleared below
-        for r in live[~ok]:
-            errors[r] = LeftDomain((i + 1) * dt)
-        if monitor_null and ok.any():
-            k = np.flatnonzero(ok)
-            uk = nu[k][:, None, :]
-            q = np.abs((uk @ st.metric_batch(nx[k]) @ uk.transpose(0, 2, 1))[:, 0, 0])
-            uu = (uk @ uk.transpose(0, 2, 1))[:, 0, 0]
-            bad = q > NULL_DRIFT_TOL * uu
-            drift = max(drift, float(np.max(q / np.maximum(uu, 1e-300), where=~bad, initial=0)))
-            for r in np.flatnonzero(bad):
-                errors[live[k[r]]] = StepTooLarge(
-                    f"null constraint drift {q[r]:.2e} after step {i + 1}; reduce step")
-                ok[k[r]] = False
-        if not ok.all():  # failed rows keep their last good step
-            x_end[live[~ok]], u_end[live[~ok]] = x[~ok], u[~ok]
-            nx, nu, live = nx[ok], nu[ok], live[ok]
-        x, u = nx, nu
-        if live.size == 0:
-            break
-    x_end[live], u_end[live] = x, u
-    return x_end, u_end, errors, drift
-
-
-def geodesic_shoot(st: Spacetime, p, v, s: float, step: float = 0.05):
-    """Exponential-map point exp_p(s*v) by fourth-order Runge-Kutta.
-
-    Null initial data is detected automatically and the |g(u,u)| constraint
-    is monitored along the trajectory.
-    """
-    p = as_event(p)
-    vv = np.asarray(v.components if hasattr(v, "components") else v, dtype=float)
-    g = st.metric_at(p.coords)
-    q0 = abs(float(vv @ g @ vv))
-    monitor = q0 <= NULL_DRIFT_TOL * float(vv @ vv)
-    x, _, errors, _ = _shoot_state(st, p.coords[None], vv[None], s, step, monitor)
-    if errors[0] is not None:
-        raise errors[0]
-    return as_event(x[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +126,11 @@ def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
     For sense=Past the axis runs along the past-directed unit velocity, so
     chart time increases toward the past.  ``domain_radius`` is set to the
     largest probed radius at which forward/inverse round trips succeed.
+    Raises ValueError unless eps and shoot_step are finite and positive.
     """
+    for name, value in (("eps", eps), ("shoot_step", shoot_step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     p = as_event(p)
     coords = p.coords
     if not st.domain_contains(coords):
@@ -272,6 +173,9 @@ def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
 
 
 def _probe_domain_radius(chart: NullChart) -> float:
+    """The largest probed radius at which 8 fixed directions all lie in the
+    domain and all invert from their own flat-frame candidates, solved in
+    lockstep; no coarse multistart, which only real queries pay for."""
     dim = chart.st.dim
     rng = np.random.default_rng(1234)
     dirs = rng.normal(size=(8, dim))
@@ -279,20 +183,12 @@ def _probe_domain_radius(chart: NullChart) -> float:
     for frac in (0.7, 0.5, 0.35, 0.25, 0.15, 0.08):
         r = frac * chart.eps
         Q = chart.center + r * dirs
-        inside = np.asarray(chart.st.domain_batch(Q), dtype=bool)
-        n_in = len(Q) if inside.all() else int(np.argmin(inside))
-        # the directions' own solves run in lockstep; they are then settled
-        # in order, each with its multistart if needed, up to the first failure
-        results, scale = _solve_candidates(chart, Q[:n_in], 1e-8, None)
-        ok = n_in == len(Q)
-        for k in range(n_in):
-            if results[k] is None:
-                results[k] = _multistart(chart, Q[k:k + 1], 1e-8, scale[k:k + 1])[0]
-            val = _optical_value(chart, Q[k], results[k])
-            if isinstance(val, NoConvergence) or val.residual > 1e-7 * scale[k]:
-                ok = False
-                break
-        if ok:
+        if not np.all(chart.st.domain_batch(Q)):
+            continue
+        results, scale = _solve_candidates(chart, Q, 1e-8, None)
+        vals = [_optical_value(chart, q, res) for q, res in zip(Q, results)]
+        if all(not isinstance(v, NoConvergence) and v.residual <= 1e-7 * s
+               for v, s in zip(vals, scale)):
             return r
     return 0.05 * chart.eps
 
@@ -350,7 +246,7 @@ def chart_inverse(chart: NullChart, q, tol: float = 1e-10,
                   seed: Optional[tuple] = None) -> OpticalValue:
     """Damped Newton inversion of chart_forward at the event q: the one-row
     case of chart_inverse_batch, raising its NoConvergence."""
-    val = chart_inverse_batch(chart, [as_event(q).coords], tol,
+    val = chart_inverse_batch(chart, [_chart_point(chart, q)], tol,
                               None if seed is None else [seed])[0]
     if isinstance(val, NoConvergence):
         raise val
@@ -369,6 +265,8 @@ def chart_inverse_batch(chart: NullChart, Q, tol: float = 1e-10, seeds=None) -> 
     axis with direction undefined.
     """
     Q = np.asarray(Q, dtype=float)
+    if Q.shape != (0,) and (Q.ndim != 2 or Q.shape[1] != chart.st.dim):
+        raise ValueError(f"Q must be an (m, {chart.st.dim}) array of points, got shape {Q.shape}")
     if len(Q) == 0:
         return []
     results, scale = _solve_candidates(chart, Q, tol, seeds)
@@ -376,6 +274,14 @@ def chart_inverse_batch(chart: NullChart, Q, tol: float = 1e-10, seeds=None) -> 
     for r, res in zip(rows, _multistart(chart, Q[rows], tol, scale[rows])):
         results[r] = res
     return [_optical_value(chart, q, res) for q, res in zip(Q, results)]
+
+
+def _chart_point(chart: NullChart, q) -> np.ndarray:
+    """The coordinates of the event q, which must have the chart's dimension."""
+    coords = as_event(q).coords
+    if coords.shape != (chart.st.dim,):
+        raise ValueError(f"event dimension {coords.size} != spacetime dimension {chart.st.dim}")
+    return coords
 
 
 def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
@@ -618,7 +524,7 @@ def _g_R_entries(chart: NullChart, Q: np.ndarray, vals) -> np.ndarray:
 
 def g_R_eval(chart: NullChart, q, val: Optional[OpticalValue] = None) -> MetricForm:
     """Riemannian metric 2|g(X,X)|^{-1} g(X,.)g(X,.) + g at q."""
-    q = as_event(q).coords
+    q = _chart_point(chart, q)
     if val is None:
         val = chart_inverse(chart, q)
     return MetricForm(_g_R_entries(chart, q[None], [val])[0])
@@ -632,7 +538,7 @@ def grad_norm_omega(chart: NullChart, q, val: Optional[OpticalValue] = None) -> 
     below 2 wherever |g(X,X)| > 1/2; a value of 2 or more raises.  ``val``
     is q's chart value if the caller has already inverted q.
     """
-    q = as_event(q).coords
+    q = _chart_point(chart, q)
     if val is None:
         val = chart_inverse(chart, q)
     axis_band = 1e-5 * max(1.0, chart.eps)
@@ -664,8 +570,11 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     d_{g_R} is the shortest-path distance on a fine lattice with g_R edge
     lengths; since lattice paths only overestimate the true Riemannian
     distance, the returned ratio is a safe lower envelope of the true
-    supremum and must stay below 2.
+    supremum and must stay below 2.  Raises ValueError for a lattice of
+    fewer than 2 nodes a side.
     """
+    if lattice_n < 2:
+        raise ValueError(f"lattice_n must be at least 2, got {lattice_n!r}")
     dim = chart.st.dim
     half = 0.9 * chart.domain_radius / math.sqrt(dim)
     axes = [chart.center[a] + np.linspace(-half, half, lattice_n) for a in range(dim)]

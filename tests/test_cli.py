@@ -169,6 +169,14 @@ def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     ("--pairs", ["encode-test", "SCENE", "--pairs", "FILE"], "[[[NaN, 0], [0, 1]]]"),
     ("--queries", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE"], "[[0.2]]"),
     ("--queries", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE"], '{"a": 1}'),
+    ("--eps", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE", "--eps", "0"],
+     "[[0.8, 0.1]]"),
+    ("--eps", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE", "--eps", "-0.2"],
+     "[[0.8, 0.1]]"),
+    ("--eps", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE", "--eps", "nan"],
+     "[[0.8, 0.1]]"),
+    ("--eps", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE", "--eps", "inf"],
+     "[[0.8, 0.1]]"),
 ])
 def test_malformed_flag_values_exit_2(flag, argv, content, scene_file, tmp_path, capsys):
     path = tmp_path / "input.json"

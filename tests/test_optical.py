@@ -11,13 +11,12 @@ from nulldist.optical import (
     build_chart,
     chart_forward,
     chart_inverse,
-    christoffels,
     g_R_eval,
-    geodesic_shoot,
     grad_norm_omega,
     lipschitz_estimate,
     omega_monotonicity_check,
 )
+from nulldist.shooting import christoffels, geodesic_shoot
 from nulldist.spacetime import TimeSense
 
 
@@ -277,3 +276,29 @@ def test_inverse_no_convergence_outside_chart():
     ch = build_chart(st, [0.0, 0.0], TimeSense.FUTURE, eps=0.2)
     with pytest.raises(NoConvergence):
         chart_inverse(ch, [5.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])
+def test_build_chart_rejects_bad_widths(bad):
+    st = nd.builtin("minkowski", dim=2)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        build_chart(st, [0.0, 0.0], eps=bad)
+    with pytest.raises(ValueError, match="shoot_step must be finite and positive"):
+        build_chart(st, [0.0, 0.0], eps=0.5, shoot_step=bad)
+
+
+def test_malformed_optical_inputs_raise_value_error():
+    ch = build_chart(nd.builtin("minkowski", dim=2), [0.0, 0.0], TimeSense.FUTURE, eps=0.5)
+    for q in ([0.3], [0.3, 0.2, 0.0]):
+        with pytest.raises(ValueError, match="event dimension"):
+            chart_inverse(ch, q)
+        with pytest.raises(ValueError, match="event dimension"):
+            grad_norm_omega(ch, q)
+        with pytest.raises(ValueError, match="event dimension"):
+            g_R_eval(ch, q)
+    for Q in ([0.3, 0.2], [[0.3, 0.2, 0.0]], [[[0.3, 0.2]]]):
+        with pytest.raises(ValueError, match=r"Q must be an \(m, 2\) array"):
+            nd.chart_inverse_batch(ch, Q)
+    assert nd.chart_inverse_batch(ch, []) == []
+    with pytest.raises(ValueError, match="lattice_n must be at least 2"):
+        lipschitz_estimate(ch, lattice_n=1)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import nulldist as nd
-from nulldist import optical
+from nulldist import optical, shooting
 from nulldist.errors import LeftDomain, NoConvergence, StepTooLarge
 from nulldist.spacetime import Spacetime, TimeSense
 
@@ -74,7 +74,7 @@ def ref_shoot(st, x0, u0, s, step, monitor_null):
         if monitor_null:
             g = st.metric_at(x)
             q = abs(float(u @ g @ u))
-            if q > optical.NULL_DRIFT_TOL * float(u @ u):
+            if q > shooting.NULL_DRIFT_TOL * float(u @ u):
                 raise StepTooLarge(
                     f"null constraint drift {q:.2e} after step {i + 1}; reduce step")
     return x, u
@@ -282,11 +282,11 @@ def test_christoffels_batch_matches_points(case, m, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(m, st.dim))
     pts[:, 0] = t_min + rng.uniform(0.05, 1.5, size=m)
-    gam = optical.christoffels(st, pts)
+    gam = shooting.christoffels(st, pts)
     assert gam.shape == (m,) + (st.dim,) * 3
     for r in range(m):
         assert np.array_equal(gam[r], ref_christoffels(st, pts[r]))
-        assert np.array_equal(optical.christoffels(st, pts[r]), gam[r])
+        assert np.array_equal(shooting.christoffels(st, pts[r]), gam[r])
 
 
 def test_christoffels_diagonal_and_inverse_paths(monkeypatch):
@@ -308,9 +308,9 @@ def test_christoffels_diagonal_and_inverse_paths(monkeypatch):
     inverses = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(len(a)) or inv(a))
-    gam = optical.christoffels(st, pts)
+    gam = shooting.christoffels(st, pts)
     assert inverses == [6]
-    assert same_bits(optical.christoffels(st, pts[:4]), gam[:4]) and inverses == [6]
+    assert same_bits(shooting.christoffels(st, pts[:4]), gam[:4]) and inverses == [6]
     for r in range(6):
         assert same_bits(gam[r], ref_christoffels(st, pts[r]))
     # a zero diagonal entry still leaves the inverse to raise, and a
@@ -326,11 +326,11 @@ def test_christoffels_diagonal_and_inverse_paths(monkeypatch):
     pts[2, 2] = 0.0
     with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
         warnings.simplefilter("error")
-        optical.christoffels(st, pts)
+        shooting.christoffels(st, pts)
     pts[2, 2] = 5e-320
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gam = optical.christoffels(st, pts)
+        gam = shooting.christoffels(st, pts)
     assert same_bits(gam[2], ref_christoffels(st, pts[2]))
     # an overflowing row: infinite diagonal entries go to the inverse, with
     # the same values and no warning beyond the metric's own
@@ -340,7 +340,7 @@ def test_christoffels_diagonal_and_inverse_paths(monkeypatch):
         warped.metric_batch(pts), warped.metric_derivatives(pts)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        gam = optical.christoffels(warped, pts)
+        gam = shooting.christoffels(warped, pts)
     assert [(w.category, str(w.message)) for w in caught] == \
         [(w.category, str(w.message)) for w in metric_warnings]
     assert inverses[-1] == 2
@@ -382,7 +382,7 @@ def test_shoot_batch_matches_single_shots(case, m, seed, step, s, null):
         u0 = _null_rows(st, x0, rng, scales)
     else:
         u0 = rng.normal(size=(m, st.dim)) * scales[:, None]
-    x, u, errors, _ = optical._shoot_state(st, x0, u0, s, step, null)
+    x, u, errors, _ = shooting._shoot_state(st, x0, u0, s, step, null)
     expected = [outcome(ref_shoot, st, x0[r], u0[r], s, step, null) for r in range(m)]
     assert_same_rows(x, errors, [e if isinstance(e, Exception) else e[0] for e in expected])
     assert_same_rows(u, errors, [e if isinstance(e, Exception) else e[1] for e in expected])
@@ -394,7 +394,7 @@ def test_shoot_batch_mixes_fates():
     st = nd.builtin("warped_product", dim=2)
     x0 = np.array([[1.0, 0.0], [0.3, 0.0], [0.3, 0.0]])
     u0 = np.array([[0.01, 0.01], [-0.5, 0.5 / 0.3], [1.0, 1.0 / 0.3]])
-    x, u, errors, drift = optical._shoot_state(st, x0, u0, 2.0, 0.5, True)
+    x, u, errors, drift = shooting._shoot_state(st, x0, u0, 2.0, 0.5, True)
     assert errors[0] is None
     assert isinstance(errors[1], LeftDomain) and isinstance(errors[2], StepTooLarge)
     expected = [outcome(ref_shoot, st, x0[r], u0[r], 2.0, 0.5, True) for r in range(3)]
@@ -409,7 +409,7 @@ def test_shoot_batch_mixes_fates():
     # unmonitored, the slow past-directed row leaves t > 0 at its fourth
     # step and keeps the state of its third
     x0, u0 = np.array([[1.0, 0.0], [0.7, 0.0]]), np.array([[0.1, 0.1], [-0.4, 0.0]])
-    x, u, errors, _ = optical._shoot_state(st, x0, u0, 2.0, 0.5, False)
+    x, u, errors, _ = shooting._shoot_state(st, x0, u0, 2.0, 0.5, False)
     assert errors[0] is None and errors[1].args == LeftDomain(2.0).args
     assert np.array_equal(x[0], ref_shoot(st, x0[0], u0[0], 2.0, 0.5, False)[0])
     frozen = ref_shoot(st, x0[1], u0[1], 1.5, 0.5, False)
@@ -638,12 +638,12 @@ def ref_grad_norm(chart, q):
 
 
 # (spacetime, center, sense, eps, shoot_step), the probed radius as a
-# fraction of eps and the probe's multistart count, both as before batching
+# fraction of eps, as before batching, and the probe's multistart count
 PROBED_CHARTS = {
     "warped 3+1": (lambda: nd.builtin("warped_product", dim=4), [1.0, 0.0, 0.0, 0.0],
-                   TimeSense.FUTURE, 0.3, 0.25, 0.5, 1),
+                   TimeSense.FUTURE, 0.3, 0.25, 0.5, 0),
     "warped 1+1": (lambda: nd.builtin("warped_product", dim=2), [1.0, 0.0],
-                   TimeSense.FUTURE, 0.3, 0.25, 0.5, 1),
+                   TimeSense.FUTURE, 0.3, 0.25, 0.5, 0),
     "warped past 2+1": (lambda: nd.builtin("warped_product", dim=3, slope=0.7, offset=0.2),
                         [0.6, 0.1, 0.0], TimeSense.PAST, 0.3, 0.25, 0.7, 0),
     "flat 3+1": (lambda: nd.builtin("minkowski", dim=4), [0.0] * 4,
@@ -658,7 +658,7 @@ PROBED_CHARTS = {
                                [0.0, 0.0, 0.0], TimeSense.FUTURE, 0.3, 0.05, 0.7, 0),
     "constant conformal 2+1": (lambda: nd.builtin("conformal", dim=3, base="warped_product",
                                                   factor=1.5),
-                               [1.0, 0.0, 0.0], TimeSense.FUTURE, 0.3, 0.25, 0.35, 2),
+                               [1.0, 0.0, 0.0], TimeSense.FUTURE, 0.3, 0.25, 0.35, 0),
 }
 
 # per chart: points whose own candidates fail, and whether the multistart
@@ -735,6 +735,29 @@ def test_chart_inverse_batch_matches_loop(name):
     assert optical.grad_norm_omega(chart, Q[1], got[1]) == ref_grad_norm(chart, Q[1])
 
 
+def test_probe_solves_whole_radii_without_multistart(monkeypatch):
+    # the probe settles each radius from the directions' own lockstep
+    # solves: never the coarse multistart, and no solve at a radius where a
+    # direction leaves the domain (here x1 > -0.12 cuts off radii 0.7 and
+    # 0.5 of eps)
+    def no_multistart(*args):
+        raise AssertionError("the probe ran the coarse multistart")
+
+    monkeypatch.setattr(optical, "_multistart", no_multistart)
+    for make, center, sense, eps, step, frac, _ in PROBED_CHARTS.values():
+        chart = optical.build_chart(make(), center, sense, eps=eps, shoot_step=step)
+        assert chart.domain_radius == frac * eps
+    solved = []
+    solve = optical._solve_candidates
+    monkeypatch.setattr(optical, "_solve_candidates",
+                        lambda chart, Q, *args: solved.append(len(Q)) or solve(chart, Q, *args))
+    mink = nd.builtin("minkowski", dim=2)
+    st = Spacetime(dim=2, name="cut", metric_batch=mink.metric_batch,
+                   domain_batch=lambda pts: pts[:, 1] > -0.12)
+    chart = optical.build_chart(st, [0.0, 0.0], TimeSense.FUTURE, eps=0.3)
+    assert chart.domain_radius == 0.35 * 0.3 and solved == [8]
+
+
 def test_chart_inverse_batch_edge_rows():
     chart = optical.build_chart(nd.builtin("minkowski", dim=2), [0.0, 0.0], TimeSense.FUTURE,
                                 eps=0.5)
@@ -747,13 +770,15 @@ def test_chart_inverse_batch_edge_rows():
 
 
 def test_chart_counters():
-    # the domain-radius probe of this chart falls back to the coarse
-    # multistart once; accepted shots stay inside the null-drift band
+    # a point whose own candidates fail falls back to the coarse multistart
+    # once; accepted shots stay inside the null-drift band
     chart = optical.build_chart(nd.builtin("warped_product", dim=2), [1.0, 0.0],
                                 TimeSense.FUTURE, eps=0.3)
     assert chart.forward_shots > chart.newton_iters > 0
+    assert chart.multistart_fallbacks == 0
+    optical.chart_inverse(chart, MULTISTART["warped 1+1"][0][0])
     assert chart.multistart_fallbacks == 1
-    assert 0.0 < chart.max_null_drift <= optical.NULL_DRIFT_TOL
+    assert 0.0 < chart.max_null_drift <= shooting.NULL_DRIFT_TOL
     shots = chart.forward_shots
     optical.chart_forward(chart, 0.0, [0.1])
     optical.chart_forward(chart, 0.0, [0.0])  # on the axis: no shot
