@@ -143,19 +143,30 @@ def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
     frame0 = _gram_schmidt_frame(st, coords, e0)
     n_sp = frame0.shape[0]
     n_steps = 128  # RK4 steps along the axis on each side of p
-
-    def transport(dt):
-        states = [(coords[None], e0[None], frame0[None])]
-        for i in range(n_steps):
-            states.append(_rk4_step(st, dt, *states[-1]))
-            if not st.domain_contains(states[-1][0][0]):
-                raise LeftDomain((i + 1) * dt)
-        return states
-
     dt = eps / n_steps
-    samples = transport(-dt)[:0:-1] + transport(dt)  # p's state once, in the forward leg
     ts = dt * np.arange(-n_steps, n_steps + 1)
-    pos, vel, frame = (np.concatenate(a) for a in zip(*samples))
+    # both legs as one lockstep state: row 0 shoots the backward leg forward
+    # from -e0, which gives the same positions and frames and exactly negated
+    # velocities, since IEEE rounding is sign-symmetric (a zero comes out
+    # +0.0, as the leg shot backward gives it); the backward leg's LeftDomain
+    # wins, so the forward row is dropped once it leaves and raises at the end
+    state = (np.stack([coords, coords]), np.stack([-e0, e0]), np.stack([frame0, frame0]))
+    back, fwd, left = [], [(coords, e0, frame0)], None  # p's state once, in the forward leg
+    for i in range(n_steps):
+        state = _rk4_step(st, dt, *state)
+        inside = st.domain_batch(state[0])
+        if not inside[0]:
+            raise LeftDomain((i + 1) * -dt)
+        if left is None and not inside[1]:
+            left = LeftDomain((i + 1) * dt)
+            state = tuple(y[:1] for y in state)
+        x, u, E = state
+        back.append((x[0], -u[0] + 0.0, E[0]))
+        if left is None:
+            fwd.append((x[1], u[1], E[1]))
+    if left is not None:
+        raise left
+    pos, vel, frame = (np.array(a) for a in zip(*back[::-1], *fwd))
     frame_dot = -np.einsum("mkij,mi,mnj->mnk", christoffels(st, pos), vel, frame)
     g = st.metric_batch(pos)
     speed_drift = float(np.abs(vel[:, None] @ g @ vel[:, :, None] + 1.0).max())
@@ -262,13 +273,16 @@ def chart_inverse_batch(chart: NullChart, Q, tol: float = 1e-10, seeds=None) -> 
     nearest image first; rows left unsolved then try the 24 coarse multistart
     seeds nearest them.  All solves run in lockstep.  On-axis events without
     a seed (radial part below tolerance) return omega by projection onto the
-    axis with direction undefined.
+    axis with direction undefined.  A row with a non-finite coordinate
+    raises ValueError before any solve.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (0,) and (Q.ndim != 2 or Q.shape[1] != chart.st.dim):
         raise ValueError(f"Q must be an (m, {chart.st.dim}) array of points, got shape {Q.shape}")
     if len(Q) == 0:
         return []
+    if not np.isfinite(Q).all():  # as chart_inverse raises on such a row
+        raise ValueError("event coordinates must be a finite 1-d vector")
     results, scale = _solve_candidates(chart, Q, tol, seeds)
     rows = [r for r, res in enumerate(results) if res is None]
     for r, res in zip(rows, _multistart(chart, Q[rows], tol, scale[rows])):
@@ -295,7 +309,7 @@ def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
     axis_tol = 1e-7 * max(1.0, chart.eps)
     g = chart.st.metric_at(chart.center)
     results = [None] * n
-    cands = {}  # row -> its candidate starts (t, x...), in the order tried
+    cands = {}  # row -> its candidate starts (t, x...): the flat seed, then its own
     for r in range(n):
         t0, x0 = _flat_seed(chart, g, Q[r])
         if seeds[r] is None and np.linalg.norm(x0) < axis_tol:
@@ -306,19 +320,25 @@ def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
         if seeds[r] is not None:
             cands[r].append(np.concatenate([[float(seeds[r][0])],
                                             np.asarray(seeds[r][1], dtype=float)]))
-    # one batch shoots both candidates of every seeded row, to sort them by miss
-    pairs = [r for r in cands if len(cands[r]) == 2]
-    if pairs:
-        Y = np.array([y for r in pairs for y in cands[r]])
-        images, _ = _forward_batch(chart, Y[:, 0], Y[:, 1:])
-        miss = _norms(images - np.repeat(Q[pairs], 2, axis=0)).reshape(-1, 2)
-        for r, swap in zip(pairs, miss[:, 1] < miss[:, 0]):  # a tie keeps the order
-            if swap:
-                cands[r].reverse()
+    if not cands:
+        return results, scale
+    # one batch shoots every candidate: the images sort a seeded row's two by
+    # miss, and are the residuals its Newton solves start from
+    Y = np.array([y for ys in cands.values() for y in ys])
+    images, _ = _forward_batch(chart, Y[:, 0], Y[:, 1:])
+    F = images - np.repeat(Q[list(cands)], [len(ys) for ys in cands.values()], axis=0)
+    miss = _norms(F)
+    order, at = {}, 0  # row -> its candidates' rows of Y and F, in the order tried
+    for r, ys in cands.items():
+        order[r] = list(range(at, at + len(ys)))
+        if len(ys) == 2 and miss[at + 1] < miss[at]:  # a tie keeps the order
+            order[r].reverse()
+        at += len(ys)
     for i in range(2):
-        rows = [r for r in cands if results[r] is None and len(cands[r]) > i]
+        rows = [r for r in order if results[r] is None and len(order[r]) > i]
         if rows:
-            solved = _newton(chart, Q[rows], [cands[r][i] for r in rows], tol, scale[rows])
+            k = [order[r][i] for r in rows]
+            solved = _newton(chart, Q[rows], Y[k], tol, scale[rows], F=F[k])
             for r, res in zip(rows, solved):
                 results[r] = res
     return results, scale
@@ -333,9 +353,11 @@ def _multistart(chart: NullChart, Q: np.ndarray, tol: float, scale: np.ndarray) 
     coarse = np.array([np.concatenate([[t], x])
                        for t, x in _coarse_seeds(chart, chart.domain_radius)])
     images, _ = _forward_batch(chart, coarse[:, 0], coarse[:, 1:])
-    starts = [coarse[np.argsort(_norms(images - q), kind="stable")[:24]] for q in Q]
-    solved = _newton(chart, np.repeat(Q, 24, axis=0), np.concatenate(starts), tol,
-                     np.repeat(scale, 24), groups=np.repeat(np.arange(len(Q)), 24))
+    F = [images - q for q in Q]  # the residuals its Newton solves start from
+    nearest = [np.argsort(_norms(f), kind="stable")[:24] for f in F]
+    solved = _newton(chart, np.repeat(Q, 24, axis=0), np.concatenate([coarse[k] for k in nearest]),
+                     tol, np.repeat(scale, 24), groups=np.repeat(np.arange(len(Q)), 24),
+                     F=np.concatenate([f[k] for f, k in zip(F, nearest)]))
     return [next((res for res in solved[24 * r:24 * r + 24] if res is not None), None)
             for r in range(len(Q))]
 
@@ -356,7 +378,8 @@ def _optical_value(chart: NullChart, q: np.ndarray, result):
 _RUN, _DONE, _FAILED, _STOPPED = range(4)
 
 
-def _newton(chart: NullChart, Q, Y, tol: float, scale, groups=None, max_iter: int = 60) -> list:
+def _newton(chart: NullChart, Q, Y, tol: float, scale, groups=None, F=None,
+            max_iter: int = 60) -> list:
     """Damped Newton for chart_forward(y) = Q[r] from Y[r], all rows in lockstep.
 
     Each round shoots the 2*dim Jacobian probes of every live row as one
@@ -365,13 +388,14 @@ def _newton(chart: NullChart, Q, Y, tol: float, scale, groups=None, max_iter: in
     factor.  So each row's iterates are those of a run of that row alone.
     Rows sharing a ``groups`` label are alternatives for one target, in
     order: the group stops once its earliest row not yet failed has
-    converged.  Returns per row (t, x, residual), or None where the row
+    converged.  ``F`` holds the residuals at Y where the caller has already
+    shot them.  Returns per row (t, x, residual), or None where the row
     failed or was stopped."""
     Q = np.asarray(Q, dtype=float)
     Y = np.array(Y, dtype=float)
     n, dim = Y.shape
     tols = tol * np.asarray(scale, dtype=float)
-    F = _residuals(chart, Y, Q)
+    F = _residuals(chart, Y, Q) if F is None else np.array(F, dtype=float)
     fn = _row_norms(F)
     state = np.where(np.isfinite(F).all(axis=1), _RUN, _FAILED)
     results = [None] * n

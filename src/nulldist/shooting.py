@@ -23,7 +23,7 @@ def christoffels(st: Spacetime, coords: np.ndarray) -> np.ndarray:
     g = st.metric_batch(pts)
     dg = st.metric_derivatives(pts)
     # dg_sym[m,l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}
-    dg_sym = np.einsum("milj->mlij", dg) + np.einsum("mjli->mlij", dg) - dg
+    dg_sym = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
     # a diagonal g's inverse is the reciprocal of its diagonal, and the
     # einsum's sum over the zero terms starts from +0.0 (so no -0.0 there);
     # a stack with off-diagonal entries, or a zero, infinite, NaN or
@@ -73,20 +73,25 @@ def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
     for i in range(n):
         nx, nu = _rk4_step(st, dt, x, u)
         ok = np.array(st.domain_batch(nx), dtype=bool)  # a copy: rows are cleared below
-        for r in live[~ok]:
-            errors[r] = LeftDomain((i + 1) * dt)
+        failed = not ok.all()  # the per-row bookkeeping runs only on such a step
+        if failed:
+            for r in live[~ok]:
+                errors[r] = LeftDomain((i + 1) * dt)
         if monitor_null and ok.any():
-            k = np.flatnonzero(ok)
+            k = np.flatnonzero(ok) if failed else slice(None)
             uk = nu[k][:, None, :]
             q = np.abs((uk @ st.metric_batch(nx[k]) @ uk.transpose(0, 2, 1))[:, 0, 0])
             uu = (uk @ uk.transpose(0, 2, 1))[:, 0, 0]
             bad = q > NULL_DRIFT_TOL * uu
             drift = max(drift, float(np.max(q / np.maximum(uu, 1e-300), where=~bad, initial=0)))
-            for r in np.flatnonzero(bad):
-                errors[live[k[r]]] = StepTooLarge(
-                    f"null constraint drift {q[r]:.2e} after step {i + 1}; reduce step")
-                ok[k[r]] = False
-        if not ok.all():  # failed rows keep their last good step
+            if bad.any():
+                k = np.flatnonzero(ok)
+                for r in np.flatnonzero(bad):
+                    errors[live[k[r]]] = StepTooLarge(
+                        f"null constraint drift {q[r]:.2e} after step {i + 1}; reduce step")
+                ok[k[bad]] = False
+                failed = True
+        if failed:  # failed rows keep their last good step
             x_end[live[~ok]], u_end[live[~ok]] = x[~ok], u[~ok]
             nx, nu, live = nx[ok], nu[ok], live[ok]
         x, u = nx, nu

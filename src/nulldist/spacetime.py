@@ -430,20 +430,17 @@ def _make_warped(dim, slope, offset):
     def f(t):
         return slope * t + offset
 
+    space = np.arange(1, dim)
+
     def metric(pts):
-        m = pts.shape[0]
-        g = np.zeros((m, dim, dim))
+        g = np.zeros((pts.shape[0], dim, dim))
         g[:, 0, 0] = -1.0
-        f2 = f(pts[:, 0]) ** 2
-        for i in range(1, dim):
-            g[:, i, i] = f2
+        g[:, space, space] = (f(pts[:, 0]) ** 2)[:, None]
         return g
 
     def deriv(pts):
         out = np.zeros((pts.shape[0], dim, dim, dim))
-        df2 = 2.0 * f(pts[:, 0]) * slope
-        for i in range(1, dim):
-            out[:, 0, i, i] = df2
+        out[:, 0, space, space] = (2.0 * f(pts[:, 0]) * slope)[:, None]
         return out
 
     def domain(pts):

@@ -80,6 +80,25 @@ def ref_shoot(st, x0, u0, s, step, monitor_null):
     return x, u
 
 
+def ref_axis(st, coords, e0, frame0, eps, n_steps=128):
+    """build_chart's axis as it was: the backward leg shot with -dt, then the
+    forward one, each alone, raising the LeftDomain of the first leg to leave;
+    returns (pos, vel, frame, frame_dot) over both legs."""
+    def transport(dt):
+        states = [(coords[None], e0[None], frame0[None])]
+        for i in range(n_steps):
+            states.append(shooting._rk4_step(st, dt, *states[-1]))
+            if not st.domain_contains(states[-1][0][0]):
+                raise LeftDomain((i + 1) * dt)
+        return states
+
+    dt = eps / n_steps
+    samples = transport(-dt)[:0:-1] + transport(dt)  # p's state once, in the forward leg
+    pos, vel, frame = (np.concatenate(a) for a in zip(*samples))
+    gamma = np.array([ref_christoffels(st, x) for x in pos])
+    return pos, vel, frame, -np.einsum("mkij,mi,mnj->mnk", gamma, vel, frame)
+
+
 def ref_states(chart, times):
     """NullChart.state as it was, one time after another: a time at or beyond
     an end takes that end's state; the Hermite weights are scalar arithmetic,
@@ -769,6 +788,22 @@ def test_chart_inverse_batch_edge_rows():
     assert got[0].args == (f"chart inversion failed at {[0.0, 2.0]}",)
 
 
+def test_chart_inverse_batch_rejects_non_finite_rows():
+    # a NaN or inf row raises chart_inverse's ValueError before any solve
+    chart = optical.build_chart(nd.builtin("minkowski", dim=2), [0.0, 0.0], TimeSense.FUTURE,
+                                eps=0.5)
+    Q = [[np.nan, 0.1], [0.2, 0.1], [np.inf, 0.0]]
+    with pytest.raises(ValueError) as want:
+        optical.chart_inverse(chart, Q[0])
+    shots, fallbacks = chart.forward_shots, chart.multistart_fallbacks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as got:
+            optical.chart_inverse_batch(chart, Q)
+    assert got.value.args == want.value.args
+    assert chart.forward_shots == shots and chart.multistart_fallbacks == fallbacks
+
+
 def test_chart_counters():
     # a point whose own candidates fail falls back to the coarse multistart
     # once; accepted shots stay inside the null-drift band
@@ -783,3 +818,75 @@ def test_chart_counters():
     optical.chart_forward(chart, 0.0, [0.1])
     optical.chart_forward(chart, 0.0, [0.0])  # on the axis: no shot
     assert chart.forward_shots == shots + 1
+
+
+@pytest.mark.parametrize("name", list(PROBED_CHARTS))
+def test_axis_matches_per_leg_transport(name):
+    # both legs run as one two-row batch, the backward one shot forward from
+    # -e0: the same bits, signed zeros included, in either time sense
+    make, center, _, eps, step, _, _ = PROBED_CHARTS[name]
+    for sense in (TimeSense.FUTURE, TimeSense.PAST):
+        chart = optical.build_chart(make(), center, sense, eps=eps, shoot_step=step, probe=False)
+        want = ref_axis(chart.st, chart.center, chart.e0, chart.frame0, eps)
+        for got, w in zip((chart.pos, chart.vel, chart.frame, chart.frame_dot), want):
+            assert same_bits(got, w)
+
+
+def test_axis_raises_the_backward_legs_left_domain():
+    # the axis through (t, 0) on the 1+1 missing ray leaves the domain at
+    # t = 0 going backward and at the ray's origin t = 2 going forward; the
+    # backward leg's error wins, even where the forward leg left first
+    st = nd.builtin("missing_ray", dim=2)
+    e0 = np.array([1.0, 0.0])
+    for t, eps, sign in ((0.5, 0.8, -1), (1.5, 0.8, 1), (1.1, 1.5, -1), (0.9, 1.5, -1)):
+        center = np.array([t, 0.0])
+        with pytest.raises(LeftDomain) as want:
+            ref_axis(st, center, e0, optical._gram_schmidt_frame(st, center, e0), eps)
+        with pytest.raises(LeftDomain) as got:
+            optical.build_chart(st, center, TimeSense.FUTURE, eps=eps, probe=False)
+        assert type(got.value) is type(want.value) and got.value.args == want.value.args
+        assert got.value.s_exit == want.value.s_exit and np.sign(got.value.s_exit) == sign
+
+
+def _stencil(chart, rng):
+    """grad_norm_omega's seeded stencil around a point inside the domain."""
+    dim = chart.st.dim
+    u = rng.normal(size=dim)
+    q = chart.center + 0.6 * chart.domain_radius * u / np.linalg.norm(u)
+    val = ref_chart_inverse(chart, q)
+    h = 1e-5 * max(1.0, float(np.abs(q).max()))
+    stencil = np.repeat(q[None], 2 * dim, axis=0)
+    stencil[0::2][np.diag_indices(dim)] += h
+    stencil[1::2][np.diag_indices(dim)] -= h
+    return stencil, (val.omega, val.lam * val.direction)
+
+
+# per chart: forward shots of the seeded stencil and of the MULTISTART points
+# when Newton shot its starting points again
+RESHOT = {"warped 3+1": (132, 1569), "warped 1+1": (32, 529), "warped past 2+1": (74, 855),
+          "constant conformal 2+1": (74, 1047), "flat 1+1": (12, 373)}
+
+
+@pytest.mark.parametrize("name", list(RESHOT))
+def test_newton_reuses_shot_residuals(name):
+    # Newton starts from the residuals that the candidates' sorting batch and
+    # the coarse multistart have already shot: the same values, and the
+    # forward shots fall by exactly those rows (each seeded row's chosen
+    # candidate, and 24 per multistart row)
+    make, center, sense, eps, step, _, _ = PROBED_CHARTS[name]
+    chart = optical.build_chart(make(), center, sense, eps=eps, shoot_step=step)
+    stencil, warm = _stencil(chart, np.random.default_rng(5))
+    points = np.array([q for q, _ in MULTISTART[name]])
+    cases = [(stencil, [warm] * len(stencil), len(stencil)),
+             (points, [None] * len(points), 24 * len(points))]
+    for (Q, seeds, reused), shots in zip(cases, RESHOT[name]):
+        want = []
+        for q, seed in zip(Q, seeds):
+            try:
+                want.append(ref_chart_inverse(chart, q, seed=seed))
+            except NoConvergence as exc:
+                want.append(exc)
+        before = chart.forward_shots
+        got = optical.chart_inverse_batch(chart, Q, seeds=seeds)
+        assert chart.forward_shots - before == shots - reused
+        assert all(_same_value(g, w) for g, w in zip(got, want))
