@@ -79,6 +79,7 @@ from .isometry import (
     check_preserving,
     coarea_volume_compare,
     conformal_factor,
+    conformal_factors,
     dilation_map,
     identity_map,
     rotation_map,

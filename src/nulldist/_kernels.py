@@ -24,12 +24,14 @@ import numpy as np
 
 
 def csr(n, u, v, w):
-    """(indptr, nbr, wt) of the n-node graph of edges u -> v weighted w, the
-    edges sorted stably by source."""
-    order = np.argsort(u, kind="stable")
+    """(indptr, nbr, wt) of the undirected n-node graph of the edges u - v
+    weighted w: each edge is stored in both directions, every u -> v before
+    every v -> u, and sorted stably by source."""
+    src = np.concatenate([u, v])
+    order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
-    return indptr, v[order], w[order]
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, np.concatenate([v, u])[order], np.concatenate([w, w])[order]
 
 
 def dijkstra(indptr, nbr, wt, src, target):

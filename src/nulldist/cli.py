@@ -269,10 +269,18 @@ def _parse_map(spec: str, dim: int) -> PointMap:
         if kind == "translate":
             return translation_map(_parse_point(arg, "--map translate", dim))
         if kind == "dilate":
-            return dilation_map(float(arg))
+            scale = float(arg)
+            if not (math.isfinite(scale) and scale != 0.0):
+                raise ValueError("the scale must be finite and nonzero")
+            return dilation_map(scale)
         if kind == "rotate":
             i, j, theta = arg.split(",")
-            return rotation_map(int(i), int(j), float(theta))
+            i, j, theta = int(i), int(j), float(theta)
+            if not (0 <= i < dim and 0 <= j < dim and i != j):
+                raise ValueError(f"the axes must be two different integers in [0, {dim})")
+            if not math.isfinite(theta):
+                raise ValueError("the angle must be finite")
+            return rotation_map(i, j, theta)
         if kind == "table":
             data = np.loadtxt(arg, delimiter=",", skiprows=1)
             return table_map(data[:, :dim], data[:, dim:])
@@ -284,10 +292,10 @@ def _parse_map(spec: str, dim: int) -> PointMap:
 def _cmd_isometry(args) -> int:
     scene1 = Scene.from_file(args.scene1)
     pmap = _parse_map(args.map, scene1.dim)
-    st1, tau1, params1, grid1 = _grid_from_args(scene1, args)
-    st2, tau2, _, grid2 = _grid_from_args(Scene.from_file(args.scene2), args)
-    pres = check_preserving(pmap, grid1, grid2, tau1, tau2,
-                            n_pairs=args.n_pairs, tol=args.tol, seed=args.seed)
+    st1, _, params1, grid1 = _grid_from_args(scene1, args)
+    st2, _, _, grid2 = _grid_from_args(Scene.from_file(args.scene2), args)
+    pres = check_preserving(pmap, grid1, grid2, n_pairs=args.n_pairs, tol=args.tol,
+                            seed=args.seed)
     out = {
         "d_hat_dev": pres.max_dhat_dev,
         "tau_dev": pres.max_tau_dev,
@@ -295,8 +303,7 @@ def _cmd_isometry(args) -> int:
         "seed": args.seed,
     }
     if pmap.closed_form:
-        report = assess_conformal(pmap, st1, st2, tau1, params1.box, params1.h,
-                                  seed=args.seed)
+        report = assess_conformal(pmap, st1, st2, params1.box, params1.h, seed=args.seed)
         phis = [s[1] for s in report.phi_samples]
         out.update({
             "phi_mean": float(np.mean(phis)),

@@ -131,9 +131,7 @@ class CausalGrid:
 
     def csr_undirected(self):
         if self._csr_undir is None:
-            u, v, w = self.edge_u, self.edge_v, self.edge_w
-            self._csr_undir = _kernels.csr(self.n_nodes, np.concatenate([u, v]),
-                                           np.concatenate([v, u]), np.concatenate([w, w]))
+            self._csr_undir = _kernels.csr(self.n_nodes, self.edge_u, self.edge_v, self.edge_w)
         return self._csr_undir
 
     # -- node lookup --------------------------------------------------------
@@ -143,6 +141,8 @@ class CausalGrid:
         c = np.asarray(coords, dtype=float)
         if c.shape != (self.st.dim,):
             raise NodeNotInGrid(f"{c.tolist()} is not a {self.st.dim}-dimensional point")
+        if not np.all(np.isfinite(c)):
+            raise NodeNotInGrid(f"{c.tolist()} is not a finite point")
         k = np.rint((c - self.lo) / self.h).astype(np.int64)
         if np.any(k < 0) or np.any(k >= self.shape):
             raise NodeNotInGrid(f"{c.tolist()} is outside the grid box")

@@ -29,13 +29,24 @@ class RigidityVerdict(Enum):
 
 @dataclass(frozen=True, eq=False)
 class PointMap:
-    """Coordinate map between spacetimes; closed-form or a node table."""
+    """Coordinate map between spacetimes; closed-form or a node table.
+
+    ``forward`` maps an (m, dim) array of points to their m images, row by
+    row; calling the map on one point evaluates the batch of one.  A call
+    raises ValueError unless the images have the points' shape.
+    """
 
     forward: Callable[[np.ndarray], np.ndarray]
     closed_form: bool = True
 
     def __call__(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(self.forward(np.asarray(coords, dtype=float)), dtype=float)
+        c = np.asarray(coords, dtype=float)
+        pts = c[None, :] if c.ndim == 1 else c
+        images = np.asarray(self.forward(pts), dtype=float)
+        if pts.ndim != 2 or images.shape != pts.shape:
+            raise ValueError(f"map images have shape {images.shape}, "
+                             f"their points {pts.shape}")
+        return images.reshape(c.shape)
 
 
 def identity_map() -> PointMap:
@@ -53,26 +64,33 @@ def dilation_map(scale: float) -> PointMap:
 
 def rotation_map(axis_i: int, axis_j: int, theta: float) -> PointMap:
     def fwd(c):
-        out = np.asarray(c, dtype=float).copy()
-        ci, cj = out[axis_i], out[axis_j]
-        out[axis_i] = math.cos(theta) * ci - math.sin(theta) * cj
-        out[axis_j] = math.sin(theta) * ci + math.cos(theta) * cj
+        out = c.copy()
+        # copies: the columns of ``out`` are views, and both are written
+        ci, cj = out[:, axis_i].copy(), out[:, axis_j].copy()
+        out[:, axis_i] = math.cos(theta) * ci - math.sin(theta) * cj
+        out[:, axis_j] = math.sin(theta) * ci + math.cos(theta) * cj
         return out
 
     return PointMap(forward=fwd)
 
 
 def table_map(src_coords: np.ndarray, dst_coords: np.ndarray) -> PointMap:
-    """Bijection given by matched coordinate rows (snapped on lookup)."""
+    """Bijection given by matched coordinate rows (snapped on lookup).
+
+    Points are looked up one at a time: a nearest-row search of the whole
+    batch at once would hold an (m, N) distance array."""
     src = np.asarray(src_coords, dtype=float)
     dst = np.asarray(dst_coords, dtype=float)
 
-    def fwd(c):
-        d = np.abs(src - c).max(axis=1)
-        k = int(np.argmin(d))
-        if d[k] > 1e-9 * max(1.0, float(np.abs(c).max())):
-            raise MapLeavesGrid(f"{c.tolist()} is not a row of the map table")
-        return dst[k]
+    def fwd(pts):
+        out = np.empty_like(pts)
+        for r, c in enumerate(pts):
+            d = np.abs(src - c).max(axis=1)
+            k = int(np.argmin(d))
+            if d[k] > 1e-9 * max(1.0, float(np.abs(c).max())):
+                raise MapLeavesGrid(f"{c.tolist()} is not a row of the map table")
+            out[r] = dst[k]
+        return out
 
     return PointMap(forward=fwd, closed_form=False)
 
@@ -94,7 +112,7 @@ class PreservationReport:
 
 
 def check_preserving(pmap: PointMap, grid1: CausalGrid, grid2: CausalGrid,
-                     tau1, tau2, n_pairs: int = 100, tol: float = 1e-9,
+                     n_pairs: int = 100, tol: float = 1e-9,
                      seed: int = 0) -> PreservationReport:
     """Deviation of d-hat and tau under the map over sampled node pairs."""
     rng = np.random.default_rng(seed)
@@ -136,56 +154,72 @@ def _map_node(pmap: PointMap, grid1: CausalGrid, grid2: CausalGrid, node: int) -
 # conformal factor estimation
 # ---------------------------------------------------------------------------
 
-def _fd_jacobian(pmap: PointMap, p: np.ndarray, step: float) -> np.ndarray:
-    dim = p.shape[0]
-    J = np.empty((dim, dim))
-    for a in range(dim):
-        pp, pm = p.copy(), p.copy()
-        pp[a] += step
-        pm[a] -= step
-        J[:, a] = (pmap(pp) - pmap(pm)) / (2 * step)
-    if abs(np.linalg.det(J)) < 1e-12:
-        raise SingularJacobian(f"map Jacobian singular at {p.tolist()}")
-    return J
+def _fd_jacobians(pmap: PointMap, P: np.ndarray, step: float):
+    """Central-difference Jacobians (m, dim, dim) of the map at the rows of P
+    and the images (m, dim) of those rows, from one map call."""
+    m, dim = P.shape
+    axes = np.arange(dim)
+    pts = np.repeat(P[:, None, :], 2 * dim + 1, axis=1)  # p, then p +- step e_a
+    pts[:, 1 + 2 * axes, axes] += step
+    pts[:, 2 + 2 * axes, axes] -= step
+    img = pmap(pts.reshape(-1, dim)).reshape(pts.shape)
+    J = np.swapaxes(img[:, 1::2] - img[:, 2::2], 1, 2) / (2 * step)
+    singular = np.flatnonzero(np.abs(np.linalg.det(J)) < 1e-12)
+    if singular.size:
+        raise SingularJacobian(f"map Jacobian singular at {P[singular[0]].tolist()}")
+    return J, img[:, 0]
 
 
-def conformal_factor(pmap: PointMap, st1: Spacetime, st2: Spacetime, p):
-    """Estimate phi with F* g2 = phi^2 g1 at p; raises nothing on failure but
-    reports dispersion so the caller can flag NotConformal.
+def conformal_factors(pmap: PointMap, st1: Spacetime, st2: Spacetime, P):
+    """Estimate phi with F* g2 = phi^2 g1 at each row of P (m, dim); raises
+    nothing on failure but reports dispersion so the caller can flag
+    NotConformal.
 
     Test vectors are the coordinate-time axis and the null combinations
     d0 +- di; ratios are taken where g1(v,v) is away from zero and null
     vectors instead check that the pullback keeps them null.
 
-    Returns (phi, dispersion) with dispersion the relative spread across the
-    causal test set.
+    Returns (phi, dispersion), two (m,) arrays, with dispersion the relative
+    spread across the causal test set; a point without ratios or with one
+    that is not positive gets (nan, inf).  Raises SingularJacobian naming the
+    first point where the map's Jacobian is singular.
     """
-    p = np.asarray(p, dtype=float)
-    J = _fd_jacobian(pmap, p, 1e-6)
-    g2 = st2.metric_at(pmap(p))
-    M = J.T @ g2 @ J  # pullback of g2
-    dim = st1.dim
-    vectors = [np.eye(dim)[0]]
-    for i in range(1, dim):
-        vectors.append(np.eye(dim)[0] + np.eye(dim)[i])
-        vectors.append(np.eye(dim)[0] - np.eye(dim)[i])
-    at_p = np.tile(p, (len(vectors), 1))
-    cone = LightCone(st1.metric_batch(at_p), np.array(vectors), at_p, NULL_TOL)
-    ratios = []
-    null_defect = 0.0
-    for v, q1, null, scale1 in zip(vectors, cone.q, cone.null, cone.scale):
-        q2 = float(v @ M @ v)
-        if not null:
-            ratios.append(q2 / q1)
-        else:
-            null_defect = max(null_defect, abs(q2) / (scale1 * float(v @ v)))
-    ratios = np.array(ratios)
-    if ratios.size == 0 or np.any(ratios <= 0):
-        return float("nan"), float("inf")
-    phi2 = float(ratios.mean())
-    spread = float(np.abs(ratios - phi2).max() / phi2) if phi2 > 0 else float("inf")
-    dispersion = max(spread, null_defect / phi2)
-    return math.sqrt(phi2), dispersion
+    P = np.asarray(P, dtype=float)
+    m, dim = P.shape
+    J, img = _fd_jacobians(pmap, P, 1e-6)
+    M = np.swapaxes(J, 1, 2) @ st2.metric_batch(img) @ J  # pullback of g2
+    e = np.eye(dim)
+    V = np.array([e[0]] + [e[0] + s * e[i] for i in range(1, dim) for s in (1.0, -1.0)])
+    nv = V.shape[0]
+    at_p = np.repeat(P, nv, axis=0)
+    cone = LightCone(st1.metric_batch(at_p), np.tile(V, (m, 1)), at_p, NULL_TOL)
+    q1, null = cone.q.reshape(m, nv), cone.null.reshape(m, nv)
+    # (1,dim) @ (dim,dim) @ (dim,1) per row: the products one vector v @ M @ v takes
+    q2 = (V[:, None, :] @ M[:, None] @ V[:, :, None])[..., 0, 0]
+    ratio = np.where(null, 0.0, q2 / np.where(null, 1.0, q1))
+    null_defect = np.fmax.reduce(
+        np.where(null, np.abs(q2) / (cone.scale.reshape(m, nv) * np.einsum("vi,vi->v", V, V)),
+                 0.0), axis=1)
+    n_ratios = nv - null.sum(axis=1)
+    valid = (n_ratios > 0) & ~np.any(~null & (ratio <= 0), axis=1)
+    # each point's mean over its own ratios, in vector order: one numpy mean
+    # per ratio count, as numpy sums a row by a method that depends on its length
+    ratio_first = np.take_along_axis(ratio, np.argsort(null, axis=1, kind="stable"), axis=1)
+    phi2 = np.full(m, np.nan)
+    for k in np.unique(n_ratios[valid]):
+        rows = valid & (n_ratios == k)
+        phi2[rows] = ratio_first[rows, :k].mean(axis=1)
+    dev = np.where(null, 0.0, np.abs(ratio - phi2[:, None])).max(axis=1)
+    spread = np.where(phi2 > 0, dev / phi2, np.inf)
+    defect = null_defect / phi2
+    dispersion = np.where(defect > spread, defect, spread)
+    return np.sqrt(phi2), np.where(valid, dispersion, np.inf)
+
+
+def conformal_factor(pmap: PointMap, st1: Spacetime, st2: Spacetime, p):
+    """(phi, dispersion) at one point: the one-row case of conformal_factors."""
+    phi, dispersion = conformal_factors(pmap, st1, st2, np.asarray(p, dtype=float)[None, :])
+    return float(phi[0]), float(dispersion[0])
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +236,33 @@ class CoareaResult:
     n_cells: int
 
 
-def coarea_volume_compare(st1: Spacetime, phi, tau1, region, h: float,
-                          tol: float = 1e-3) -> CoareaResult:
-    """Midpoint sums of phi^n and phi^{n-1} against the volume element of g1.
-
-    Equality of the two integrals together with pointwise phi ~ 1 is the
-    numeric shadow of the rigidity argument: phi^{n-1}(phi - 1) integrates
-    to their difference and is sign-definite when phi - 1 is.
-    """
+def _region_bounds(region, dim: int, h: float):
+    """(lo, hi) of ``region``; raises ValueError unless it holds ``dim`` finite
+    lo <= hi pairs and h is finite and positive."""
     region = tuple((float(a), float(b)) for a, b in region)
     lo = np.array([r[0] for r in region])
     hi = np.array([r[1] for r in region])
+    if len(region) != dim or not (np.all(np.isfinite(region)) and np.all(lo <= hi)):
+        raise ValueError(f"region must be {dim} finite lo <= hi pairs, got {region}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
+    return lo, hi
+
+
+def coarea_volume_compare(st1: Spacetime, phi, region, h: float,
+                          tol: float = 1e-3) -> CoareaResult:
+    """Midpoint sums of phi^n and phi^{n-1} against the volume element of g1.
+
+    ``phi`` maps an (m, dim) array of cell centres to their m factors, or to
+    one factor for all.
+    Equality of the two integrals together with pointwise phi ~ 1 is the
+    numeric shadow of the rigidity argument: phi^{n-1}(phi - 1) integrates
+    to their difference and is sign-definite when phi - 1 is.  Raises
+    ValueError unless ``region`` holds one finite lo <= hi pair per axis of
+    ``st1`` and h is finite and positive.
+    """
     dim = st1.dim
+    lo, hi = _region_bounds(region, dim, h)
     n = dim - 1
     counts = np.maximum(1, np.rint((hi - lo) / h)).astype(int)
     axes = [lo[a] + (np.arange(counts[a]) + 0.5) * (hi[a] - lo[a]) / counts[a]
@@ -254,7 +303,7 @@ class ConformalReport:
     note: str = ""
 
 
-def assess_conformal(pmap: PointMap, st1: Spacetime, st2: Spacetime, tau1,
+def assess_conformal(pmap: PointMap, st1: Spacetime, st2: Spacetime,
                      region, h: float, n_samples: int = 8, seed: int = 0,
                      tol: float = 1e-3) -> ConformalReport:
     """Sampled conformal factor plus the coarea comparison, as one report.
@@ -263,37 +312,23 @@ def assess_conformal(pmap: PointMap, st1: Spacetime, st2: Spacetime, tau1,
     statement's hypotheses require n >= 2 and no counterexample either way is
     known below that.
     """
+    lo, hi = _region_bounds(region, st1.dim, h)
     rng = np.random.default_rng(seed)
-    lo = np.array([r[0] for r in region], dtype=float)
-    hi = np.array([r[1] for r in region], dtype=float)
     pts = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(n_samples, st1.dim))
-    samples = []
-    worst_disp = 0.0
-    for p in pts:
-        phi_p, disp = conformal_factor(pmap, st1, st2, p)
-        samples.append((p.tolist(), phi_p))
-        worst_disp = max(worst_disp, disp)
-    if worst_disp > 0.02 or any(not np.isfinite(s[1]) for s in samples):
+    phis, disp = conformal_factors(pmap, st1, st2, pts)
+    samples = [(p.tolist(), float(phi_p)) for p, phi_p in zip(pts, phis)]
+    worst_disp = float(np.fmax.reduce(disp, initial=0.0))  # a NaN never wins, as in max()
+    dimension_ok = st1.dim - 1 >= 2
+    if worst_disp > 0.02 or not np.all(np.isfinite(phis)):
         return ConformalReport(phi_samples=samples, vol_n=float("nan"),
                                vol_nm1=float("nan"),
                                verdict=RigidityVerdict.NOT_CONFORMAL,
-                               dimension_ok=st1.dim - 1 >= 2,
+                               dimension_ok=dimension_ok,
                                note=f"pullback dispersion {worst_disp:.3g}")
-    phi_grid = _phi_field(pmap, st1, st2)
-    res = coarea_volume_compare(st1, phi_grid, tau1, region, h, tol=tol)
+    res = coarea_volume_compare(st1, lambda c: conformal_factors(pmap, st1, st2, c)[0],
+                                region, h, tol=tol)
     note = ""
-    dimension_ok = st1.dim - 1 >= 2
     if not dimension_ok:
         note = "spatial dimension below 2: rigidity is not established there"
     return ConformalReport(phi_samples=samples, vol_n=res.vol_n, vol_nm1=res.vol_nm1,
                            verdict=res.verdict, dimension_ok=dimension_ok, note=note)
-
-
-def _phi_field(pmap: PointMap, st1: Spacetime, st2: Spacetime):
-    def phi(pts):
-        out = np.empty(pts.shape[0])
-        for i, p in enumerate(pts):
-            out[i], _ = conformal_factor(pmap, st1, st2, p)
-        return out
-
-    return phi

@@ -82,19 +82,22 @@ class NullChart:
         ts = self.ts
         tc = np.clip(t, ts[0], ts[-1])  # rows beyond either end are replaced below
         j = np.minimum(np.searchsorted(ts, tc, side="right") - 1, ts.shape[0] - 2)
-        h = (ts[j + 1] - ts[j])[:, None]
+        j1 = j + 1
+        h = (ts[j1] - ts[j])[:, None]
         s = (tc - ts[j])[:, None] / h
         # np.float_power is pow, as in scalar arithmetic; an array's ** 2 is s * s
-        a, b = (1 + 2 * s) * np.float_power(1 - s, 2.0), s * np.float_power(1 - s, 2.0) * h
+        r2 = np.float_power(1 - s, 2.0)
+        a, b = (1 + 2 * s) * r2, s * r2 * h
         c, d = s * s * (3 - 2 * s), s * s * (s - 1) * h
         # velocity doubles as the position derivative; frame_dot as the frame's
-        pos = a * self.pos[j] + b * self.vel[j] + c * self.pos[j + 1] + d * self.vel[j + 1]
-        vel = self.vel[j] + s * (self.vel[j + 1] - self.vel[j])
+        pos = a * self.pos[j] + b * self.vel[j] + c * self.pos[j1] + d * self.vel[j1]
+        vel = self.vel[j] + s * (self.vel[j1] - self.vel[j])
         a, b, c, d = a[:, None], b[:, None], c[:, None], d[:, None]
         frame = (a * self.frame[j] + b * self.frame_dot[j]
-                 + c * self.frame[j + 1] + d * self.frame_dot[j + 1])
+                 + c * self.frame[j1] + d * self.frame_dot[j1])
         for end, k in ((t <= ts[0], 0), (t >= ts[-1], -1)):
-            pos[end], vel[end], frame[end] = self.pos[k], self.vel[k], self.frame[k]
+            if end.any():
+                pos[end], vel[end], frame[end] = self.pos[k], self.vel[k], self.frame[k]
         return pos, vel, frame
 
 
@@ -635,8 +638,7 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     gmid = 0.5 * (gr[u] + gr[v])
     w = np.sqrt(np.einsum("mi,mij,mj->m", delta, gmid, delta))
 
-    indptr, nbr, wts = _kernels.csr(
-        n_nodes, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]))
+    indptr, nbr, wts = _kernels.csr(n_nodes, u, v, w)
 
     rng = np.random.default_rng(seed)
     n_sources = max(2, min(n_nodes, int(math.ceil(n_pairs / max(1, n_nodes - 1)))))

@@ -249,9 +249,9 @@ def test_criterion_09_rigidity_rehearsal():
     st = nd.builtin("minkowski", dim=4)
     region = [(1.0, 2.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
     res2 = nd.coarea_volume_compare(st, lambda pts: np.full(pts.shape[0], 2.0),
-                                    None, region, 0.25)
+                                    region, 0.25)
     res1 = nd.coarea_volume_compare(st, lambda pts: np.ones(pts.shape[0]),
-                                    None, region, 0.25)
+                                    region, 0.25)
     vols_ok = (abs(res2.vol_n - 8.0) <= 1e-9 * 8.0
                and abs(res2.vol_nm1 - 4.0) <= 1e-9 * 4.0
                and res1.vol_n == res1.vol_nm1)
@@ -262,7 +262,7 @@ def test_criterion_09_rigidity_rehearsal():
     tau1, tau2 = nd.coordinate_time(stu), nd.coordinate_time(stc)
     gu = nd.build_grid(stu, tau1, box, 0.1)
     gc = nd.build_grid(stc, tau2, box, 0.1)
-    pres = nd.check_preserving(identity_map(), gu, gc, tau1, tau2, n_pairs=80)
+    pres = nd.check_preserving(identity_map(), gu, gc, n_pairs=80)
     tau2_numeric = nd.cosmological_time_numeric(gc)
     node = gc.node_of([1.0, 0.0])
     tau1_val = gu.tau_values[gu.node_of([1.0, 0.0])]

@@ -177,6 +177,14 @@ def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
      "[[0.8, 0.1]]"),
     ("--eps", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE", "--eps", "inf"],
      "[[0.8, 0.1]]"),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "rotate:0,7,0.3"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "rotate:-1,1,0.3"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "rotate:1,1,0.3"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "rotate:0,1,nan"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "rotate:0,1,inf"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "dilate:nan"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "dilate:-inf"], None),
+    ("--map", ["isometry", "SCENE", "SCENE", "--map", "dilate:0"], None),
 ])
 def test_malformed_flag_values_exit_2(flag, argv, content, scene_file, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -297,6 +297,15 @@ def test_node_of_rejects_wrong_dimension(point):
             lookup(point)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("point", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, math.nan]])
+def test_node_of_rejects_non_finite_points(point):
+    st, tau, grid = mink_grid()
+    for lookup in (grid.node_of, grid.node_of_nearest):
+        with pytest.raises(NodeNotInGrid, match="not a finite point"):
+            lookup(point)
+
+
 def test_node_ids_outside_grid_rejected():
     st, tau, grid = mink_grid()
     members = nd.reach(grid, 0)
