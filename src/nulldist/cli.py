@@ -75,9 +75,21 @@ def _emit_json(data: dict, out_path):
 def _emit_csv(header, columns, out_path):
     """Write equal-length numeric ``columns`` (None for a column left empty)
     under ``header``: the bytes csv.writer gives for f"{x:.12g}" fields, built
-    one format call per row and written CSV_ROWS rows at a time."""
-    filled = [np.asarray(c, dtype=float) for c in columns if c is not None]
-    line = ",".join("" if c is None else "%.12g" for c in columns) + "\r\n"
+    one format call per row and written CSV_ROWS rows at a time.  A column
+    with at most half as many distinct values (bit patterns) as rows has each
+    value formatted once and its text written through %s."""
+    filled, fields = [], []
+    for c in columns:
+        if c is None:
+            fields.append("")
+            continue
+        c = np.asarray(c, dtype=float)
+        bits, index = np.unique(c.view(np.uint64), return_inverse=True)
+        if 2 * bits.size <= c.size:
+            c = np.array(["%.12g" % x for x in bits.view(float).tolist()], dtype=object)[index]
+        filled.append(c)
+        fields.append("%.12g" if c.dtype == float else "%s")
+    line = ",".join(fields) + "\r\n"
     fh = open(out_path, "w", newline="", encoding="utf-8") if out_path else sys.stdout
     try:
         fh.write(",".join(header) + "\r\n")

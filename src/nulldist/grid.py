@@ -27,6 +27,7 @@ from .errors import (
     GridTooLarge,
     NoCausalEdges,
     NodeNotInGrid,
+    NonFiniteValue,
 )
 from .spacetime import NULL_TOL, LightCone, Spacetime, require_finite
 
@@ -185,8 +186,10 @@ def build_grid(st: Spacetime, tau, box, h: float,
 
     Nodes within h/2 of an excision are dropped, as are edges whose straight
     segment passes within h/2 of one; causality of each candidate edge is
-    decided by the metric at the segment midpoint, evaluated once per offset
-    when ``st.constant_metric`` declares it the same everywhere.  Raises
+    decided by the metric at the segment midpoint.  When
+    ``st.constant_metric`` declares the metric the same everywhere, the cones
+    of all stencil offsets are decided in one batch before any pairing, and
+    only the causal offsets are paired.  Raises
     NonFiniteValue if ``tau`` at a node or the metric at a candidate midpoint
     is NaN or inf, and NoCausalEdges if no causal edge survives.
     """
@@ -225,26 +228,40 @@ def build_grid(st: Spacetime, tau, box, h: float,
     require_finite("time function", tau_values, coords)
 
     offsets = stencil.offsets(dim)
+    deltas = offsets.astype(float) * h
+    causal_of = None  # per offset, when one batch decides every offset's cone
+    if st.constant_metric:
+        # one midpoint per offset decides the cone of every edge along it
+        rows = coords[0] + 0.5 * deltas
+        try:
+            cone = LightCone(st.metric_batch(rows), deltas, rows, NULL_TOL)
+        except NonFiniteValue:
+            pass  # tested edge by edge below, which names the first candidate's midpoint
+        else:
+            causal_of = cone.causal
+            future_of = cone.future(st.orientation_batch(rows), slice(None))
+            length_of = np.sqrt(np.abs(cone.q))
     eu, ev, ew, el = [], [], [], []
-    for o in offsets:
+    for i, (o, delta) in enumerate(zip(offsets, deltas)):
+        if causal_of is not None and not causal_of[i]:
+            continue  # spacelike: none of its pairs is an edge
         a_ids, b_ids = offset_pairs(ids_full, o)
         mask = (a_ids >= 0) & (b_ids >= 0)
         if not np.any(mask):
             continue
         a_ids = a_ids[mask]
         b_ids = b_ids[mask]
-        delta = o.astype(float) * h
-        # a constant metric is tested on the first candidate's midpoint only
-        rows = coords[a_ids[:1] if st.constant_metric else a_ids] + 0.5 * delta
-        cone = LightCone(st.metric_batch(rows), delta[None], rows, NULL_TOL)
-        causal = cone.causal
-        if not np.any(causal):
-            continue
-        future = cone.future(st.orientation_batch(rows[causal]), causal)
-        length = np.sqrt(np.abs(cone.q[causal]))
-        if st.constant_metric:  # the one causal row stands for every candidate
-            length = np.broadcast_to(length, a_ids.shape)
+        if causal_of is not None:
+            future = future_of[i]
+            length = np.broadcast_to(length_of[i], a_ids.shape)
         else:
+            rows = coords[a_ids] + 0.5 * delta
+            cone = LightCone(st.metric_batch(rows), delta[None], rows, NULL_TOL)
+            causal = cone.causal
+            if not np.any(causal):
+                continue
+            future = cone.future(st.orientation_batch(rows[causal]), causal)
+            length = np.sqrt(np.abs(cone.q[causal]))
             a_ids, b_ids = a_ids[causal], b_ids[causal]
         # orient each edge so its displacement is future causal
         u = np.where(future, a_ids, b_ids)

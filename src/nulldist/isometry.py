@@ -63,6 +63,11 @@ def dilation_map(scale: float) -> PointMap:
 
 
 def rotation_map(axis_i: int, axis_j: int, theta: float) -> PointMap:
+    """Rotation by ``theta`` in the plane of two different, non-negative axes."""
+    if axis_i < 0 or axis_j < 0 or axis_i == axis_j:
+        raise ValueError(f"rotation axes must be two different non-negative integers, "
+                         f"got {axis_i} and {axis_j}")
+
     def fwd(c):
         out = c.copy()
         # copies: the columns of ``out`` are views, and both are written

@@ -264,8 +264,9 @@ class Spacetime:
     are immutable after construction and safe to share between workers.
 
     ``constant_metric`` declares that ``metric_batch`` gives the same matrix,
-    bit for bit, at every point, so ``build_grid`` tests each stencil offset
-    on one midpoint and applies the answer to every edge along it.  A wrong
+    bit for bit, at every point, so ``build_grid`` decides the cones of all
+    stencil offsets in one batch, one midpoint each, before pairing any, and
+    applies each answer to every edge along its offset.  A wrong
     declaration yields a wrong grid; ``False`` (the default) tests every edge.
     """
 

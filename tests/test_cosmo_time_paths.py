@@ -1,12 +1,14 @@
 """cosmo-time's batched paths against the code they replaced.
 
-* ``build_grid`` runs the cone test once per offset on a spacetime declared
-  ``constant_metric``; with the declaration removed it runs it on every
-  candidate edge, and both must give the same grid bit for bit.
+* ``build_grid`` runs the cone test of every offset in one batch, and pairs
+  only the causal offsets, on a spacetime declared ``constant_metric``; with
+  the declaration removed it runs it on every candidate edge, and both must
+  give the same grid bit for bit.
 * ``_boundary_base`` bisects every source at once; the reference below is the
   scalar bisection, one ``domain_contains`` call per step and source.
-* ``_emit_csv`` formats one row per call; the reference is ``csv.writer``
-  with ``f"{x:.12g}"`` fields, and the cosmo-time rows built one node at a time.
+* ``_emit_csv`` formats one row per call, or each repeated value once; the
+  reference is ``csv.writer`` with ``f"{x:.12g}"`` fields, and the cosmo-time
+  rows built one node at a time.
 """
 
 import csv
@@ -21,7 +23,7 @@ from hypothesis import strategies as hs
 
 import nulldist as nd
 from nulldist.cli import _emit_csv, main
-from nulldist.errors import NonFiniteValue
+from nulldist.errors import NoCausalEdges, NonFiniteValue
 from nulldist.timefn import _boundary_base
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -101,8 +103,8 @@ def constant_spacetimes(draw):
 
 
 @SETTINGS
-@given(constant_spacetimes(), hs.integers(1, 3), hs.integers(0, 2**32 - 1))
-def test_constant_metric_holds(st, radius, seed):
+@given(constant_spacetimes(), hs.integers(1, 3), hs.booleans(), hs.integers(0, 2**32 - 1))
+def test_constant_metric_holds(st, radius, include_null_exact, seed):
     assert st.constant_metric
     rng = np.random.default_rng(seed)
     lo, hi = np.array(box_for(st)).T
@@ -111,7 +113,7 @@ def test_constant_metric_holds(st, radius, seed):
 
     h = 0.25 if st.dim == 4 else 0.1
     tau = nd.coordinate_time(st)
-    stencil = nd.StencilSpec(radius=radius)
+    stencil = nd.StencilSpec(radius=radius, include_null_exact=include_null_exact)
     fast = nd.build_grid(st, tau, box_for(st), h, stencil)
     slow = nd.build_grid(dataclasses.replace(st, constant_metric=False), tau, box_for(st),
                          h, stencil)
@@ -129,16 +131,53 @@ def test_constant_metric_of_the_builtins():
                             domain_batch=None).constant_metric
 
 
-def test_constant_nan_metric_names_the_same_midpoint():
+def nan_metric(constant):
     flat = nd.builtin("minkowski", dim=2)
-    messages = []
-    for constant in (True, False):
-        st = dataclasses.replace(flat, constant_metric=constant,
-                                 metric_batch=lambda pts: np.full((len(pts), 2, 2), np.nan))
-        with pytest.raises(NonFiniteValue) as err:
-            nd.build_grid(st, nd.coordinate_time(st), [[0.0, 1.0], [-0.5, 0.5]], 0.1)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    return dataclasses.replace(flat, constant_metric=constant,
+                               metric_batch=lambda pts: np.full((len(pts), 2, 2), np.nan))
+
+
+def test_constant_nan_metric_names_the_same_midpoint():
+    # the second box is one lattice point thick along x: the first offsets,
+    # along x, have no pair, and the first candidate lies on the t axis
+    for box, midpoint in (([[0.0, 1.0], [-0.5, 0.5]], None),
+                          ([[0.0, 1.0], [0.0, 0.0]], [0.05, 0.0])):
+        messages = []
+        for constant in (True, False):
+            st = nan_metric(constant)
+            with pytest.raises(NonFiniteValue) as err:
+                nd.build_grid(st, nd.coordinate_time(st), box, 0.1)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        if midpoint is not None:
+            assert messages[0].endswith(f"at {midpoint}")
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_nan_metric_on_one_node_has_no_edges(constant):
+    st = nan_metric(constant)
+    with pytest.raises(NoCausalEdges):
+        nd.build_grid(st, nd.coordinate_time(st), [[0.0, 0.0], [0.0, 0.0]], 0.1)
+
+
+@pytest.mark.parametrize("name, n_paired", [
+    ("upper_half_minkowski", 40),  # constant metric: the causal offsets only
+    ("warped_product", 312),  # every offset
+])
+def test_constant_metric_pairs_only_causal_offsets(monkeypatch, name, n_paired):
+    calls = []
+    pairs = nd.grid.offset_pairs
+
+    def counted(ids, offset):
+        calls.append(offset)
+        return pairs(ids, offset)
+
+    monkeypatch.setattr("nulldist.grid.offset_pairs", counted)
+    st = nd.builtin(name, dim=4)
+    grid = nd.build_grid(st, nd.coordinate_time(st), [[0.5, 1.5]] + [[-0.5, 0.5]] * 3, 0.25,
+                         nd.StencilSpec(radius=2))
+    assert len(grid.offsets_used) == 312
+    assert len(calls) == n_paired
 
 
 def closed_half_space(dim):
@@ -193,19 +232,27 @@ def test_csv_matches_csv_writer(tmp_path, monkeypatch):
                0.1, 1 / 3, 123456789012345.0, 2.5e-7]
     cols = [rng.choice(special + list(rng.normal(0, 1e3, 20)), size=60) for _ in range(4)]
     cols.append(rng.normal(size=60) * 10.0 ** rng.integers(-20, 20, size=60))
-    header = ["x0", "x1", "x2", "x3", "v", "a", "e"]
+    cols.append(np.arange(60) / 7.0)  # every value distinct: formatted row by row
+    cols.append(rng.choice([-0.0, 0.0, 0.5, -2.0], size=60))  # few values: formatted once each
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(float)
+    cols.append(rng.choice(np.concatenate([nans, [1.0]]), size=60))  # NaNs of two payloads
     out = tmp_path / "t.csv"
     for filled in (True, False):
         if filled:
             columns, rows = cols + cols[:2], [list(r) for r in zip(*cols, *cols[:2])]
         else:
             columns, rows = cols + [None, None], [list(r) + ["", ""] for r in zip(*cols)]
+        header = [f"c{k}" for k in range(len(columns))]
         _emit_csv(header, columns, str(out))
         data = out.read_bytes()
         assert data == ref_csv(header, rows).encode("utf-8")
     assert data.endswith(b",,\r\n")
     fields = set(data.decode().replace("\r\n", ",").split(","))
-    assert {"inf", "-inf", "nan", "-0", "1e-300"} <= fields
+    assert {"inf", "-inf", "nan", "-0", "0", "1e-300"} <= fields
+    assert "-nan" not in fields
+
+    _emit_csv(header, [np.empty(0)] * 8 + [None, None], str(out))  # header only
+    assert out.read_bytes() == ref_csv(header, []).encode("utf-8")
 
 
 COSMO_SCENES = {

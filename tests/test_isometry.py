@@ -211,6 +211,12 @@ def test_point_maps_take_batches():
         table(P + 1.0)
 
 
+@pytest.mark.parametrize("axes", [(1, 1), (0, 0), (-1, 1), (1, -2)])
+def test_rotation_map_rejects_a_repeated_or_negative_axis(axes):
+    with pytest.raises(ValueError, match="axes"):
+        rotation_map(*axes, 0.3)
+
+
 def test_conformal_factor_flags_non_conformal():
     st1 = nd.builtin("minkowski", dim=2)
 
