@@ -1,6 +1,9 @@
 """Hot graph kernels: Dijkstra, BFS reachability, longest-path relaxation.
 
-Each kernel does its per-edge work in numpy, one group of nodes per step:
+Each kernel does its per-edge work in numpy, one group of nodes per step.
+Reachability and the longest-path pass read the directed out-CSR; Dijkstra
+reads the undirected graph as the padded neighbour table ``table`` builds,
+so a group's edges are one 2-D index of its rows.
 
 - Dijkstra settles a whole distance band per step (the OUT criterion of
   Crauser, Mehlhorn, Meyer and Sanders, MFCS 1998).  With ``wout[u]`` the
@@ -23,19 +26,47 @@ Each kernel does its per-edge work in numpy, one group of nodes per step:
 import numpy as np
 
 
-def csr(n, u, v, w):
-    """(indptr, nbr, wt) of the undirected n-node graph of the edges u - v
-    weighted w: each edge is stored in both directions, every u -> v before
-    every v -> u, and sorted stably by source."""
-    src = np.concatenate([u, v])
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, np.concatenate([v, u])[order], np.concatenate([w, w])[order]
+def table(n, u, v, w):
+    """(nbr, wt, wout): the undirected n-node graph of the edges u - v
+    weighted w as a padded neighbour table (the ELLPACK format of Kincaid,
+    Oppe and Young, ITPACKV 2D, 1989).
+
+    Row i of the (n, K) arrays ``nbr`` and ``wt`` lists node i's edges in
+    edge order, every u -> v copy before every v -> u copy, and K is the
+    largest degree; the slots past a node's degree hold neighbour 0 with
+    weight +inf, which never improves a distance.  ``wout[i]`` is the
+    smallest weight leaving node i (+inf for an isolated node).  Edges
+    sorted by u, like a grid's, are placed without sorting them.
+    """
+    out_slot, n_out = _slots(u, n)
+    in_slot, n_in = _slots(v, n)
+    in_slot += n_out[v]
+    width = int((n_out + n_in).max(initial=0))
+    nbr = np.zeros((n, width), dtype=np.int64)
+    wt = np.full((n, width), np.inf)
+    nbr[u, out_slot] = v
+    wt[u, out_slot] = w
+    nbr[v, in_slot] = u
+    wt[v, in_slot] = w
+    return nbr, wt, wt.min(axis=1, initial=np.inf)
 
 
-def dijkstra(indptr, nbr, wt, src, target):
-    """Single-source shortest paths over a CSR graph with weights >= 0.
+def _slots(keys, n):
+    """(slot, count): each entry's position among the entries sharing its
+    key, in entry order, and the number of entries of each key 0..n-1."""
+    count = np.bincount(keys, minlength=n)
+    if np.all(keys[1:] >= keys[:-1]):
+        slot = np.arange(keys.shape[0])
+    else:
+        slot = np.empty(keys.shape[0], dtype=np.int64)
+        slot[np.argsort(keys, kind="stable")] = np.arange(keys.shape[0])
+    slot -= (np.cumsum(count) - count)[keys]
+    return slot, count
+
+
+def dijkstra(nbr, wt, wout, src, target):
+    """Single-source shortest paths over a padded neighbour table (see
+    ``table``) with weights >= 0 and ``wout`` the smallest weight of each row.
 
     Returns what a binary heap of ``(dist, node)`` pairs returns, bit for
     bit: nodes settle in ``(dist, node)``-lexicographic order, so ties are
@@ -45,12 +76,9 @@ def dijkstra(indptr, nbr, wt, src, target):
     dist and pred.  Returns (dist, pred); nodes that were never reached keep
     dist = inf and pred = -1.
     """
-    n = indptr.shape[0] - 1
+    n = nbr.shape[0]
     dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=np.int64)
-    deg = np.diff(indptr)
-    wout = np.full(n, np.inf)  # smallest weight leaving each node
-    wout[deg > 0] = np.minimum.reduceat(wt, indptr[:-1][deg > 0])
     is_open = np.zeros(n, dtype=np.bool_)
     rank = np.full(n, n, dtype=np.int64)  # tie-break scratch, n = unset
     dist[src] = 0.0
@@ -65,19 +93,18 @@ def dijkstra(indptr, nbr, wt, src, target):
         batch, d = front[band], d[band]
         is_open[batch] = False
         stop = False
-        if target >= 0:  # the heap stops on popping the target
+        # the heap stops on popping the target; it is in this band only if
+        # it is settled now at a distance the band reaches
+        if target >= 0 and not is_open[target] and dist[target] <= d[-1]:
             hit = np.flatnonzero(batch == target)
             if hit.size:
                 batch, d, stop = batch[:hit[0]], d[:hit[0]], True
         if batch.size:
-            counts = deg[batch]
-            e = _gather(indptr, batch)
-            v = nbr[e]
-            nd = np.repeat(d, counts) + wt[e]
+            nb = nbr[batch]
+            nd = d[:, None] + wt[batch]
             # strict improvements only; of equal ones the lowest rank wins
-            better = nd < dist[v]
-            v, nd = v[better], nd[better]
-            r = np.repeat(np.arange(batch.size), counts)[better]
+            r, c = (nd < dist[nb]).nonzero()
+            v, nd = nb[r, c], nd[r, c]
             np.minimum.at(dist, v, nd)
             won = nd == dist[v]
             v, r = v[won], r[won]

@@ -58,7 +58,8 @@ class NodeNotInGrid(NullDistError):
 
 
 class Disconnected(NullDistError):
-    """No path between the requested nodes in the undirected support graph."""
+    """No path between the requested nodes in the undirected support graph;
+    the message names the size of the source's component."""
 
 
 class SamePoint(NullDistError):

@@ -4,9 +4,10 @@ A box of the spacetime is discretized into a uniform lattice.  For every
 stencil offset whose displacement is future causal at the segment midpoint a
 directed edge is emitted, weighted by the time-function gap |dtau| and by
 the Lorentzian segment length, and stored once, sorted by source: the edge
-arrays are the out-CSR, and ``_kernels.csr`` builds the undirected CSR from
-them.  Undirected Dijkstra over the |dtau| weights gives an upper estimate
-of the null distance; directed closure gives J+.
+arrays are the out-CSR, and ``_kernels.table`` builds from them the padded
+neighbour table of the undirected graph.  Undirected Dijkstra over the
+|dtau| weights gives an upper estimate of the null distance; directed
+closure gives J+.
 """
 
 from __future__ import annotations
@@ -122,18 +123,20 @@ class CausalGrid:
         # separation (L1 corner direction)
         self.spacelike_overestimate_max = math.sqrt(max(1, st.dim - 1))
         self._indptr = np.searchsorted(edge_u, np.arange(self.n_nodes + 1))
-        self._csr_undir = None
+        self._table = None
 
-    # -- CSR views ----------------------------------------------------------
+    # -- graph views --------------------------------------------------------
 
     def csr_out(self):
         """(indptr, nbr, wt) of the directed graph: the edge arrays themselves."""
         return self._indptr, self.edge_v, self.edge_w
 
     def csr_undirected(self):
-        if self._csr_undir is None:
-            self._csr_undir = _kernels.csr(self.n_nodes, self.edge_u, self.edge_v, self.edge_w)
-        return self._csr_undir
+        """(nbr, wt, wout) of the undirected graph: ``_kernels.table`` of the
+        edges, built on first use."""
+        if self._table is None:
+            self._table = _kernels.table(self.n_nodes, self.edge_u, self.edge_v, self.edge_w)
+        return self._table
 
     # -- node lookup --------------------------------------------------------
 
@@ -340,10 +343,12 @@ def shortest_null_path(grid: CausalGrid, p_node: int, q_node: int):
         return 0.0, [p_node]
     # canonical source: makes estimate(p,q) == estimate(q,p) bit-exact
     src, tgt = (p_node, q_node) if p_node < q_node else (q_node, p_node)
-    indptr, nbr, wt = grid.csr_undirected()
-    dist, pred = _kernels.dijkstra(indptr, nbr, wt, src, tgt)
+    dist, pred = _kernels.dijkstra(*grid.csr_undirected(), src, tgt)
     if not np.isfinite(dist[tgt]):
-        raise Disconnected(f"nodes {p_node} and {q_node} are not connected")
+        # the search ran out, so it reached exactly the source's component
+        size = int(np.isfinite(dist).sum())
+        raise Disconnected(f"nodes {p_node} and {q_node} are not connected: "
+                           f"node {src}'s component holds {size} of {grid.n_nodes} nodes")
     path = [tgt]
     while path[-1] != src:
         path.append(int(pred[path[-1]]))
@@ -357,8 +362,7 @@ def null_distances_from(grid: CausalGrid, node: int) -> np.ndarray:
     """Single-source variant of shortest_null_path (full sweep)."""
     if not 0 <= node < grid.n_nodes:
         raise NodeNotInGrid(f"node {node} not in grid")
-    indptr, nbr, wt = grid.csr_undirected()
-    dist, _ = _kernels.dijkstra(indptr, nbr, wt, node, -1)
+    dist, _ = _kernels.dijkstra(*grid.csr_undirected(), node, -1)
     return dist
 
 

@@ -638,7 +638,7 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     gmid = 0.5 * (gr[u] + gr[v])
     w = np.sqrt(np.einsum("mi,mij,mj->m", delta, gmid, delta))
 
-    indptr, nbr, wts = _kernels.csr(n_nodes, u, v, w)
+    graph = _kernels.table(n_nodes, u, v, w)
 
     rng = np.random.default_rng(seed)
     n_sources = max(2, min(n_nodes, int(math.ceil(n_pairs / max(1, n_nodes - 1)))))
@@ -653,7 +653,7 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
         sources.append(int(ids[tuple(axis_idx_k)]))
     best = 0.0
     for s in sources:
-        dist, _ = _kernels.dijkstra(indptr, nbr, wts, int(s), -1)
+        dist, _ = _kernels.dijkstra(*graph, int(s), -1)
         mask = (dist > 0) & np.isfinite(dist)
         if not np.any(mask):
             continue

@@ -102,15 +102,16 @@ def test_telescoping_identity_random_grid_paths():
     st, tau = mink()
     grid = nd.build_grid(st, tau, [(-0.5, 0.5), (-0.5, 0.5)], 0.1)
     rng = np.random.default_rng(2)
-    indptr, nbr, _ = grid.csr_undirected()
+    nbr, wt, _ = grid.csr_undirected()
+    deg = np.isfinite(wt).sum(axis=1)  # a row's slots past its degree are padding
     for _ in range(25):
         node = int(rng.integers(0, grid.n_nodes))
         path = [node]
         for _ in range(12):
-            lo, hi = indptr[path[-1]], indptr[path[-1] + 1]
-            if hi == lo:
+            k = deg[path[-1]]
+            if k == 0:
                 break
-            path.append(int(nbr[rng.integers(lo, hi)]))
+            path.append(int(nbr[path[-1], rng.integers(0, k)]))
         if len(path) < 2:
             continue
         curve = curve_from_grid_path(grid, path)
@@ -180,16 +181,17 @@ def test_rectifiable_equals_null_length_on_grid_paths():
     grid = nd.build_grid(st, tau, [(-0.5, 0.5), (-0.5, 0.5)], 0.1)
     oracle = grid_distance_oracle(grid)
     rng = np.random.default_rng(4)
-    indptr, nbr, _ = grid.csr_undirected()
+    nbr, wt, _ = grid.csr_undirected()
+    deg = np.isfinite(wt).sum(axis=1)  # a row's slots past its degree are padding
     done = 0
     while done < 20:
         node = int(rng.integers(0, grid.n_nodes))
         path = [node]
         for _ in range(6):
-            lo, hi = indptr[path[-1]], indptr[path[-1] + 1]
-            if hi == lo:
+            k = deg[path[-1]]
+            if k == 0:
                 break
-            nxt = int(nbr[rng.integers(lo, hi)])
+            nxt = int(nbr[path[-1], rng.integers(0, k)])
             if nxt != path[-1]:
                 path.append(nxt)
         if len(path) < 3:
@@ -207,15 +209,16 @@ def test_dhat_lower_bounds_any_grid_path():
     st, tau = mink()
     grid = nd.build_grid(st, tau, [(-0.4, 0.4), (-0.4, 0.4)], 0.1)
     rng = np.random.default_rng(6)
-    indptr, nbr, _ = grid.csr_undirected()
+    nbr, wt, _ = grid.csr_undirected()
+    deg = np.isfinite(wt).sum(axis=1)  # a row's slots past its degree are padding
     for _ in range(20):
         node = int(rng.integers(0, grid.n_nodes))
         path = [node]
         for _ in range(8):
-            lo, hi = indptr[path[-1]], indptr[path[-1] + 1]
-            if hi == lo:
+            k = deg[path[-1]]
+            if k == 0:
                 break
-            path.append(int(nbr[rng.integers(lo, hi)]))
+            path.append(int(nbr[path[-1], rng.integers(0, k)]))
         if len(path) < 2:
             continue
         curve = curve_from_grid_path(grid, path)

@@ -156,7 +156,9 @@ def test_disconnected_raises():
     )
     tau = nd.coordinate_time(st)
     grid = nd.build_grid(st, tau, [(-1.0, 1.0), (-0.1, 0.1)], 0.1)
-    with pytest.raises(Disconnected):
+    # the ball cuts the strip into two halves of 21 nodes
+    with pytest.raises(Disconnected, match=r"^nodes 4 and 37 are not connected: "
+                                           r"node 4's component holds 21 of 42 nodes$"):
         nd.shortest_null_path(grid, grid.node_of([-0.9, 0.0]), grid.node_of([0.9, 0.0]))
 
 

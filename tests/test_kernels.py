@@ -3,10 +3,12 @@
 The references below are the straightforward interpreted forms: a binary
 heap with (dist, node)-lexicographic pops, a FIFO queue, and a per-node
 relaxation in topological order.  The kernels must agree with them bit for
-bit on random 1+1 and 2+1 lattices, with and without an excised ray, and
-Dijkstra also on random CSR graphs with tied, zero and absorbed weights.
+bit on random 1+1, 2+1 and 3+1 lattices, with and without an excised ray,
+and Dijkstra also on random CSR graphs with tied, zero and absorbed weights.
 Each kernel must also return the same arrays when every node's neighbour
 list is shuffled: the lattice's edge order is not part of any result.
+Dijkstra reads a padded neighbour table, which ``pad`` builds from a CSR
+graph; the reference reads the CSR itself.
 """
 
 from functools import lru_cache
@@ -100,6 +102,30 @@ def ref_longest_path_values(order, indptr, nbr, length, base):
     return value
 
 
+def undirected_csr(n, u, v, w):
+    """(indptr, nbr, wt) of the undirected graph of the edges u - v: each
+    edge in both directions, every u -> v before every v -> u, sorted stably
+    by source."""
+    src = np.concatenate([u, v])
+    order = np.argsort(src, kind="stable")
+    indptr = np.searchsorted(src[order], np.arange(n + 1))
+    return indptr, np.concatenate([v, u])[order], np.concatenate([w, w])[order]
+
+
+def pad(indptr, nbr, wt):
+    """(nbr, wt, wout) of a CSR graph as a padded neighbour table: row i
+    holds node i's CSR neighbours in CSR order, then neighbour 0 with weight
+    +inf up to the largest degree; wout is each row's smallest weight."""
+    n = indptr.shape[0] - 1
+    owner = np.repeat(np.arange(n), np.diff(indptr))
+    slot = np.arange(nbr.shape[0]) - indptr[owner]
+    table = np.zeros((n, int(np.diff(indptr).max(initial=0))), dtype=np.int64)
+    weights = np.full(table.shape, np.inf)
+    table[owner, slot] = nbr
+    weights[owner, slot] = wt
+    return table, weights, weights.min(axis=1, initial=np.inf)
+
+
 def shuffle_neighbours(indptr, seed, *per_edge):
     """The per-edge CSR arrays with each node's neighbour list permuted."""
     owner = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
@@ -117,14 +143,19 @@ def lattice(dim, radius, h, t0, extent, excised, cubed):
 
 @hs.composite
 def grids(draw):
-    dim = draw(hs.sampled_from([2, 3]))
-    h = draw(hs.sampled_from([0.1, 0.125, 0.2] if dim == 2 else [0.2, 0.25]))
+    dim = draw(hs.sampled_from([2, 3, 4]))
+    h = draw(hs.sampled_from({2: [0.1, 0.125, 0.2], 3: [0.2, 0.25], 4: [0.5]}[dim]))
     excised = draw(hs.booleans())
     # the excised ray starts at t = 2; boxes reaching past it cut edges
     t0 = draw(hs.sampled_from([1.0, 1.25, 1.5] if excised else [-0.5, 0.0, 0.3]))
-    extent = draw(hs.sampled_from([0.8, 1.2, 1.6]))
-    grid = lattice(dim, draw(hs.integers(1, 3)), h, t0, extent, excised,
-                   draw(hs.booleans()))
+    if dim == 4:
+        # 5 nodes a side: at radius 2 the central node fills all 80 slots of
+        # its table row, and the rows of the others end in padding
+        extent, radius = 2.4, 2
+    else:
+        extent = draw(hs.sampled_from([0.8, 1.2, 1.6]))
+        radius = draw(hs.integers(1, 3))
+    grid = lattice(dim, radius, h, t0, extent, excised, draw(hs.booleans()))
     nodes = hs.integers(0, grid.n_nodes - 1)
     return grid, draw(nodes), draw(nodes)
 
@@ -136,14 +167,14 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 @given(grids())
 def test_dijkstra_matches_reference(case):
     grid, src, tgt = case
-    indptr, nbr, wt = grid.csr_undirected()
-    mixed = shuffle_neighbours(indptr, src, nbr, wt)
+    indptr, nbr, wt = undirected_csr(grid.n_nodes, grid.edge_u, grid.edge_v, grid.edge_w)
+    mixed = pad(indptr, *shuffle_neighbours(indptr, src, nbr, wt))
     for target in (tgt, -1):
-        dist, pred = _kernels.dijkstra(indptr, nbr, wt, src, target)
+        dist, pred = _kernels.dijkstra(*grid.csr_undirected(), src, target)
         ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(pred, ref_pred)
-        dist, pred = _kernels.dijkstra(indptr, *mixed, src, target)
+        dist, pred = _kernels.dijkstra(*mixed, src, target)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(pred, ref_pred)
 
@@ -181,15 +212,31 @@ def csr_graphs(draw):
 @given(csr_graphs())
 def test_dijkstra_matches_reference_on_random_graphs(case):
     indptr, nbr, wt, src, tgt = case
-    mixed = shuffle_neighbours(indptr, tgt, nbr, wt)
+    mixed = pad(indptr, *shuffle_neighbours(indptr, tgt, nbr, wt))
     for target in (tgt, -1):
-        dist, pred = _kernels.dijkstra(indptr, nbr, wt, src, target)
+        dist, pred = _kernels.dijkstra(*pad(indptr, nbr, wt), src, target)
         ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(pred, ref_pred)
-        dist, pred = _kernels.dijkstra(indptr, *mixed, src, target)
+        dist, pred = _kernels.dijkstra(*mixed, src, target)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(pred, ref_pred)
+
+
+@SETTINGS
+@given(grids())
+def test_table_rows_match_stable_csr(case):
+    grid, _, _ = case
+    edges = grid.n_nodes, grid.edge_u, grid.edge_v, grid.edge_w
+    table = grid.csr_undirected()
+    for got, want in zip(table, pad(*undirected_csr(*edges))):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # edges not sorted by source take the sorting path to the same rows
+    n, *per_edge = edges
+    backwards = [a[::-1] for a in per_edge]
+    for got, want in zip(_kernels.table(n, *backwards), pad(*undirected_csr(n, *backwards))):
+        assert np.array_equal(got, want)
 
 
 @SETTINGS
