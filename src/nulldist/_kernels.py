@@ -35,8 +35,7 @@ def table(n, u, v, w):
     edge order, every u -> v copy before every v -> u copy, and K is the
     largest degree; the slots past a node's degree hold neighbour 0 with
     weight +inf, which never improves a distance.  ``wout[i]`` is the
-    smallest weight leaving node i (+inf for an isolated node).  Edges
-    sorted by u, like a grid's, are placed without sorting them.
+    smallest weight leaving node i (+inf for an isolated node).
     """
     out_slot, n_out = _slots(u, n)
     in_slot, n_in = _slots(v, n)
@@ -55,11 +54,8 @@ def _slots(keys, n):
     """(slot, count): each entry's position among the entries sharing its
     key, in entry order, and the number of entries of each key 0..n-1."""
     count = np.bincount(keys, minlength=n)
-    if np.all(keys[1:] >= keys[:-1]):
-        slot = np.arange(keys.shape[0])
-    else:
-        slot = np.empty(keys.shape[0], dtype=np.int64)
-        slot[np.argsort(keys, kind="stable")] = np.arange(keys.shape[0])
+    slot = np.empty(keys.shape[0], dtype=np.int64)
+    slot[np.argsort(keys, kind="stable")] = np.arange(keys.shape[0])
     slot -= (np.cumsum(count) - count)[keys]
     return slot, count
 

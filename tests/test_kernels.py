@@ -232,7 +232,7 @@ def test_table_rows_match_stable_csr(case):
     for got, want in zip(table, pad(*undirected_csr(*edges))):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    # edges not sorted by source take the sorting path to the same rows
+    # edges not sorted by source are placed as the stable CSR places them
     n, *per_edge = edges
     backwards = [a[::-1] for a in per_edge]
     for got, want in zip(_kernels.table(n, *backwards), pad(*undirected_csr(n, *backwards))):
