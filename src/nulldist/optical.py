@@ -45,7 +45,9 @@ class NullChart:
     Axis states are stored densely and interpolated with cubic Hermite, so
     flat charts are exact; the frame is parallel-transported alongside the
     axis integration and its orthonormality drift is recorded.  Its work
-    counters, like wall-clock fields, are outside the determinism guarantee.
+    counters, like wall-clock fields, are outside the determinism guarantee;
+    ``forward_shots`` counts every row shot, the Jacobian probes that Newton
+    shoots speculatively beside a full step or a lone candidate included.
     """
 
     def __init__(self, st, center, sense, eps, e0, frame0, ts, pos, vel,
@@ -304,8 +306,12 @@ def _chart_point(chart: NullChart, q) -> np.ndarray:
 def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
     """Every row's axis projection or Newton solves from its own candidates.
 
-    Returns per row an OpticalValue (on the axis), a Newton result or None
-    where every candidate failed, and the rows' residual scales."""
+    One batch shoots every candidate, and beside the lone candidate of a row
+    without a seed its Jacobian probes, which Newton then takes instead of
+    shooting them in its first round; a seeded row's first candidate is known
+    only once the batch has sorted its two by miss.  Returns per row an
+    OpticalValue (on the axis), a Newton result or None where every
+    candidate failed, and the rows' residual scales."""
     n = Q.shape[0]
     seeds = [None] * n if seeds is None else seeds
     scale = np.maximum(1.0, np.abs(Q).max(axis=1))
@@ -325,11 +331,18 @@ def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
                                             np.asarray(seeds[r][1], dtype=float)]))
     if not cands:
         return results, scale
-    # one batch shoots every candidate: the images sort a seeded row's two by
-    # miss, and are the residuals its Newton solves start from
+    # the images sort a seeded row's two candidates by miss, and are the
+    # residuals its Newton solves start from
+    counts = [len(ys) for ys in cands.values()]
     Y = np.array([y for ys in cands.values() for y in ys])
-    images, _ = _forward_batch(chart, Y[:, 0], Y[:, 1:])
-    F = images - np.repeat(Q[list(cands)], [len(ys) for ys in cands.values()], axis=0)
+    targets = np.repeat(Q[list(cands)], counts, axis=0)
+    single = np.repeat(np.array(counts) == 1, counts)  # per candidate
+    dim = Y.shape[1]
+    shot = _residuals(chart, np.concatenate([Y, _probes(Y[single]).reshape(-1, dim)]),
+                      np.concatenate([targets, np.repeat(targets[single], 2 * dim, axis=0)]))
+    F, P = shot[:len(Y)], [None] * len(Y)
+    for at, p in zip(np.flatnonzero(single), shot[len(Y):].reshape(-1, 2 * dim, dim)):
+        P[at] = p
     miss = _norms(F)
     order, at = {}, 0  # row -> its candidates' rows of Y and F, in the order tried
     for r, ys in cands.items():
@@ -341,7 +354,7 @@ def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
         rows = [r for r in order if results[r] is None and len(order[r]) > i]
         if rows:
             k = [order[r][i] for r in rows]
-            solved = _newton(chart, Q[rows], Y[k], tol, scale[rows], F=F[k])
+            solved = _newton(chart, Q[rows], Y[k], tol, scale[rows], F=F[k], P=[P[j] for j in k])
             for r, res in zip(rows, solved):
                 results[r] = res
     return results, scale
@@ -381,29 +394,37 @@ def _optical_value(chart: NullChart, q: np.ndarray, result):
 _RUN, _DONE, _FAILED, _STOPPED = range(4)
 
 
-def _newton(chart: NullChart, Q, Y, tol: float, scale, groups=None, F=None,
+def _newton(chart: NullChart, Q, Y, tol: float, scale, groups=None, F=None, P=None,
             max_iter: int = 60) -> list:
     """Damped Newton for chart_forward(y) = Q[r] from Y[r], all rows in lockstep.
 
-    Each round shoots the 2*dim Jacobian probes of every live row as one
-    batch, then every row's full step, then the 24 halved steps of only the
-    rows whose full step was rejected; a row takes its first acceptable
-    factor.  So each row's iterates are those of a run of that row alone.
-    Rows sharing a ``groups`` label are alternatives for one target, in
-    order: the group stops once its earliest row not yet failed has
-    converged.  ``F`` holds the residuals at Y where the caller has already
-    shot them.  Returns per row (t, x, residual), or None where the row
-    failed or was stopped."""
+    Each round shoots, as one batch, the 2*dim Jacobian probes of the live
+    rows that have none yet; then, as another, every row's full step
+    together with the probes around it, which are that row's next Jacobian
+    if the step is accepted; then the 24 halved steps of only the rows whose
+    full step was rejected.  A row takes its first acceptable factor; one
+    accepted by a halved step shoots its probes in the next round.  So each
+    row's iterates are those of a run of that row alone, and a run of full
+    steps costs one batch a round.  Rows sharing a ``groups`` label are
+    alternatives for one target, in order: the group stops once its earliest
+    row not yet failed has converged.  ``F`` holds the residuals at Y where
+    the caller has already shot them, and ``P`` per row the residuals of the
+    probes around Y[r] (in _probes order) or None.  Returns per row
+    (t, x, residual), or None where the row failed or was stopped."""
     Q = np.asarray(Q, dtype=float)
     Y = np.array(Y, dtype=float)
     n, dim = Y.shape
     tols = tol * np.asarray(scale, dtype=float)
     F = _residuals(chart, Y, Q) if F is None else np.array(F, dtype=float)
     fn = _row_norms(F)
+    FP = np.zeros((n, 2 * dim, dim))  # the probe residuals around Y, where shot
+    fresh = np.zeros(n, dtype=bool)
+    for r, p in enumerate([None] * n if P is None else P):
+        if p is not None:
+            FP[r], fresh[r] = p, True
     state = np.where(np.isfinite(F).all(axis=1), _RUN, _FAILED)
     results = [None] * n
-    factors = 0.5 ** np.arange(25)
-    diag = np.arange(dim)
+    factors = 0.5 ** np.arange(1, 25)  # the halved steps
     for it in range(max_iter + 1):
         done = (state == _RUN) & (fn <= tols)
         state[done] = _DONE
@@ -415,26 +436,37 @@ def _newton(chart: NullChart, Q, Y, tol: float, scale, groups=None, F=None,
         if it == max_iter or rows.size == 0:
             break
         chart.newton_iters += rows.size
-        y, f = Y[rows], F[rows]
-        h = 1e-6 * np.maximum(1.0, np.abs(y).max(axis=1))
-        probes = np.repeat(y[:, None], 2 * dim, axis=1)
-        probes[:, 2 * diag, diag] += h[:, None]
-        probes[:, 2 * diag + 1, diag] -= h[:, None]
-        fpm = _residuals(chart, probes.reshape(-1, dim),
-                         np.repeat(Q[rows], 2 * dim, axis=0)).reshape(-1, 2 * dim, dim)
+        need = rows[~fresh[rows]]
+        if need.size:
+            FP[need] = _residuals(chart, _probes(Y[need]).reshape(-1, dim),
+                                  np.repeat(Q[need], 2 * dim, axis=0)).reshape(-1, 2 * dim, dim)
+        fresh[rows] = False
+        y, f, fpm = Y[rows], F[rows], FP[rows]
+        h = _probe_steps(y)
         J = (fpm[:, 0::2] - fpm[:, 1::2]).transpose(0, 2, 1) / (2 * h)[:, None, None]
         step, ok = _solve_rows(J, -f, np.isfinite(fpm).all(axis=(1, 2)))
-        # the full step first, since it usually succeeds; then the halved ones
+        # the full step first, since it usually succeeds, shot beside the
+        # probes around it; then the halved ones
         accepted = np.zeros(rows.size, dtype=bool)
         y_new, f_new, fn_new = y.copy(), f.copy(), fn[rows].copy()
-        for ks in (factors[:1], factors[1:]):
-            idx = np.flatnonzero(ok & ~accepted)
-            if idx.size == 0:
-                continue
-            trial = y[idx, None] + ks[None, :, None] * step[idx, None]
+        idx = np.flatnonzero(ok)
+        if idx.size:
+            trial = y[idx] + step[idx]
+            shots = np.concatenate([trial[:, None], _probes(trial)], axis=1)
+            ft = _residuals(chart, shots.reshape(-1, dim),
+                            np.repeat(Q[rows[idx]], 1 + 2 * dim, axis=0)).reshape(shots.shape)
+            fnt = _row_norms(ft[:, 0])
+            good = (fnt < fn[rows[idx]] * (1 - 1e-4)) | (fnt <= tols[rows[idx]])
+            hit = idx[good]
+            accepted[hit] = True
+            y_new[hit], f_new[hit], fn_new[hit] = trial[good], ft[good, 0], fnt[good]
+            FP[rows[hit]], fresh[rows[hit]] = ft[good, 1:], True
+        idx = np.flatnonzero(ok & ~accepted)
+        if idx.size:
+            trial = y[idx, None] + factors[None, :, None] * step[idx, None]
             ft = _residuals(chart, trial.reshape(-1, dim),
-                            np.repeat(Q[rows[idx]], ks.size, axis=0)).reshape(idx.size, ks.size, dim)
-            fnt = _row_norms(ft.reshape(-1, dim)).reshape(idx.size, ks.size)
+                            np.repeat(Q[rows[idx]], factors.size, axis=0)).reshape(trial.shape)
+            fnt = _row_norms(ft.reshape(-1, dim)).reshape(idx.size, factors.size)
             good = (fnt < fn[rows[idx], None] * (1 - 1e-4)) | (fnt <= tols[rows[idx], None])
             hit = np.flatnonzero(good.any(axis=1))
             k = np.argmax(good[hit], axis=1)  # the first acceptable factor
@@ -444,6 +476,23 @@ def _newton(chart: NullChart, Q, Y, tol: float, scale, groups=None, F=None,
         state[rows[~accepted]] = _FAILED
         Y[rows], F[rows], fn[rows] = y_new, f_new, fn_new
     return results
+
+
+def _probe_steps(Y: np.ndarray) -> np.ndarray:
+    """The central-difference step h of the Jacobian probes around each row."""
+    return 1e-6 * np.maximum(1.0, np.abs(Y).max(axis=1))
+
+
+def _probes(Y: np.ndarray) -> np.ndarray:
+    """The (m, 2*dim, dim) Jacobian probes around the rows of Y: y + h e_a,
+    then y - h e_a, for each axis a."""
+    dim = Y.shape[1]
+    h = _probe_steps(Y)
+    probes = np.repeat(Y[:, None], 2 * dim, axis=1)
+    diag = np.arange(dim)
+    probes[:, 2 * diag, diag] += h[:, None]
+    probes[:, 2 * diag + 1, diag] -= h[:, None]
+    return probes
 
 
 def _residuals(chart: NullChart, Y: np.ndarray, Q: np.ndarray) -> np.ndarray:

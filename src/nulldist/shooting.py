@@ -16,11 +16,12 @@ from .spacetime import Spacetime, as_event
 NULL_DRIFT_TOL = 1e-6  # relative bound on |g(u,u)| along null shots
 
 
-def christoffels(st: Spacetime, coords: np.ndarray) -> np.ndarray:
+def christoffels(st: Spacetime, coords: np.ndarray, *, _g=None) -> np.ndarray:
     """Connection coefficients Gamma^k_{ij} from metric derivatives, at one
-    point (dim,) or at each row of an (m, dim) stack (indexed [m, k, i, j])."""
+    point (dim,) or at each row of an (m, dim) stack (indexed [m, k, i, j]).
+    ``_g`` is private: the metric at those rows where the caller has it."""
     pts = np.asarray(coords, float).reshape(-1, st.dim)
-    g = st.metric_batch(pts)
+    g = st.metric_batch(pts) if _g is None else _g
     dg = st.metric_derivatives(pts)
     # dg_sym[m,l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}
     dg_sym = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
@@ -38,17 +39,19 @@ def christoffels(st: Spacetime, coords: np.ndarray) -> np.ndarray:
     return gamma if np.ndim(coords) == 2 else gamma[0]
 
 
-def _geodesic_rhs(st: Spacetime, x: np.ndarray, u: np.ndarray, *legs):
+def _geodesic_rhs(st: Spacetime, x: np.ndarray, u: np.ndarray, *legs, g=None):
     """(dx, du, *dlegs) of the geodesic equation at (m, dim) rows x, u; each
-    (m, n, dim) frame in ``legs`` is parallel-transported along u."""
-    gamma = christoffels(st, x)
+    (m, n, dim) frame in ``legs`` is parallel-transported along u.  ``g`` is
+    the metric at x where the caller has already evaluated it."""
+    gamma = christoffels(st, x, _g=g)
     return (u, -np.einsum("mkij,mi,mj->mk", gamma, u, u),
             *(-np.einsum("mkij,mi,mnj->mnk", gamma, u, E) for E in legs))
 
 
-def _rk4_step(st: Spacetime, dt, *state):
-    """One RK4 step of _geodesic_rhs over state (x, u, *legs)."""
-    k1 = _geodesic_rhs(st, *state)
+def _rk4_step(st: Spacetime, dt, *state, g=None):
+    """One RK4 step of _geodesic_rhs over state (x, u, *legs); ``g`` is the
+    metric at x, if known."""
+    k1 = _geodesic_rhs(st, *state, g=g)
     k2 = _geodesic_rhs(st, *(y + 0.5 * dt * k for y, k in zip(state, k1)))
     k3 = _geodesic_rhs(st, *(y + 0.5 * dt * k for y, k in zip(state, k2)))
     k4 = _geodesic_rhs(st, *(y + dt * k for y, k in zip(state, k3)))
@@ -70,8 +73,9 @@ def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
     x_end, u_end = np.array(x0, dtype=float), np.array(u0, dtype=float)
     x, u, live = x_end, u_end, np.arange(x_end.shape[0])  # live rows only
     errors, drift = [None] * live.size, 0.0
+    g = None  # the null monitor's metric at x, which the next step starts from
     for i in range(n):
-        nx, nu = _rk4_step(st, dt, x, u)
+        nx, nu = _rk4_step(st, dt, x, u, g=g)
         ok = np.array(st.domain_batch(nx), dtype=bool)  # a copy: rows are cleared below
         failed = not ok.all()  # the per-row bookkeeping runs only on such a step
         if failed:
@@ -80,7 +84,8 @@ def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
         if monitor_null and ok.any():
             k = np.flatnonzero(ok) if failed else slice(None)
             uk = nu[k][:, None, :]
-            q = np.abs((uk @ st.metric_batch(nx[k]) @ uk.transpose(0, 2, 1))[:, 0, 0])
+            g = st.metric_batch(nx[k])
+            q = np.abs((uk @ g @ uk.transpose(0, 2, 1))[:, 0, 0])
             uu = (uk @ uk.transpose(0, 2, 1))[:, 0, 0]
             bad = q > NULL_DRIFT_TOL * uu
             drift = max(drift, float(np.max(q / np.maximum(uu, 1e-300), where=~bad, initial=0)))
@@ -91,6 +96,7 @@ def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
                         f"null constraint drift {q[r]:.2e} after step {i + 1}; reduce step")
                 ok[k[bad]] = False
                 failed = True
+                g = g[~bad]  # the rows that go on
         if failed:  # failed rows keep their last good step
             x_end[live[~ok]], u_end[live[~ok]] = x[~ok], u[~ok]
             nx, nu, live = nx[ok], nu[ok], live[ok]

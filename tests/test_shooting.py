@@ -11,6 +11,7 @@ raises for it alone.
 """
 
 import bisect
+import dataclasses
 import math
 import warnings
 
@@ -148,10 +149,25 @@ def ref_forward_safe(chart, t, x):
         return np.full(chart.st.dim, np.inf)
 
 
-def ref_newton(chart, q, t, x, tol, scale, trace, max_iter=60):
+def ref_probe_points(y):
+    """The Jacobian probes around y, in the order the old Newton shot them:
+    y + h e_a, then y - h e_a, for each axis a."""
+    hstep = 1e-6 * max(1.0, float(np.abs(y).max()))
+    points = []
+    for a in range(y.size):
+        yp = y.copy()
+        ym = y.copy()
+        yp[a] += hstep
+        ym[a] -= hstep
+        points += [yp, ym]
+    return points
+
+
+def ref_newton(chart, q, t, x, tol, scale, trace, max_iter=60, iterates=None):
     """The old Newton iteration, one shot at a time.  Appends to ``trace``
     each accepted step factor, then the reason of a failure: "start",
-    "probe", "singular", "search" or "iterations"."""
+    "probe", "singular", "search" or "iterations"; and to ``iterates``, if
+    given, each accepted point."""
     y = np.concatenate([[t], np.atleast_1d(x)])
     dim = chart.st.dim
 
@@ -168,12 +184,9 @@ def ref_newton(chart, q, t, x, tol, scale, trace, max_iter=60):
             return y[0], y[1:], fn
         J = np.empty((dim, dim))
         hstep = 1e-6 * max(1.0, float(np.abs(y).max()))
+        points = ref_probe_points(y)
         for a in range(dim):
-            yp = y.copy()
-            ym = y.copy()
-            yp[a] += hstep
-            ym[a] -= hstep
-            fp, fm = F(yp), F(ym)
+            fp, fm = F(points[2 * a]), F(points[2 * a + 1])
             if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
                 trace.append("probe")
                 return None
@@ -192,6 +205,8 @@ def ref_newton(chart, q, t, x, tol, scale, trace, max_iter=60):
                 if fn_new < fn * (1 - 1e-4) or fn_new <= tol * scale:
                     y, f, fn = y_new, f_new, fn_new
                     trace.append(lam)
+                    if iterates is not None:
+                        iterates.append(y)
                     break
             lam *= 0.5
         else:
@@ -413,7 +428,15 @@ def test_shoot_batch_mixes_fates():
     st = nd.builtin("warped_product", dim=2)
     x0 = np.array([[1.0, 0.0], [0.3, 0.0], [0.3, 0.0]])
     u0 = np.array([[0.01, 0.01], [-0.5, 0.5 / 0.3], [1.0, 1.0 / 0.3]])
-    x, u, errors, drift = shooting._shoot_state(st, x0, u0, 2.0, 0.5, True)
+    evaluated = []  # points whose metric the shot evaluates
+    counted = dataclasses.replace(
+        st, metric_batch=lambda pts: evaluated.append(len(pts)) or st.metric_batch(pts))
+    x, u, errors, drift = shooting._shoot_state(counted, x0, u0, 2.0, 0.5, True)
+    # every point's metric once: the 4 stage points of each of 3 rows in the
+    # first step and the end points of the 2 rows still in the domain, whose
+    # metric the monitor's survivor starts its next step from; then 3 stage
+    # points and 1 end point in each of the slow row's 3 further steps
+    assert sum(evaluated) == 4 * 3 + 2 + 3 * (3 + 1)
     assert errors[0] is None
     assert isinstance(errors[1], LeftDomain) and isinstance(errors[2], StepTooLarge)
     expected = [outcome(ref_shoot, st, x0[r], u0[r], 2.0, 0.5, True) for r in range(3)]
@@ -568,6 +591,87 @@ def test_newton_matches_reference():
     converged = [tr for tr in traces if not tr or not isinstance(tr[-1], str)]
     assert len({len(tr) for tr in converged}) > 1
     assert any(f < 1.0 for tr in converged for f in tr)
+
+
+def test_newton_takes_probe_residuals_and_reuses_full_step_probes(monkeypatch):
+    # rows handed the residuals of the probes around their start (every other
+    # row) and rows not, in one lockstep batch per chart: each row matches
+    # the reference run of that row alone, bit for bit, and warns of nothing
+    # that run does not.  The probes around an accepted full step are shot in
+    # its batch and make the next round's Jacobian; a row accepted by a
+    # halved step shoots its probes again, in a later batch
+    shot = []  # per _forward_batch call, the rows (t, x...) it shot
+    forward = optical._forward_batch
+
+    def recording(chart, ts, xs):
+        shot.append({np.concatenate([[t], x]).tobytes()
+                     for t, x in zip(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))})
+        return forward(chart, ts, xs)
+
+    def batches(points):
+        """The calls that shot every one of the points."""
+        return [b for b, rows in enumerate(shot) if all(p.tobytes() in rows for p in points)]
+
+    monkeypatch.setattr(optical, "_forward_batch", recording)  # the references shoot alone
+    halved = 0
+    for name in sorted(CHARTS):
+        chart = CHARTS[name]()
+        rows = _newton_rows(name, chart)
+        Q = np.array([q for q, _, _ in rows])
+        Y = np.array([y for _, y, _ in rows])
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            F = np.array([ref_forward_safe(chart, y[0], y[1:]) - q for q, y, _ in rows])
+            P = [np.array([ref_forward_safe(chart, p[0], p[1:]) - q for p in ref_probe_points(y)])
+                 if r % 2 == 0 else None for r, (q, y, _) in enumerate(rows)]
+            want, traces, iterates = [], [], []
+            for q, y, scale in rows:
+                traces.append([])
+                iterates.append([])
+                want.append(ref_newton(chart, q, y[0], y[1:], 1e-10, scale, traces[-1],
+                                       iterates=iterates[-1]))
+        shot.clear()
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            got = optical._newton(chart, Q, Y, 1e-10, np.array([s for _, _, s in rows]), F=F, P=P)
+        assert ({(w.category, str(w.message)) for w in warned}
+                <= {(w.category, str(w.message)) for w in ref_warned})
+        for r, (res, w) in enumerate(zip(got, want)):
+            assert (res is None) == (w is None)
+            if w is not None:
+                assert res[0] == w[0] and np.array_equal(res[1], w[1]) and res[2] == w[2]
+            trace = traces[r]
+            if P[r] is not None or trace in (["start"], []):
+                assert batches(ref_probe_points(Y[r])) == []  # handed over, or never needed
+            else:
+                assert batches(ref_probe_points(Y[r]))
+            for j, (factor, y) in enumerate(zip(trace, iterates[r])):
+                at = batches([y])[0]
+                probed = batches(ref_probe_points(y))
+                if factor == 1.0:
+                    assert at in probed  # shot beside the step, speculatively
+                elif j + 1 < len(trace):  # a halved step, and another round
+                    assert probed and min(probed) > at
+                    halved += 1
+    assert halved > 0
+
+
+def test_single_query_shoots_one_batch_a_round(monkeypatch):
+    # a lone query shoots its flat candidate with the candidate's probes,
+    # and each Newton round its full step with the probes around it: I
+    # rounds of full steps cost I + 1 shot batches, not 2 I + 1
+    chart = _benchmark_chart()
+    calls = []
+    shoot = optical._shoot_state
+    monkeypatch.setattr(optical, "_shoot_state", lambda *args, **kw: calls.append(1) or shoot(*args, **kw))
+    for q in ([1.08, 0.05, -0.04, 0.06], [0.93, -0.1, 0.02, 0.03]):
+        calls.clear()
+        iters = chart.newton_iters
+        val = optical.chart_inverse(chart, q)
+        rounds = chart.newton_iters - iters
+        assert rounds >= 2 and len(calls) == rounds + 1
+        want = ref_chart_inverse(chart, np.array(q))
+        assert _same_value(val, want)
 
 
 def test_newton_groups_take_first_success_in_order():
@@ -861,25 +965,33 @@ def _stencil(chart, rng):
     return stencil, (val.omega, val.lam * val.direction)
 
 
-# per chart: forward shots of the seeded stencil and of the MULTISTART points
-# when Newton shot its starting points again
-RESHOT = {"warped 3+1": (132, 1569), "warped 1+1": (32, 529), "warped past 2+1": (74, 855),
-          "constant conformal 2+1": (74, 1047), "flat 1+1": (12, 373)}
+# per chart: forward shots of the seeded stencil and of the MULTISTART points.
+# Against the counts of a Newton that shot its starting points again (first
+# term), Newton reuses the shot starts (each seeded stencil row's chosen
+# candidate, and 24 per multistart point), and shoots the 2*dim Jacobian
+# probes around every full step and every lone candidate beside it; the
+# probe sets never used, after which the row converged, failed or was
+# stopped, add 2*dim rows each (last term):
+#   warped 3+1              188 = 132 - 8 + 8 * 8     1745 = 1569 - 24 + 25 * 8
+#   warped 1+1               44 =  32 - 4 + 4 * 4      585 =  529 - 24 + 20 * 4
+#   warped past 2+1         104 =  74 - 6 + 6 * 6      831 =  855 - 24 +  0 * 6
+#   constant conformal 2+1  104 =  74 - 6 + 6 * 6     1167 = 1047 - 24 + 24 * 6
+#   flat 1+1                  8 =  12 - 4 + 0 * 4      349 =  373 - 24 +  0 * 4
+RESHOT = {"warped 3+1": (188, 1745), "warped 1+1": (44, 585), "warped past 2+1": (104, 831),
+          "constant conformal 2+1": (104, 1167), "flat 1+1": (8, 349)}
 
 
 @pytest.mark.parametrize("name", list(RESHOT))
 def test_newton_reuses_shot_residuals(name):
     # Newton starts from the residuals that the candidates' sorting batch and
-    # the coarse multistart have already shot: the same values, and the
-    # forward shots fall by exactly those rows (each seeded row's chosen
-    # candidate, and 24 per multistart row)
+    # the coarse multistart have already shot: the same values, and exactly
+    # the forward shots that RESHOT accounts for
     make, center, sense, eps, step, _, _ = PROBED_CHARTS[name]
     chart = optical.build_chart(make(), center, sense, eps=eps, shoot_step=step)
     stencil, warm = _stencil(chart, np.random.default_rng(5))
     points = np.array([q for q, _ in MULTISTART[name]])
-    cases = [(stencil, [warm] * len(stencil), len(stencil)),
-             (points, [None] * len(points), 24 * len(points))]
-    for (Q, seeds, reused), shots in zip(cases, RESHOT[name]):
+    cases = [(stencil, [warm] * len(stencil)), (points, [None] * len(points))]
+    for (Q, seeds), shots in zip(cases, RESHOT[name]):
         want = []
         for q, seed in zip(Q, seeds):
             try:
@@ -888,5 +1000,5 @@ def test_newton_reuses_shot_residuals(name):
                 want.append(exc)
         before = chart.forward_shots
         got = optical.chart_inverse_batch(chart, Q, seeds=seeds)
-        assert chart.forward_shots - before == shots - reused
+        assert chart.forward_shots - before == shots
         assert all(_same_value(g, w) for g, w in zip(got, want))
