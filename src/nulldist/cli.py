@@ -21,12 +21,15 @@ import numpy as np
 from . import __version__
 from .curves import (
     EncodesVerdict,
+    PiecewiseCausalCurve,
+    SegmentSense,
     ball_boundary_sample,
     encodes_causality_test,
     null_distance_result,
+    null_length,
 )
 from .errors import NoConvergence, NullDistError, SceneError, UnknownName
-from .grid import GridParams, build_grid, reach, shortest_null_path
+from .grid import build_grid, reach, shortest_null_path
 from .isometry import (
     PointMap,
     assess_conformal,
@@ -39,8 +42,14 @@ from .isometry import (
 )
 from .optical import build_chart, chart_inverse_batch, grad_norm_omega
 from .scene import Scene
-from .spacetime import TimeSense
-from .timefn import check_anti_lipschitz, check_regularity, cosmological_time_numeric
+from .spacetime import TimeSense, builtin
+from .timefn import (
+    check_anti_lipschitz,
+    check_regularity,
+    coordinate_time,
+    cosmological_time_numeric,
+    cubed_time,
+)
 
 CSV_ROWS = 4096  # rows formatted per write, so the text of a large CSV is never held whole
 POINT_FLAGS = ("--p", "--q", "--center", "--region")  # values may start with a minus sign
@@ -131,13 +140,22 @@ def _read_points(path: str, flag: str, shape: tuple) -> np.ndarray:
     return data
 
 
+def _flag_value(value, flag: str, low, strict: bool = False):
+    """``value`` when it is None (flag not given) or finite and at least
+    ``low`` (above it when ``strict``); otherwise a SceneError naming
+    ``flag``, which exits 2."""
+    if value is None or math.isfinite(value) and (value > low if strict else value >= low):
+        return value
+    bound = f"> {low}" if strict else f">= {low}"
+    raise SceneError(f"{flag} must be a finite number {bound}, got {value!r}")
+
+
 def _grid_from_args(scene: Scene, args):
+    h = _flag_value(getattr(args, "h", None), "--h", 0, strict=True)
+    radius = _flag_value(getattr(args, "stencil_radius", None), "--stencil-radius", 1)
     st = scene.spacetime()
-    tau = scene.time_function(st)
-    params = scene.grid_params(h=getattr(args, "h", None),
-                               stencil_radius=getattr(args, "stencil_radius", None))
-    grid = build_grid(st, tau, params.box, params.h, params.stencil)
-    return st, tau, params, grid
+    params = scene.grid_params(h=h, stencil_radius=radius)
+    return build_grid(st, scene.time_function(st), params.box, params.h, params.stencil)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +164,7 @@ def _grid_from_args(scene: Scene, args):
 
 def _cmd_nulldist(args) -> int:
     scene = Scene.from_file(args.scene)
-    _, _, params, grid = _grid_from_args(scene, args)
+    grid = _grid_from_args(scene, args)
     p = grid.node_of(_parse_point(args.p, "--p", scene.dim))
     q = grid.node_of(_parse_point(args.q, "--q", scene.dim))
     t0 = time.perf_counter()
@@ -156,8 +174,8 @@ def _cmd_nulldist(args) -> int:
         "estimate": res.estimate,
         "lower_bound": res.lower_bound,
         "path_len": res.witness.n_segments + 1,
-        "h": params.h,
-        "stencil_radius": params.stencil.radius,
+        "h": grid.h,
+        "stencil_radius": grid.stencil.radius,
         "spacelike_overestimate_max": grid.spacelike_overestimate_max,
         "wall_ms": wall_ms,
     }
@@ -171,7 +189,7 @@ def _cmd_nulldist(args) -> int:
 
 def _cmd_causal(args) -> int:
     scene = Scene.from_file(args.scene)
-    _, _, _, grid = _grid_from_args(scene, args)
+    grid = _grid_from_args(scene, args)
     p = grid.node_of(_parse_point(args.p, "--p", scene.dim))
     q = grid.node_of(_parse_point(args.q, "--q", scene.dim))
     reachable = q in reach(grid, p)
@@ -180,12 +198,11 @@ def _cmd_causal(args) -> int:
 
 
 def _cmd_cosmo_time(args) -> int:
-    scene = Scene.from_file(args.scene)
-    st, tau, params, grid = _grid_from_args(scene, args)
+    grid = _grid_from_args(Scene.from_file(args.scene), args)
     values = cosmological_time_numeric(grid)
-    analytic = st.cosmological_time_analytic
+    analytic = grid.st.cosmological_time_analytic
     ana = analytic(grid.coords) if analytic is not None else None
-    dim = st.dim
+    dim = grid.st.dim
     header = [f"x{a}" for a in range(dim)] + ["tau_numeric", "tau_analytic_if_known", "abs_err"]
 
     if ana is None:
@@ -199,8 +216,10 @@ def _cmd_cosmo_time(args) -> int:
 def _cmd_check_antilip(args) -> int:
     scene = Scene.from_file(args.scene)
     region = None if args.region is None else _parse_region(args.region, scene.dim)
-    _, _, params, grid = _grid_from_args(scene, args)
-    report = check_anti_lipschitz(grid, params.box if region is None else region,
+    _flag_value(args.n_sources, "--n-sources", 1)
+    _flag_value(args.seed, "--seed", 0)
+    grid = _grid_from_args(scene, args)
+    report = check_anti_lipschitz(grid, grid.params.box if region is None else region,
                                   n_sources=args.n_sources, seed=args.seed)
     reg = check_regularity(grid)
     _emit_json({
@@ -221,8 +240,7 @@ def _cmd_optical(args) -> int:
     center = _parse_point(args.center, "--center", scene.dim)
     Q = _read_points(args.queries, "--queries", (scene.dim,))
     sense = TimeSense.FUTURE if args.sense == "future" else TimeSense.PAST
-    if not (math.isfinite(args.eps) and args.eps > 0):
-        raise SceneError(f"--eps must be a finite positive number, got {args.eps!r}")
+    _flag_value(args.eps, "--eps", 0, strict=True)
     chart = build_chart(st, center, sense, eps=args.eps)
     dim = st.dim
     header = [f"x{a}" for a in range(dim)] + ["omega", "lambda", "grad_norm"]
@@ -241,11 +259,12 @@ def _cmd_optical(args) -> int:
 
 def _cmd_ball(args) -> int:
     scene = Scene.from_file(args.scene)
-    st, tau, params, grid = _grid_from_args(scene, args)
     center = _parse_point(args.center, "--center", scene.dim)
-    rows = ball_boundary_sample(st, tau, center, args.radius, args.n_dirs,
-                                params, grid=grid)
-    dim = st.dim
+    _flag_value(args.radius, "--radius", 0, strict=True)
+    _flag_value(args.n_dirs, "--n-dirs", 1)
+    grid = _grid_from_args(scene, args)
+    rows = ball_boundary_sample(grid, center, args.radius, args.n_dirs)
+    dim = scene.dim
     header = [f"dir{a}" for a in range(dim)] + [f"x{a}" for a in range(dim)]
     _emit_csv(header, rows.T, args.out)
     return 0
@@ -254,10 +273,10 @@ def _cmd_ball(args) -> int:
 def _cmd_encode_test(args) -> int:
     scene = Scene.from_file(args.scene)
     pairs = _read_points(args.pairs, "--pairs", (2, scene.dim))
-    st, tau, params, grid = _grid_from_args(scene, args)
+    grid = _grid_from_args(scene, args)
     verdicts = []
     for p, q in pairs:
-        rep = encodes_causality_test(st, tau, p, q, params, grid=grid)
+        rep = encodes_causality_test(grid, p, q)
         verdicts.append({
             "p": p.tolist(),
             "q": q.tolist(),
@@ -304,8 +323,11 @@ def _parse_map(spec: str, dim: int) -> PointMap:
 def _cmd_isometry(args) -> int:
     scene1 = Scene.from_file(args.scene1)
     pmap = _parse_map(args.map, scene1.dim)
-    st1, _, params1, grid1 = _grid_from_args(scene1, args)
-    st2, _, _, grid2 = _grid_from_args(Scene.from_file(args.scene2), args)
+    _flag_value(args.n_pairs, "--n-pairs", 1)
+    _flag_value(args.tol, "--tol", 0)
+    _flag_value(args.seed, "--seed", 0)
+    grid1 = _grid_from_args(scene1, args)
+    grid2 = _grid_from_args(Scene.from_file(args.scene2), args)
     pres = check_preserving(pmap, grid1, grid2, n_pairs=args.n_pairs, tol=args.tol,
                             seed=args.seed)
     out = {
@@ -315,7 +337,8 @@ def _cmd_isometry(args) -> int:
         "seed": args.seed,
     }
     if pmap.closed_form:
-        report = assess_conformal(pmap, st1, st2, params1.box, params1.h, seed=args.seed)
+        report = assess_conformal(pmap, grid1.st, grid2.st, grid1.params.box, grid1.h,
+                                  seed=args.seed)
         phis = [s[1] for s in report.phi_samples]
         out.update({
             "phi_mean": float(np.mean(phis)),
@@ -338,9 +361,6 @@ def _cmd_isometry(args) -> int:
 
 def _preset_spacelike_pair(h: float):
     """Equal-time Minkowski pair at unit spatial separation: d-hat = 1."""
-    from .spacetime import builtin
-    from .timefn import coordinate_time
-
     st = builtin("minkowski", dim=2)
     tau = coordinate_time(st)
     grid = build_grid(st, tau, [(-0.3, 0.3), (-0.2, 1.2)], h)
@@ -351,10 +371,6 @@ def _preset_spacelike_pair(h: float):
 
 def _preset_cubed_time():
     """tau = t^3 collapses equal-time distances; witnesses match 2j(D/2j)^3."""
-    from .curves import PiecewiseCausalCurve, SegmentSense, null_length
-    from .spacetime import builtin
-    from .timefn import cubed_time
-
     st = builtin("minkowski", dim=2)
     tau = cubed_time(st)
     D = 1.0
@@ -384,14 +400,11 @@ def _preset_missing_ray():
     witness comes close to the continuum infimum 2.  Either way the estimate
     is a validated upper bound, so 2 <= estimate <= 2 + 2h.
     """
-    from .spacetime import builtin
-    from .timefn import coordinate_time
-
     st = builtin("missing_ray", dim=4)
-    tau = coordinate_time(st)
     h = 0.25
-    params = GridParams(box=((0.5, 3.5), (-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)), h=h)
-    rep = encodes_causality_test(st, tau, [1.0, -1.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0], params)
+    grid = build_grid(st, coordinate_time(st),
+                      [(0.5, 3.5), (-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)], h)
+    rep = encodes_causality_test(grid, [1.0, -1.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0])
     est = rep.result.estimate
     ok = (rep.verdict is EncodesVerdict.VIOLATION_MISSING_CAUSAL
           and not rep.reachable and 2.0 - 1e-9 <= est <= 2.0 + 2 * h + 1e-9)
@@ -400,9 +413,6 @@ def _preset_missing_ray():
 
 def _preset_conformal_invariance(h: float):
     """Identical edges, weights, and estimates under g and 4g with tau fixed."""
-    from .spacetime import builtin
-    from .timefn import coordinate_time
-
     st1 = builtin("minkowski", dim=2)
     st2 = builtin("conformal", base="minkowski", dim=2, factor=2.0)
     box = [(-0.3, 0.3), (-0.2, 1.2)]
@@ -421,15 +431,10 @@ def _preset_conformal_invariance(h: float):
 
 def _preset_ball(h: float):
     """The unit null-distance ball in 1+1 is the causal cylinder."""
-    from .spacetime import builtin
-    from .timefn import coordinate_time
-
     st = builtin("minkowski", dim=2)
-    tau = coordinate_time(st)
-    params = GridParams(box=((-1.3, 1.3), (-1.3, 1.3)), h=h)
-    rows = ball_boundary_sample(st, tau, [0.0, 0.0], 1.0, 8, params)
+    grid = build_grid(st, coordinate_time(st), [(-1.3, 1.3), (-1.3, 1.3)], h)
+    rows = ball_boundary_sample(grid, [0.0, 0.0], 1.0, 8)
     ok = True
-    details = []
     for row in rows:
         u, b = row[:2], row[2:]
         if abs(u[0]) >= abs(u[1]):  # causal-side ray: boundary at the tau level set
@@ -440,7 +445,7 @@ def _preset_ball(h: float):
 
 
 def _cmd_paper_suite(args) -> int:
-    h = args.h
+    h = _flag_value(args.h, "--h", 0, strict=True)
     presets = [
         ("spacelike-pair", lambda: _preset_spacelike_pair(h)),
         ("cubed-time-degeneracy", _preset_cubed_time),

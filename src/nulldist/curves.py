@@ -17,9 +17,7 @@ import numpy as np
 from .errors import BallExitsGrid, InvalidSegment, NodeNotInGrid, SamePoint
 from .grid import (
     CausalGrid,
-    GridParams,
     axis_corner_directions,
-    build_grid,
     null_distances_from,
     reach,
     shortest_null_path,
@@ -225,8 +223,7 @@ REFINE_CLEARANCE = 1e-3     # ... and stay this many h away from every excision
 REFINE_MERGE = 1e-5         # segments shorter than this many h are merged away
 
 
-def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float,
-                   box=None):
+def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float, box):
     """Move the interior break points of ``curve`` to lower its null length.
 
     Every segment keeps its declared sense, so the null length is the
@@ -235,9 +232,10 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float,
     minimizes it with the endpoints fixed, each segment strictly inside its
     cone at the midpoint (slack REFINE_CAUSAL_SLACK, so the result survives
     validate() after rounding), at least REFINE_CLEARANCE * h from every
-    excision, and the vertices inside ``box`` when one is given.  Zigzags
-    that the optimum does not need shrink to near-zero length; segments
-    shorter than REFINE_MERGE * h are then merged into their successor.
+    excision, and every vertex inside ``box``, one (lo, hi) pair per axis as
+    in GridParams.box.  Zigzags that the optimum does not need shrink to
+    near-zero length; segments shorter than REFINE_MERGE * h are then
+    merged into their successor.
 
     Returns ``(refined_curve, null_length)`` only for a certified result:
     the endpoints are those of ``curve``, validate() passes, every segment
@@ -279,9 +277,7 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float,
     cons = [{"type": "ineq", "fun": in_cone}]
     if st.excisions:
         cons.append({"type": "ineq", "fun": clear})
-    bounds = None
-    if box is not None:
-        bounds = [tuple(map(float, box[a])) for a in range(dim)] * (len(senses) - 1)
+    bounds = [tuple(map(float, box[a])) for a in range(dim)] * (len(senses) - 1)
     res = minimize(null_len, verts[1:-1].ravel(), method="SLSQP", bounds=bounds,
                    constraints=cons, options={"maxiter": 200, "ftol": 1e-10})
 
@@ -334,7 +330,8 @@ class EncodesVerdict(Enum):
 class NullDistanceResult:
     """``estimate`` is the null length of ``witness``; ``lattice_estimate`` is
     the Dijkstra value, the same number unless the witness was refined off
-    the lattice.  ``encodes_equality`` is decided on ``lattice_estimate``."""
+    the lattice.  ``encodes_equality`` is decided on ``lattice_estimate``:
+    it is ``lattice_estimate - lower_bound <= default_tol_eq(grid)``."""
 
     estimate: float
     lower_bound: float
@@ -359,17 +356,18 @@ def default_tol_eq(grid: CausalGrid) -> float:
     return 3.0 * grid.h * grid.stencil.radius
 
 
-def null_distance_result(grid: CausalGrid, p_node: int, q_node: int,
-                         tol_eq: Optional[float] = None) -> NullDistanceResult:
+def null_distance_result(grid: CausalGrid, p_node: int, q_node: int) -> NullDistanceResult:
+    """Lattice null distance between nodes ``p_node`` and ``q_node`` of
+    ``grid``, with its witness curve, the |dtau| lower bound and the equality
+    flag at the band default_tol_eq(grid).  Raises SamePoint for one node."""
     est, path = shortest_null_path(grid, p_node, q_node)
     if len(path) < 2:
         raise SamePoint(f"p and q are the same point {grid.coords[p_node].tolist()}: "
                         f"no witness curve joins it to itself")
     lower = abs(float(grid.tau_values[q_node] - grid.tau_values[p_node]))
-    tol_eq = default_tol_eq(grid) if tol_eq is None else tol_eq
     witness = curve_from_grid_path(grid, path)
     return NullDistanceResult(estimate=est, lower_bound=lower, witness=witness,
-                              encodes_equality=(est - lower) <= tol_eq,
+                              encodes_equality=(est - lower) <= default_tol_eq(grid),
                               lattice_estimate=est)
 
 
@@ -388,27 +386,24 @@ def _refined_result(grid: CausalGrid, res: NullDistanceResult,
     return replace(res, estimate=length, witness=curve.reverse() if swapped else curve)
 
 
-def encodes_causality_test(st: Spacetime, tau, p, q, grid_params: GridParams,
-                           tol_eq: Optional[float] = None,
-                           grid: Optional[CausalGrid] = None) -> EncodesReport:
-    """Compare null-distance equality against directed reachability.
+def encodes_causality_test(grid: CausalGrid, p, q) -> EncodesReport:
+    """Compare null-distance equality against directed reachability on
+    ``grid`` between the lattice points ``p`` and ``q``.
 
     MissingCausal flags the counterexample class where the estimate sits at
-    the |dtau| floor (within tol_eq) yet no directed path exists;
-    CausalButStrict would indicate a broken grid, since a directed path
-    realizes the floor exactly.
+    the |dtau| floor (within default_tol_eq(grid), reported as tol_eq) yet
+    no directed path exists; CausalButStrict would indicate a broken grid,
+    since a directed path realizes the floor exactly.
 
     When the lattice estimate exceeds |dtau| its witness is refined off the
     lattice (refine_witness); a certified refinement becomes the result's
     estimate and witness, and the Dijkstra value stays in lattice_estimate.
     The verdict is decided on the lattice estimate either way.
+    ``properness_claimed`` is what grid.tau claims about itself.
     """
-    if grid is None:
-        grid = build_grid(st, tau, grid_params.box, grid_params.h, grid_params.stencil)
     p_node = grid.node_of(np.asarray(p, dtype=float))
     q_node = grid.node_of(np.asarray(q, dtype=float))
-    tol_eq = default_tol_eq(grid) if tol_eq is None else tol_eq
-    res = null_distance_result(grid, p_node, q_node, tol_eq)
+    res = null_distance_result(grid, p_node, q_node)
     if res.estimate > res.lower_bound:
         res = _refined_result(grid, res, swapped=p_node > q_node)
     tau_p = float(grid.tau_values[p_node])
@@ -425,8 +420,8 @@ def encodes_causality_test(st: Spacetime, tau, p, q, grid_params: GridParams,
     else:
         verdict = EncodesVerdict.SPACELIKE_AND_STRICT
     return EncodesReport(verdict=verdict, result=res, reachable=reachable,
-                         tol_eq=tol_eq, tau_p=tau_p, tau_q=tau_q,
-                         properness_claimed=bool(tau.claims.proper))
+                         tol_eq=default_tol_eq(grid), tau_p=tau_p, tau_q=tau_q,
+                         properness_claimed=bool(grid.tau.claims.proper))
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +439,9 @@ def ray_directions(dim: int, n_dirs: int) -> np.ndarray:
     return np.tile(dirs, (reps, 1))[:n_dirs]
 
 
-def ball_boundary_sample(st: Spacetime, tau, center, R: float, n_dirs: int,
-                         grid_params: GridParams,
-                         grid: Optional[CausalGrid] = None) -> np.ndarray:
-    """Points where the null-distance ball of radius R crosses coordinate rays.
+def ball_boundary_sample(grid: CausalGrid, center, R: float, n_dirs: int) -> np.ndarray:
+    """Points where the null-distance ball of radius R about the lattice
+    point ``center`` of ``grid`` crosses coordinate rays.
 
     Returns an (n_dirs, 2*dim) array of [direction..., boundary coords...];
     the crossing is located by stepping then bisecting the grid-snapped
@@ -455,12 +449,11 @@ def ball_boundary_sample(st: Spacetime, tau, center, R: float, n_dirs: int,
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    if grid is None:
-        grid = build_grid(st, tau, grid_params.box, grid_params.h, grid_params.stencil)
     center = np.asarray(center, dtype=float)
     c_node = grid.node_of(center)
     dist = null_distances_from(grid, c_node)
     h = grid.h
+    dim = grid.st.dim
 
     def f(s, u):
         try:
@@ -469,8 +462,8 @@ def ball_boundary_sample(st: Spacetime, tau, center, R: float, n_dirs: int,
             return None
         return dist[node]
 
-    out = np.empty((n_dirs, 2 * st.dim))
-    for k, u in enumerate(ray_directions(st.dim, n_dirs)):
+    out = np.empty((n_dirs, 2 * dim))
+    for k, u in enumerate(ray_directions(dim, n_dirs)):
         s = 0.0
         bracket = None
         while True:
@@ -492,6 +485,6 @@ def ball_boundary_sample(st: Spacetime, tau, center, R: float, n_dirs: int,
             else:
                 a = m
         boundary = center + 0.5 * (a + b) * u
-        out[k, :st.dim] = u
-        out[k, st.dim:] = boundary
+        out[k, :dim] = u
+        out[k, dim:] = boundary
     return out

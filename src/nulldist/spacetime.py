@@ -497,7 +497,8 @@ def builtin(name: str, **params) -> Spacetime:
     Names: minkowski, upper_half_minkowski, missing_ray, warped_product
     (f(t) = slope*t + offset), conformal (base= spacetime or name, factor=
     positive constant or callable on coordinate batches).  Raises
-    UnknownName for an unknown name or a parameter the name does not take.
+    UnknownName for an unknown name, a parameter the name does not take, or
+    a conformal base or factor that is missing or of another kind.
     """
     dim = int(params.pop("dim", 4))
     if name == "minkowski":
@@ -511,11 +512,14 @@ def builtin(name: str, **params) -> Spacetime:
         offset = float(params.pop("offset", 0.0))
         st = _make_warped(dim, slope, offset)
     elif name == "conformal":
-        base = params.pop("base")
+        base = params.pop("base", None)
         if isinstance(base, str):
             base = builtin(base, dim=dim)
-        elif isinstance(base, dict):
-            base = builtin(base.pop("name"), **base)
+        if not isinstance(base, Spacetime):
+            raise UnknownName(f"conformal base= must be a spacetime or a spacetime name, "
+                              f"got {base!r}")
+        if "factor" not in params:
+            raise UnknownName("conformal factor= is missing")
         st = _make_conformal(base, params.pop("factor"))
     else:
         raise UnknownName(f"unknown spacetime {name!r}")

@@ -90,7 +90,8 @@ def test_criterion_03_missing_ray_violation():
     tau = nd.coordinate_time(st)
     params = GridParams(box=((0.5, 3.5), (-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)),
                         h=0.25)
-    rep = nd.encodes_causality_test(st, tau, [1, -1, 0, 0], [3, 1, 0, 0], params)
+    grid = nd.build_grid(st, tau, params.box, params.h, params.stencil)
+    rep = nd.encodes_causality_test(grid, [1, -1, 0, 0], [3, 1, 0, 0])
     elapsed = time.perf_counter() - t0
     est = rep.result.estimate
     verdict_ok = rep.verdict is EncodesVerdict.VIOLATION_MISSING_CAUSAL
@@ -139,7 +140,8 @@ def test_criterion_05_ball_cylinder():
     tau = nd.coordinate_time(st)
     h = 0.05
     params = GridParams(box=((-1.3, 1.3), (-1.3, 1.3)), h=h)
-    rows = nd.ball_boundary_sample(st, tau, [0.0, 0.0], 1.0, 8, params)
+    grid = nd.build_grid(st, tau, params.box, params.h, params.stencil)
+    rows = nd.ball_boundary_sample(grid, [0.0, 0.0], 1.0, 8)
     ok = True
     for row in rows:
         u, b = row[:2], row[2:]

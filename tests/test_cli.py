@@ -185,6 +185,33 @@ def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     ("--map", ["isometry", "SCENE", "SCENE", "--map", "dilate:nan"], None),
     ("--map", ["isometry", "SCENE", "SCENE", "--map", "dilate:-inf"], None),
     ("--map", ["isometry", "SCENE", "SCENE", "--map", "dilate:0"], None),
+    ("--h", ["nulldist", "SCENE", "--p", "0,0", "--q", "0,1", "--h", "-1"], None),
+    ("--h", ["nulldist", "SCENE", "--p", "0,0", "--q", "0,1", "--h", "0"], None),
+    ("--h", ["nulldist", "SCENE", "--p", "0,0", "--q", "0,1", "--h", "nan"], None),
+    ("--h", ["cosmo-time", "SCENE", "--h", "inf"], None),
+    ("--h", ["paper-suite", "--h", "-1"], None),
+    ("--h", ["paper-suite", "--h", "nan"], None),
+    ("--stencil-radius", ["causal", "SCENE", "--p", "0,0", "--q", "0,1",
+                          "--stencil-radius", "0"], None),
+    ("--stencil-radius", ["encode-test", "SCENE", "--pairs", "FILE", "--stencil-radius", "-2"],
+     "[[[0, 0], [0, 1]]]"),
+    ("--radius", ["ball", "SCENE", "--center", "0,0.5", "--radius", "-1"], None),
+    ("--radius", ["ball", "SCENE", "--center", "0,0.5", "--radius", "0"], None),
+    ("--radius", ["ball", "SCENE", "--center", "0,0.5", "--radius", "nan"], None),
+    ("--radius", ["ball", "SCENE", "--center", "0,0.5", "--radius", "inf"], None),
+    ("--n-dirs", ["ball", "SCENE", "--center", "0,0.5", "--radius", "0.1", "--n-dirs", "-3"],
+     None),
+    ("--n-dirs", ["ball", "SCENE", "--center", "0,0.5", "--radius", "0.1", "--n-dirs", "0"],
+     None),
+    ("--n-sources", ["check-antilip", "SCENE", "--n-sources", "-1"], None),
+    ("--n-sources", ["check-antilip", "SCENE", "--n-sources", "0"], None),
+    ("--seed", ["check-antilip", "SCENE", "--seed", "-1"], None),
+    ("--n-pairs", ["isometry", "SCENE", "SCENE", "--n-pairs", "-5"], None),
+    ("--n-pairs", ["isometry", "SCENE", "SCENE", "--n-pairs", "0"], None),
+    ("--tol", ["isometry", "SCENE", "SCENE", "--tol", "nan"], None),
+    ("--tol", ["isometry", "SCENE", "SCENE", "--tol=-1e-9"], None),
+    ("--tol", ["isometry", "SCENE", "SCENE", "--tol", "inf"], None),
+    ("--seed", ["isometry", "SCENE", "SCENE", "--seed", "-1"], None),
 ])
 def test_malformed_flag_values_exit_2(flag, argv, content, scene_file, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -238,12 +238,13 @@ def test_encodes_verdicts_upper_half():
     st = nd.builtin("upper_half_minkowski", dim=2)
     tau = nd.coordinate_time(st)
     params = GridParams(box=((0.1, 2.1), (-1.0, 1.0)), h=0.1)
-    causal = nd.encodes_causality_test(st, tau, [0.5, 0.0], [1.5, 0.5], params)
+    grid = nd.build_grid(st, tau, params.box, params.h, params.stencil)
+    causal = nd.encodes_causality_test(grid, [0.5, 0.0], [1.5, 0.5])
     assert causal.verdict is EncodesVerdict.CAUSAL_AND_EQUAL
-    spacelike = nd.encodes_causality_test(st, tau, [0.5, -0.9], [0.5, 0.9], params)
+    spacelike = nd.encodes_causality_test(grid, [0.5, -0.9], [0.5, 0.9])
     assert spacelike.verdict is EncodesVerdict.SPACELIKE_AND_STRICT
     assert spacelike.result.estimate - spacelike.result.lower_bound > spacelike.tol_eq
-    past = nd.encodes_causality_test(st, tau, [1.5, 0.5], [0.5, 0.0], params)
+    past = nd.encodes_causality_test(grid, [1.5, 0.5], [0.5, 0.0])
     assert past.verdict is EncodesVerdict.CAUSAL_AND_EQUAL  # past branch via swap
 
 
@@ -252,7 +253,7 @@ def test_encodes_missing_ray_violation():
     tau = nd.coordinate_time(st)
     params = GridParams(box=((0.5, 3.5), (-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)), h=0.25)
     grid = nd.build_grid(st, tau, params.box, params.h, params.stencil)
-    rep = nd.encodes_causality_test(st, tau, [1, -1, 0, 0], [3, 1, 0, 0], params, grid=grid)
+    rep = nd.encodes_causality_test(grid, [1, -1, 0, 0], [3, 1, 0, 0])
     assert rep.verdict is EncodesVerdict.VIOLATION_MISSING_CAUSAL
     assert not rep.reachable
     assert rep.result.encodes_equality
@@ -267,11 +268,11 @@ def test_encodes_missing_ray_violation():
     assert np.all(ray.segment_distance(v[:-1], v[1:]) > 0.0)
     assert res.lattice_estimate == 2 + 2 * params.h
     assert res.lower_bound <= res.estimate < res.lattice_estimate
-    back = nd.encodes_causality_test(st, tau, [3, 1, 0, 0], [1, -1, 0, 0], params, grid=grid)
+    back = nd.encodes_causality_test(grid, [3, 1, 0, 0], [1, -1, 0, 0])
     assert back.result.estimate == res.estimate
     # a spacelike pair's surplus zigzags collapse and are merged away; the
     # refined length approaches the continuum distance |dx| from above
-    far = nd.encodes_causality_test(st, tau, [1, -1, 0, 0], [1, 1, 0.5, 0], params, grid=grid)
+    far = nd.encodes_causality_test(grid, [1, -1, 0, 0], [1, 1, 0.5, 0])
     assert far.verdict is EncodesVerdict.SPACELIKE_AND_STRICT
     far.result.witness.validate()
     assert far.result.lattice_estimate == 2.5
@@ -283,9 +284,11 @@ def test_encodes_verdict_conformal_invariance():
     params = GridParams(box=box, h=0.1)
     st1 = nd.builtin("upper_half_minkowski", dim=2)
     st2 = nd.builtin("conformal", base="upper_half_minkowski", dim=2, factor=2.0)
+    g1 = nd.build_grid(st1, nd.coordinate_time(st1), params.box, params.h, params.stencil)
+    g2 = nd.build_grid(st2, nd.coordinate_time(st2), params.box, params.h, params.stencil)
     for p, q in ([[0.5, 0.0], [1.5, 0.5]], [[0.5, -0.9], [0.5, 0.9]]):
-        r1 = nd.encodes_causality_test(st1, nd.coordinate_time(st1), p, q, params)
-        r2 = nd.encodes_causality_test(st2, nd.coordinate_time(st2), p, q, params)
+        r1 = nd.encodes_causality_test(g1, p, q)
+        r2 = nd.encodes_causality_test(g2, p, q)
         assert r1.verdict == r2.verdict
         assert r1.result.estimate == r2.result.estimate
 
@@ -293,7 +296,8 @@ def test_encodes_verdict_conformal_invariance():
 def test_ball_examples():
     st, tau = mink()
     params = GridParams(box=((-1.3, 1.3), (-1.3, 1.3)), h=0.05)
-    rows = nd.ball_boundary_sample(st, tau, [0.0, 0.0], 1.0, 8, params)
+    grid = nd.build_grid(st, tau, params.box, params.h, params.stencil)
+    rows = nd.ball_boundary_sample(grid, [0.0, 0.0], 1.0, 8)
     h = 0.05
     by_dir = {tuple(np.round(r[:2], 6)): r[2:] for r in rows}
     top = by_dir[(1.0, 0.0)]
@@ -307,5 +311,6 @@ def test_ball_examples():
 def test_ball_exits_grid():
     st, tau = mink()
     params = GridParams(box=((-0.3, 0.3), (-0.3, 0.3)), h=0.05)
+    grid = nd.build_grid(st, tau, params.box, params.h, params.stencil)
     with pytest.raises(BallExitsGrid):
-        nd.ball_boundary_sample(st, tau, [0.0, 0.0], 1.0, 4, params)
+        nd.ball_boundary_sample(grid, [0.0, 0.0], 1.0, 4)

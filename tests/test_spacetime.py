@@ -99,6 +99,20 @@ def test_builtin_unknown_and_conformal():
         nd.builtin("conformal", base="minkowski", dim=4, factor=-1.0)
 
 
+def test_conformal_base_and_factor_are_checked():
+    # a base spec as a dict is the scene's to convert (scene._build_spacetime)
+    spec = {"name": "minkowski"}
+    with pytest.raises(UnknownName, match="base="):
+        nd.builtin("conformal", dim=2, base=spec, factor=2.0)
+    assert spec == {"name": "minkowski"}
+    with pytest.raises(UnknownName, match="base="):
+        nd.builtin("conformal", dim=2, factor=2.0)
+    with pytest.raises(UnknownName, match="factor="):
+        nd.builtin("conformal", dim=2, base="minkowski")
+    st = nd.builtin("conformal", dim=2, base=nd.builtin("minkowski", dim=2), factor=2.0)
+    assert st.dim == 2 and st.metric_at([0.0, 0.0])[1, 1] == 4.0
+
+
 def _domain_samples(st, rng, n):
     pts = []
     while len(pts) < n:
