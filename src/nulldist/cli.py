@@ -52,7 +52,6 @@ from .timefn import (
 )
 
 CSV_ROWS = 4096  # rows formatted per write, so the text of a large CSV is never held whole
-POINT_FLAGS = ("--p", "--q", "--center", "--region")  # values may start with a minus sign
 
 
 def _round12(obj):
@@ -570,12 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _attach_point_values(argv):
-    """``--p -0.5,0.25`` -> ``--p=-0.5,0.25``: argparse reads a separate value
-    that starts with a minus sign, and is not one plain number, as an option."""
+def _attach_negative_values(argv):
+    """``--tol -1e-9`` -> ``--tol=-1e-9`` after every flag that takes a value
+    (all but --help and --version): argparse reads a separate value that
+    starts with a minus sign, and is not one plain number, as an option."""
     out = []
     for arg in argv:
-        if out and out[-1] in POINT_FLAGS and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789.":
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and out[-1] not in ("--", "--help", "--version")
+                and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -584,7 +586,7 @@ def _attach_point_values(argv):
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
+    args = ap.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (SceneError, UnknownName, FileNotFoundError) as exc:

@@ -90,8 +90,11 @@ class Scene:
         st.setdefault("params", {})
         time_spec = dict(data.get("time", {"kind": "coordinate"}))
         _check_keys(time_spec, {"kind", "scale", "offset"}, "scene.time")
-        if time_spec.get("kind", "coordinate") not in _TIME_KINDS:
-            raise SceneError(f"unknown time kind {time_spec.get('kind')!r}")
+        kind = time_spec.get("kind", "coordinate")
+        if kind not in _TIME_KINDS:
+            raise SceneError(f"unknown time kind {kind!r}")
+        if kind != "affine" and {"scale", "offset"} & set(time_spec):
+            raise SceneError(f"scene.time scale and offset need kind 'affine', not {kind!r}")
         if "offset" in time_spec:
             _number(time_spec["offset"], "scene.time.offset")
         if "scale" in time_spec and _number(time_spec["scale"], "scene.time.scale") <= 0:

@@ -497,9 +497,11 @@ def builtin(name: str, **params) -> Spacetime:
     Names: minkowski, upper_half_minkowski, missing_ray, warped_product
     (f(t) = slope*t + offset), conformal (base= spacetime or name, factor=
     positive constant or callable on coordinate batches).  Raises
-    UnknownName for an unknown name, a parameter the name does not take, or
-    a conformal base or factor that is missing or of another kind.
+    UnknownName for an unknown name, a parameter the name does not take, a
+    conformal base or factor that is missing or of another kind, or a dim=
+    that differs from a conformal base spacetime's.
     """
+    dim_given = "dim" in params
     dim = int(params.pop("dim", 4))
     if name == "minkowski":
         st = _make_minkowski(dim)
@@ -518,6 +520,8 @@ def builtin(name: str, **params) -> Spacetime:
         if not isinstance(base, Spacetime):
             raise UnknownName(f"conformal base= must be a spacetime or a spacetime name, "
                               f"got {base!r}")
+        if dim_given and dim != base.dim:
+            raise UnknownName(f"conformal dim={dim} is not the dimension {base.dim} of its base=")
         if "factor" not in params:
             raise UnknownName("conformal factor= is missing")
         st = _make_conformal(base, params.pop("factor"))

@@ -1,7 +1,7 @@
 """Time functions: evaluation, numeric cosmological time, anti-Lipschitz checks.
 
 A TimeFunction is a scalar field, given by one batch evaluator, with
-declared claims (generalized, anti-Lipschitz, proper, cosmological).
+declared claims (anti-Lipschitz, proper, cosmological).
 Claims are declarations, not inferences: properness in particular cannot be
 decided from samples, so it is carried as metadata and only heuristically
 spot-checked.
@@ -10,7 +10,7 @@ spot-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ INTEGRAL_ROWS = 16384  # metric evaluations per chunk of the boundary length int
 
 @dataclass(frozen=True)
 class TimeClaims:
-    generalized: bool = True
     anti_lipschitz: bool = False
     proper: bool = False
     cosmological: bool = False
@@ -33,7 +32,7 @@ class TimeClaims:
 
 @dataclass(frozen=True, eq=False)
 class TimeFunction:
-    """Batch evaluator with claim flags and the supremum of its range.
+    """Batch evaluator with claim flags.
 
     ``batch`` maps an (m, dim) coordinate array to the m values of tau and is
     the only evaluator: ``tau(p)`` is the batch of one, so scalar and batch
@@ -43,7 +42,6 @@ class TimeFunction:
     batch: Callable[[np.ndarray], np.ndarray]
     claims: TimeClaims
     name: str = "tau"
-    range_sup: float = math.inf
 
     def __call__(self, coords) -> float:
         if hasattr(coords, "coords"):
@@ -51,50 +49,50 @@ class TimeFunction:
         return float(self.batch(np.asarray(coords, dtype=float)[None, :])[0])
 
 
-def coordinate_time(st: Spacetime) -> TimeFunction:
-    """tau(p) = coordinate 0 of p, with claims set per spacetime.
+def _t_claims(spec: dict) -> TimeClaims:
+    """The claims of tau = t on a built-in, given as its params plus its
+    name (the shape of a conformal spacetime's ``params["base"]``).
 
-    Coordinate time is the cosmological time of the upper-half, missing-ray
-    and warped examples; it is proper only on upper-half-type boxes (the
-    missing-ray domain has noncompact level sets near the removed ray).
+    t is cosmological exactly where ``cosmological_time_analytic`` is t, and
+    proper only on upper-half-type domains (the missing-ray level sets are
+    noncompact near the ray).  A conformal spacetime keeps its base's claims,
+    its cosmological time scaled by the factor; other names claim nothing.
     """
-    claims_by_name = {
-        "minkowski": TimeClaims(True, True, False, False),
-        "upper_half_minkowski": TimeClaims(True, True, True, True),
-        "missing_ray": TimeClaims(True, True, False, True),
-        "warped_product": TimeClaims(True, True, True, True),
-    }
-    if st.name == "conformal":
-        factor = st.params.get("factor")
-        cosmo = factor == 1.0
-        claims = TimeClaims(True, True, False, cosmo)
-    else:
-        claims = claims_by_name.get(st.name, TimeClaims(True, False, False, False))
+    name = spec.get("name")
+    if name == "conformal":
+        base = _t_claims(spec.get("base", {}))
+        return replace(base, cosmological=base.cosmological and spec.get("factor") == 1.0)
+    if name == "warped_product":
+        return TimeClaims(True, True, spec.get("slope") == 1.0 and spec.get("offset") == 0.0)
+    return TimeClaims(*{
+        "minkowski": (True, False, False),
+        "upper_half_minkowski": (True, True, True),
+        "missing_ray": (True, False, True),
+    }.get(name, ()))
+
+
+def coordinate_time(st: Spacetime) -> TimeFunction:
+    """tau(p) = coordinate 0 of p, with the claims of tau = t on ``st``."""
     return TimeFunction(
         batch=lambda pts: pts[:, 0].copy(),
-        claims=claims, name="t",
+        claims=_t_claims(st.params | {"name": st.name}), name="t",
     )
 
 
 def cubed_time(st: Spacetime) -> TimeFunction:
     """tau(p) = t^3; strictly increasing but not anti-Lipschitz across t=0."""
-    return TimeFunction(
-        batch=lambda pts: pts[:, 0] ** 3,
-        claims=TimeClaims(generalized=True, anti_lipschitz=False,
-                          proper=False, cosmological=False),
-        name="t^3",
-    )
+    return TimeFunction(batch=lambda pts: pts[:, 0] ** 3, claims=TimeClaims(), name="t^3")
 
 
 def affine_time(st: Spacetime, scale: float = 1.0, offset: float = 0.0) -> TimeFunction:
-    """tau(p) = scale*t + offset (scale > 0)."""
+    """tau(p) = scale*t + offset (scale > 0): the claims of tau = t on ``st``,
+    cosmological only when tau is t itself."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    cosmo = scale == 1.0 and offset == 0.0 and st.name in (
-        "upper_half_minkowski", "missing_ray", "warped_product")
+    claims = _t_claims(st.params | {"name": st.name})
     return TimeFunction(
         batch=lambda pts: scale * pts[:, 0] + offset,
-        claims=TimeClaims(True, True, False, cosmo),
+        claims=replace(claims, cosmological=claims.cosmological and scale == 1.0 and offset == 0.0),
         name=f"{scale:g}*t+{offset:g}",
     )
 

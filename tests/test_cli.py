@@ -130,6 +130,8 @@ def test_malformed_scene_exit_2(tmp_path, capsys):
     ("spacetime", None, {"name": "conformal", "params": {"base": "minkowski",
                                                          "factor": "callable"}}),
     ("spacetime", None, {"name": "conformal", "params": {"base": 3, "factor": 2.0}}),
+    ("time", None, {"kind": "coordinate", "scale": 5}),
+    ("time", None, {"kind": "cubed", "offset": 3}),
 ])
 def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     data = json.loads(json.dumps(MINK2))
@@ -212,6 +214,10 @@ def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     ("--tol", ["isometry", "SCENE", "SCENE", "--tol=-1e-9"], None),
     ("--tol", ["isometry", "SCENE", "SCENE", "--tol", "inf"], None),
     ("--seed", ["isometry", "SCENE", "SCENE", "--seed", "-1"], None),
+    ("--tol", ["isometry", "SCENE", "SCENE", "--tol", "-1e-9"], None),
+    ("--h", ["cosmo-time", "SCENE", "--h", "-1e-3"], None),
+    ("--eps", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE", "--eps", "-1e-3"],
+     "[[0.8, 0.1]]"),
 ])
 def test_malformed_flag_values_exit_2(flag, argv, content, scene_file, tmp_path, capsys):
     path = tmp_path / "input.json"

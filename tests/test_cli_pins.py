@@ -39,12 +39,15 @@ SHIFT_A = dict(MINK2, grid={"box": [[0.0, 1.0], [-0.5, 0.5]], "h": 0.1})
 SHIFT_B = dict(MINK2, grid={"box": [[0.0, 1.0], [0.0, 1.0]], "h": 0.1})
 UPPER3 = dict(MINK3, spacetime={"name": "upper_half_minkowski", "params": {}},
               grid={"box": [[0.1, 0.9], [-0.4, 0.4], [-0.4, 0.4]], "h": 0.1})
+UPPER2_AFFINE = dict(UPPER2, time={"kind": "affine", "scale": 2.0, "offset": 0.5})
 SCENES = {"mink2": MINK2, "ball2": BALL2, "upper2": UPPER2, "conf2": CONF2,
+          "upper2_affine": UPPER2_AFFINE,
           "shift_a": SHIFT_A, "shift_b": SHIFT_B, "mink3": MINK3, "upper3": UPPER3}
 PAIRS = {
     "pairs2": [[[0, 0], [0.2, 0.1]], [[0, 0], [0, 1]], [[0.1, 0.5], [-0.1, 0.3]],
                [[0, 0], [0, 0.15]]],
     "pairs3": [[[0, 0, 0], [0.4, 0.2, -0.2]], [[0.2, -0.2, -0.1], [0.2, 0.2, 0.2]]],
+    "pairs_upper2": [[[0.2, 0], [0.6, 0.3]], [[0.5, -0.2], [0.5, 0.2]]],
 }
 
 # argv with scene names and pair-file names as placeholders; OUT and CSV are
@@ -71,6 +74,10 @@ CASES = {
                "--out", "OUT"],
     "encode-test-2": ["encode-test", "mink2", "--pairs", "pairs2", "--out", "OUT"],
     "encode-test-3": ["encode-test", "mink3", "--pairs", "pairs3", "--out", "OUT"],
+    "encode-test-2-affine": ["encode-test", "upper2_affine", "--pairs", "pairs_upper2",
+                             "--out", "OUT"],
+    "encode-test-2-conformal": ["encode-test", "conf2", "--pairs", "pairs_upper2",
+                                "--out", "OUT"],
     "isometry-2": ["isometry", "upper2", "conf2", "--n-pairs", "12", "--seed", "5",
                    "--out", "OUT"],
     "isometry-2-translate": ["isometry", "shift_a", "shift_b", "--map", "translate:0,0.5",
@@ -361,6 +368,86 @@ dir0,dir1,dir2,x0,x1,x2
       "reachable": false,
       "tol_eq": 0.6,
       "verdict": "SpacelikeAndStrict"
+    }
+  ]
+}
+""",
+    'encode-test-2-affine': """\
+{
+  "verdicts": [
+    {
+      "estimate": 0.8,
+      "lattice_estimate": 0.8,
+      "lower_bound": 0.8,
+      "p": [
+        0.2,
+        0.0
+      ],
+      "properness_claimed": true,
+      "q": [
+        0.6,
+        0.3
+      ],
+      "reachable": true,
+      "tol_eq": 0.6,
+      "verdict": "CausalAndEqual"
+    },
+    {
+      "estimate": 0.8,
+      "lattice_estimate": 0.8,
+      "lower_bound": 0.0,
+      "p": [
+        0.5,
+        -0.2
+      ],
+      "properness_claimed": true,
+      "q": [
+        0.5,
+        0.2
+      ],
+      "reachable": false,
+      "tol_eq": 0.6,
+      "verdict": "SpacelikeAndStrict"
+    }
+  ]
+}
+""",
+    'encode-test-2-conformal': """\
+{
+  "verdicts": [
+    {
+      "estimate": 0.4,
+      "lattice_estimate": 0.4,
+      "lower_bound": 0.4,
+      "p": [
+        0.2,
+        0.0
+      ],
+      "properness_claimed": true,
+      "q": [
+        0.6,
+        0.3
+      ],
+      "reachable": true,
+      "tol_eq": 0.6,
+      "verdict": "CausalAndEqual"
+    },
+    {
+      "estimate": 0.4,
+      "lattice_estimate": 0.4,
+      "lower_bound": 0.0,
+      "p": [
+        0.5,
+        -0.2
+      ],
+      "properness_claimed": true,
+      "q": [
+        0.5,
+        0.2
+      ],
+      "reachable": false,
+      "tol_eq": 0.6,
+      "verdict": "Violation(MissingCausal)"
     }
   ]
 }

@@ -111,6 +111,10 @@ def test_conformal_base_and_factor_are_checked():
         nd.builtin("conformal", dim=2, base="minkowski")
     st = nd.builtin("conformal", dim=2, base=nd.builtin("minkowski", dim=2), factor=2.0)
     assert st.dim == 2 and st.metric_at([0.0, 0.0])[1, 1] == 4.0
+    # dim= must agree with a base spacetime's dimension, or be left out
+    with pytest.raises(UnknownName, match="dim=2 .*base="):
+        nd.builtin("conformal", dim=2, base=nd.builtin("minkowski"), factor=2.0)
+    assert nd.builtin("conformal", base=nd.builtin("minkowski", dim=3), factor=2.0).dim == 3
 
 
 def _domain_samples(st, rng, n):

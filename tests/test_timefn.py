@@ -1,13 +1,14 @@
 """Time functions: evaluation, numeric cosmological time, anti-Lipschitz."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nulldist as nd
 from nulldist.errors import NoCausalPairs
-from nulldist.timefn import affine_time
+from nulldist.timefn import TimeClaims, affine_time
 
 
 def test_coordinate_time_values():
@@ -16,9 +17,54 @@ def test_coordinate_time_values():
     assert tau([1.5, 2.0, 0.0, 0.0]) == 1.5
     st2 = nd.builtin("missing_ray", dim=4)
     assert nd.coordinate_time(st2)([1.0, -1.0, 0.0, 0.0]) == 1.0
-    assert tau.claims.generalized and tau.claims.anti_lipschitz
+    assert tau.claims.anti_lipschitz
     assert tau.claims.proper and tau.claims.cosmological
     assert not nd.coordinate_time(st2).claims.proper  # level sets pinch at the ray
+
+
+T, F = True, False
+# (anti_lipschitz, proper, cosmological) of tau = t on each base spacetime
+BASES = {
+    "minkowski": (T, F, F),
+    "upper_half_minkowski": (T, T, T),
+    "missing_ray": (T, F, T),
+    "warped_product": (T, T, T),
+    "warped_offset": (T, T, F),
+    "hand_built": (F, F, F),
+}
+
+
+def _base(name):
+    if name == "warped_offset":
+        return nd.builtin("warped_product", dim=3, offset=0.5)
+    if name == "hand_built":  # a name that is not a built-in claims nothing
+        st = nd.builtin("upper_half_minkowski", dim=3)
+        return nd.Spacetime(dim=3, name=name, metric_batch=st.metric_batch,
+                            domain_batch=st.domain_batch)
+    return nd.builtin(name, dim=3)
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("factor", [None, 1.0, 2.0, lambda pts: 1.0 + 0.1 * pts[:, 0] ** 2],
+                         ids=["bare", "factor1", "factor2", "callable"])
+def test_time_claims_of_t(base, factor):
+    """coordinate_time and affine_time claim the same for tau = t: the claims
+    table, with cosmological exactly where the analytic cosmological time is t."""
+    st = _base(base)
+    anti_lipschitz, proper, cosmological = BASES[base]
+    if factor is not None:
+        st = nd.builtin("conformal", base=st, factor=factor)
+        cosmological = cosmological and factor == 1.0
+    want = TimeClaims(anti_lipschitz=anti_lipschitz, proper=proper, cosmological=cosmological)
+    tau, aff = nd.coordinate_time(st), affine_time(st)
+    assert tau.claims == want
+    assert aff.claims == tau.claims
+    pts = np.random.default_rng(3).uniform([0.3, -2.0, -2.0], [2.8, 2.0, 2.0], size=(64, 3))
+    assert np.all(aff.batch(pts) == tau.batch(pts))
+    analytic = st.cosmological_time_analytic
+    assert cosmological == (analytic is not None and bool(np.all(analytic(pts) == pts[:, 0])))
+    for a, b in ((2.0, 0.0), (1.0, 0.5)):
+        assert affine_time(st, a, b).claims == replace(want, cosmological=False)
 
 
 def test_cubed_time_values():
@@ -102,7 +148,6 @@ def test_cosmological_claim_range():
     st, tau, grid = upper_grid()
     assert tau.claims.cosmological
     assert np.all(grid.tau_values > 0.0)
-    assert np.all(grid.tau_values < tau.range_sup)
 
 
 def test_anti_lipschitz_minkowski_cone_constant():
