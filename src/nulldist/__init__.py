@@ -7,13 +7,10 @@ from .spacetime import (
     BallExcision,
     CausalCharacter,
     CausalKind,
-    Event,
     HalfLine,
     MetricForm,
     Spacetime,
-    TangentVector,
     TimeSense,
-    as_event,
     builtin,
     causal_character,
     metric_eval,

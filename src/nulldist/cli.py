@@ -29,7 +29,7 @@ from .curves import (
     null_length,
 )
 from .errors import NoConvergence, NullDistError, SceneError, UnknownName
-from .grid import build_grid, reach, shortest_null_path
+from .grid import box_bounds, build_grid, reach, shortest_null_path
 from .isometry import (
     PointMap,
     assess_conformal,
@@ -121,8 +121,11 @@ def _parse_point(text: str, flag: str, dim: int) -> np.ndarray:
 
 def _parse_region(text: str, dim: int) -> tuple:
     region = tuple(tuple(_parse_point(pair, "--region", 2)) for pair in text.split(";"))
-    if len(region) != dim:
-        raise SceneError(f"--region must be {dim} semicolon-separated lo,hi pairs, got {text!r}")
+    try:
+        box_bounds(region, dim)
+    except ValueError:
+        raise SceneError(f"--region must be {dim} semicolon-separated lo,hi pairs "
+                         f"with lo <= hi, got {text!r}") from None
     return region
 
 

@@ -18,11 +18,12 @@ from .errors import BallExitsGrid, InvalidSegment, NodeNotInGrid, SamePoint
 from .grid import (
     CausalGrid,
     axis_corner_directions,
+    box_bounds,
     null_distances_from,
     reach,
     shortest_null_path,
 )
-from .spacetime import NULL_TOL, LightCone, Spacetime
+from .spacetime import NULL_TOL, LightCone, Spacetime, as_point
 
 
 class SegmentSense(Enum):
@@ -45,6 +46,8 @@ class PiecewiseCausalCurve:
             raise ValueError("need at least two vertices")
         if len(self.senses) != v.shape[0] - 1:
             raise ValueError("need one sense per segment")
+        for row in v:
+            as_point(row, self.st.dim)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "senses", tuple(self.senses))
 
@@ -232,10 +235,10 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float, b
     minimizes it with the endpoints fixed, each segment strictly inside its
     cone at the midpoint (slack REFINE_CAUSAL_SLACK, so the result survives
     validate() after rounding), at least REFINE_CLEARANCE * h from every
-    excision, and every vertex inside ``box``, one (lo, hi) pair per axis as
-    in GridParams.box.  Zigzags that the optimum does not need shrink to
-    near-zero length; segments shorter than REFINE_MERGE * h are then
-    merged into their successor.
+    excision, and every vertex inside ``box``, which must pass box_bounds.
+    Zigzags that the optimum does not need shrink to near-zero length;
+    segments shorter than REFINE_MERGE * h are then merged into their
+    successor.
 
     Returns ``(refined_curve, null_length)`` only for a certified result:
     the endpoints are those of ``curve``, validate() passes, every segment
@@ -246,6 +249,7 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float, b
     from scipy.optimize import minimize
 
     st = curve.st
+    lo, hi = box_bounds(box, st.dim)
     moving = [s is not SegmentSense.DEGENERATE for s in curve.senses]
     verts = curve.vertices[[True] + moving]
     senses = tuple(s for s, m in zip(curve.senses, moving) if m)
@@ -277,7 +281,7 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float, b
     cons = [{"type": "ineq", "fun": in_cone}]
     if st.excisions:
         cons.append({"type": "ineq", "fun": clear})
-    bounds = [tuple(map(float, box[a])) for a in range(dim)] * (len(senses) - 1)
+    bounds = list(zip(lo.tolist(), hi.tolist())) * (len(senses) - 1)
     res = minimize(null_len, verts[1:-1].ravel(), method="SLSQP", bounds=bounds,
                    constraints=cons, options={"maxiter": 200, "ftol": 1e-10})
 

@@ -6,7 +6,7 @@ class NullDistError(Exception):
 
 
 class OutOfDomain(NullDistError):
-    """Event lies outside the spacetime's domain or inside an excision."""
+    """An event lies outside the spacetime's domain or inside an excision."""
 
 
 class ZeroVector(NullDistError):

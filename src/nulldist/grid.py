@@ -83,6 +83,23 @@ class GridParams:
         return np.array([b[1] for b in self.box], dtype=float)
 
 
+def box_bounds(box, dim: int):
+    """(lo, hi) arrays of ``box``, one (lo, hi) pair per axis of a
+    ``dim``-dimensional spacetime; raises ValueError unless it holds ``dim``
+    finite pairs with lo <= hi (lo == hi is a legal, flat axis)."""
+    b = np.array(box, dtype=float)
+    if b.ndim != 2 or b.shape[1] != 2:
+        raise ValueError(f"region must be a list of (lo, hi) pairs, got {box!r}")
+    if b.shape[0] != dim:
+        raise ValueError(f"region dimension {b.shape[0]} != spacetime dimension {dim}")
+    bad = ~(np.isfinite(b).all(axis=1) & (b[:, 0] <= b[:, 1]))
+    if bad.any():
+        axis = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"region pair {b[axis].tolist()} on axis {axis} is not "
+                         f"finite with lo <= hi")
+    return b[:, 0], b[:, 1]
+
+
 @dataclass(frozen=True, eq=False)
 class ReachSet:
     origin: int
@@ -192,18 +209,17 @@ def build_grid(st: Spacetime, tau, box, h: float,
     decided by the metric at the segment midpoint.  When
     ``st.constant_metric`` declares the metric the same everywhere, the cones
     of all stencil offsets are decided in one batch before any pairing, and
-    only the causal offsets are paired.  Raises
-    NonFiniteValue if ``tau`` at a node or the metric at a candidate midpoint
-    is NaN or inf, and NoCausalEdges if no causal edge survives.
+    only the causal offsets are paired.  Raises ValueError unless h is
+    finite and positive and ``box`` passes box_bounds, NonFiniteValue if
+    ``tau`` at a node or the metric at a candidate midpoint is NaN or inf,
+    and NoCausalEdges if no causal edge survives.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     stencil = stencil or StencilSpec()
-    params = GridParams(tuple((float(a), float(b)) for a, b in box), float(h), stencil)
-    lo, hi = params.lo(), params.hi()
     dim = st.dim
-    if lo.shape[0] != dim:
-        raise ValueError(f"box dimension {lo.shape[0]} != spacetime dimension {dim}")
+    lo, hi = box_bounds(box, dim)
+    params = GridParams(tuple(zip(lo.tolist(), hi.tolist())), float(h), stencil)
     shape = np.floor((hi - lo) / h + 1e-9).astype(np.int64) + 1
     total = int(np.prod(shape))
     if total > MAX_NODES:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MapLeavesGrid, NodeNotInGrid, NonPositivePhi, SingularJacobian
-from .grid import CausalGrid, null_distances_from
+from .grid import CausalGrid, box_bounds, null_distances_from
 from .spacetime import NULL_TOL, LightCone, Spacetime
 
 
@@ -241,19 +241,6 @@ class CoareaResult:
     n_cells: int
 
 
-def _region_bounds(region, dim: int, h: float):
-    """(lo, hi) of ``region``; raises ValueError unless it holds ``dim`` finite
-    lo <= hi pairs and h is finite and positive."""
-    region = tuple((float(a), float(b)) for a, b in region)
-    lo = np.array([r[0] for r in region])
-    hi = np.array([r[1] for r in region])
-    if len(region) != dim or not (np.all(np.isfinite(region)) and np.all(lo <= hi)):
-        raise ValueError(f"region must be {dim} finite lo <= hi pairs, got {region}")
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and positive, got {h!r}")
-    return lo, hi
-
-
 def coarea_volume_compare(st1: Spacetime, phi, region, h: float,
                           tol: float = 1e-3) -> CoareaResult:
     """Midpoint sums of phi^n and phi^{n-1} against the volume element of g1.
@@ -267,7 +254,9 @@ def coarea_volume_compare(st1: Spacetime, phi, region, h: float,
     ``st1`` and h is finite and positive.
     """
     dim = st1.dim
-    lo, hi = _region_bounds(region, dim, h)
+    lo, hi = box_bounds(region, dim)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     n = dim - 1
     counts = np.maximum(1, np.rint((hi - lo) / h)).astype(int)
     axes = [lo[a] + (np.arange(counts[a]) + 0.5) * (hi[a] - lo[a]) / counts[a]
@@ -317,7 +306,9 @@ def assess_conformal(pmap: PointMap, st1: Spacetime, st2: Spacetime,
     statement's hypotheses require n >= 2 and no counterexample either way is
     known below that.
     """
-    lo, hi = _region_bounds(region, st1.dim, h)
+    lo, hi = box_bounds(region, st1.dim)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     rng = np.random.default_rng(seed)
     pts = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(n_samples, st1.dim))
     phis, disp = conformal_factors(pmap, st1, st2, pts)

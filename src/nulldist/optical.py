@@ -19,7 +19,7 @@ from . import _kernels
 from .errors import LeftDomain, NoConvergence, NullDistError, OnAxisDegenerate
 from .grid import CausalGrid, StencilSpec, axis_corner_directions, offset_pairs, reach
 from .shooting import _rk4_step, _shoot_state, christoffels
-from .spacetime import MetricForm, Spacetime, TimeSense, as_event
+from .spacetime import MetricForm, Spacetime, TimeSense, as_point
 
 SHOOT_CHUNK = 128  # rows per batched shot; bounds the RK4 temporaries
 
@@ -136,8 +136,7 @@ def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
     for name, value in (("eps", eps), ("shoot_step", shoot_step)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    p = as_event(p)
-    coords = p.coords
+    coords = as_point(p, st.dim)
     if not st.domain_contains(coords):
         raise LeftDomain(0.0)
     g = st.metric_at(coords)
@@ -210,7 +209,7 @@ def _probe_domain_radius(chart: NullChart) -> float:
 
 
 def chart_forward(chart: NullChart, t: float, x) -> np.ndarray:
-    """Event reached by the null geodesic fired from axis time t with
+    """The event reached by the null geodesic fired from axis time t with
     transverse chart coordinates x."""
     out, errors = _forward_batch(chart, [t], np.atleast_1d(np.asarray(x, dtype=float))[None])
     if errors[0] is not None:
@@ -262,7 +261,7 @@ def chart_inverse(chart: NullChart, q, tol: float = 1e-10,
                   seed: Optional[tuple] = None) -> OpticalValue:
     """Damped Newton inversion of chart_forward at the event q: the one-row
     case of chart_inverse_batch, raising its NoConvergence."""
-    val = chart_inverse_batch(chart, [_chart_point(chart, q)], tol,
+    val = chart_inverse_batch(chart, [as_point(q, chart.st.dim)], tol,
                               None if seed is None else [seed])[0]
     if isinstance(val, NoConvergence):
         raise val
@@ -278,29 +277,21 @@ def chart_inverse_batch(chart: NullChart, Q, tol: float = 1e-10, seeds=None) -> 
     nearest image first; rows left unsolved then try the 24 coarse multistart
     seeds nearest them.  All solves run in lockstep.  On-axis events without
     a seed (radial part below tolerance) return omega by projection onto the
-    axis with direction undefined.  A row with a non-finite coordinate
-    raises ValueError before any solve.
+    axis with direction undefined.  A row that is not a finite point raises
+    ValueError before any solve.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (0,) and (Q.ndim != 2 or Q.shape[1] != chart.st.dim):
         raise ValueError(f"Q must be an (m, {chart.st.dim}) array of points, got shape {Q.shape}")
     if len(Q) == 0:
         return []
-    if not np.isfinite(Q).all():  # as chart_inverse raises on such a row
-        raise ValueError("event coordinates must be a finite 1-d vector")
+    for q in Q:
+        as_point(q, chart.st.dim)
     results, scale = _solve_candidates(chart, Q, tol, seeds)
     rows = [r for r, res in enumerate(results) if res is None]
     for r, res in zip(rows, _multistart(chart, Q[rows], tol, scale[rows])):
         results[r] = res
     return [_optical_value(chart, q, res) for q, res in zip(Q, results)]
-
-
-def _chart_point(chart: NullChart, q) -> np.ndarray:
-    """The coordinates of the event q, which must have the chart's dimension."""
-    coords = as_event(q).coords
-    if coords.shape != (chart.st.dim,):
-        raise ValueError(f"event dimension {coords.size} != spacetime dimension {chart.st.dim}")
-    return coords
 
 
 def _solve_candidates(chart: NullChart, Q: np.ndarray, tol: float, seeds):
@@ -600,7 +591,7 @@ def _g_R_entries(chart: NullChart, Q: np.ndarray, vals) -> np.ndarray:
 
 def g_R_eval(chart: NullChart, q, val: Optional[OpticalValue] = None) -> MetricForm:
     """Riemannian metric 2|g(X,X)|^{-1} g(X,.)g(X,.) + g at q."""
-    q = _chart_point(chart, q)
+    q = as_point(q, chart.st.dim)
     if val is None:
         val = chart_inverse(chart, q)
     return MetricForm(_g_R_entries(chart, q[None], [val])[0])
@@ -614,7 +605,7 @@ def grad_norm_omega(chart: NullChart, q, val: Optional[OpticalValue] = None) -> 
     below 2 wherever |g(X,X)| > 1/2; a value of 2 or more raises.  ``val``
     is q's chart value if the caller has already inverted q.
     """
-    q = _chart_point(chart, q)
+    q = as_point(q, chart.st.dim)
     if val is None:
         val = chart_inverse(chart, q)
     axis_band = 1e-5 * max(1.0, chart.eps)

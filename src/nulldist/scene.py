@@ -116,6 +116,9 @@ class Scene:
             if _number(grid_spec["h"], "scene.grid.h") <= 0:
                 raise SceneError(f"scene.grid.h must be positive, got {grid_spec['h']!r}")
             _positive_int(grid_spec.get("stencil_radius", 2), "scene.grid.stencil_radius")
+            if not isinstance(grid_spec.get("include_null_exact", True), bool):
+                raise SceneError(f"scene.grid.include_null_exact must be true or false, "
+                                 f"got {grid_spec['include_null_exact']!r}")
         return Scene(dim=dim, spacetime_spec=st, time_spec=time_spec, grid_spec=grid_spec)
 
     @staticmethod
@@ -172,7 +175,7 @@ class Scene:
         radius = stencil_radius if stencil_radius is not None else int(
             self.grid_spec.get("stencil_radius", 2))
         stencil = StencilSpec(radius=radius,
-                              include_null_exact=bool(self.grid_spec.get("include_null_exact", True)))
+                              include_null_exact=self.grid_spec.get("include_null_exact", True))
         return GridParams(box=tuple(tuple(b) for b in self.grid_spec["box"]),
                           h=float(h if h is not None else self.grid_spec["h"]),
                           stencil=stencil)

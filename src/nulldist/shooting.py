@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import LeftDomain, StepTooLarge
-from .spacetime import Spacetime, as_event
+from .spacetime import Spacetime, as_point
 
 NULL_DRIFT_TOL = 1e-6  # relative bound on |g(u,u)| along null shots
 
@@ -107,18 +107,18 @@ def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
     return x_end, u_end, errors, drift
 
 
-def geodesic_shoot(st: Spacetime, p, v, s: float, step: float = 0.05):
-    """Exponential-map point exp_p(s*v) by fourth-order Runge-Kutta.
+def geodesic_shoot(st: Spacetime, p, v, s: float, step: float = 0.05) -> np.ndarray:
+    """Exponential-map point exp_p(s*v) by fourth-order Runge-Kutta, as a
+    (dim,) array.
 
     Null initial data is detected automatically and the |g(u,u)| constraint
     is monitored along the trajectory.
     """
-    p = as_event(p)
-    vv = np.asarray(v.components if hasattr(v, "components") else v, dtype=float)
-    g = st.metric_at(p.coords)
-    q0 = abs(float(vv @ g @ vv))
-    monitor = q0 <= NULL_DRIFT_TOL * float(vv @ vv)
-    x, _, errors, _ = _shoot_state(st, p.coords[None], vv[None], s, step, monitor)
+    p, v = as_point(p, st.dim), as_point(v, st.dim)
+    g = st.metric_at(p)
+    q0 = abs(float(v @ g @ v))
+    monitor = q0 <= NULL_DRIFT_TOL * float(v @ v)
+    x, _, errors, _ = _shoot_state(st, p[None], v[None], s, step, monitor)
     if errors[0] is not None:
         raise errors[0]
-    return as_event(x[0])
+    return x[0]

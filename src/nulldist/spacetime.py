@@ -35,39 +35,15 @@ NULL_TOL = 1e-9  # relative tolerance for the null classification band
 # basic value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Event:
-    """A point of the spacetime in chart coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ValueError("event coordinates must be a finite 1-d vector")
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-
-def as_event(p) -> Event:
-    return p if isinstance(p, Event) else Event(np.asarray(p, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A vector attached to a base event."""
-
-    base: Event
-    components: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.components, dtype=float)
-        if v.shape != self.base.coords.shape:
-            raise ValueError("tangent components must match the base dimension")
-        object.__setattr__(self, "components", v)
+def as_point(p, dim: int) -> np.ndarray:
+    """``p`` as a float array, checked to be a finite point (or vector) of a
+    ``dim``-dimensional spacetime; raises ValueError otherwise."""
+    c = np.asarray(p, dtype=float)
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValueError("event coordinates must be a finite 1-d vector")
+    if c.shape[0] != dim:
+        raise ValueError(f"event dimension {c.shape[0]} != spacetime dimension {dim}")
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,10 +268,6 @@ class Spacetime:
         out[:, 0] = 1.0
         return out
 
-    def orientation(self, p) -> TangentVector:
-        p = as_event(p)
-        return TangentVector(p, self.orientation_batch(p.coords[None, :])[0])
-
     def metric_derivatives(self, coords: np.ndarray) -> np.ndarray:
         """d g_{ij} / d x^a at (m, dim) points, indexed [m, a, i, j]: the closed
         form if given, else central differences, step 1e-5 * max(1, max|row|)."""
@@ -313,47 +285,46 @@ class Spacetime:
 
 def metric_eval(st: Spacetime, p) -> MetricForm:
     """Metric at an event; raises OutOfDomain off the region or in an excision."""
-    p = as_event(p)
-    if p.dim != st.dim:
-        raise ValueError(f"event dimension {p.dim} != spacetime dimension {st.dim}")
-    if not st.domain_contains(p.coords):
-        raise OutOfDomain(f"event {p.coords.tolist()} is outside {st.name}")
-    return MetricForm(st.metric_at(p.coords))
+    p = as_point(p, st.dim)
+    if not st.domain_contains(p):
+        raise OutOfDomain(f"event {p.tolist()} is outside {st.name}")
+    return MetricForm(st.metric_at(p))
 
 
-def causal_character(g_p: MetricForm, T_p: TangentVector, v: TangentVector,
-                     tol: float = NULL_TOL) -> CausalCharacter:
-    """Classify v against the cone of g_p, time-oriented by T_p (LightCone's
-    relative null band, so classification is exactly conformally invariant)."""
+def causal_character(st: Spacetime, p, v, tol: float = NULL_TOL) -> CausalCharacter:
+    """Classify the vector v at the event p against the cone of the metric
+    there, time-oriented by ``st.orientation_batch`` (LightCone's relative
+    null band, so classification is exactly conformally invariant)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    vv = np.asarray(v.components, float)
-    if np.all(np.abs(vv) < tol):
+    p = as_point(p, st.dim)
+    g = metric_eval(st, p).entries
+    v = as_point(v, st.dim)
+    if np.all(np.abs(v) < tol):
         raise ZeroVector("all components below tolerance")
-    cone = LightCone(g_p.entries[None], vv[None], v.base.coords[None], tol)
+    cone = LightCone(g[None], v[None], p[None], tol)
     if cone.null[0]:
         kind = CausalKind.NULL
     elif cone.q[0] < 0:
         kind = CausalKind.TIMELIKE
     else:
         return CausalCharacter(CausalKind.SPACELIKE, TimeSense.NONE)
-    s = cone.time_component(T_p.components[None], slice(None))[0]
+    s = cone.time_component(st.orientation_batch(p[None]), slice(None))[0]
     sense = TimeSense.FUTURE if s < 0 else (TimeSense.PAST if s > 0 else TimeSense.NONE)
     return CausalCharacter(kind, sense)
 
 
-def reverse_cs_gap(g_p: MetricForm, u: TangentVector, v: TangentVector,
-                   tol: float = NULL_TOL) -> float:
-    """|g(u,v)| - |u|_g |v|_g, nonnegative (up to tol) for causal pairs."""
-    g = g_p.entries
-    uu = np.asarray(u.components, float)
-    vv = np.asarray(v.components, float)
-    cone = LightCone(np.stack([g, g]), np.stack([uu, vv]),
-                     np.stack([u.base.coords, v.base.coords]), tol)
+def reverse_cs_gap(st: Spacetime, p, u, v, tol: float = NULL_TOL) -> float:
+    """|g(u,v)| - |u|_g |v|_g for the vectors u, v at the event p,
+    nonnegative (up to tol) for causal pairs."""
+    p = as_point(p, st.dim)
+    g = metric_eval(st, p).entries
+    u, v = as_point(u, st.dim), as_point(v, st.dim)
+    cone = LightCone(np.stack([g, g]), np.stack([u, v]), np.stack([p, p]), tol)
     if not np.all(cone.causal):
         raise NotCausal("reverse Cauchy-Schwarz needs causal vectors")
     nu, nv = np.sqrt(np.abs(cone.q))
-    return abs(float(uu @ g @ vv)) - float(nu) * float(nv)
+    return abs(float(u @ g @ v)) - float(nu) * float(nv)
 
 
 # ---------------------------------------------------------------------------

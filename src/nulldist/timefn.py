@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NoCausalPairs
-from .grid import CausalGrid, reach
+from .grid import CausalGrid, box_bounds, reach
 from .spacetime import Spacetime
 
 INTEGRAL_ROWS = 16384  # metric evaluations per chunk of the boundary length integral
@@ -44,8 +44,6 @@ class TimeFunction:
     name: str = "tau"
 
     def __call__(self, coords) -> float:
-        if hasattr(coords, "coords"):
-            coords = coords.coords
         return float(self.batch(np.asarray(coords, dtype=float)[None, :])[0])
 
 
@@ -182,13 +180,11 @@ def check_anti_lipschitz(grid: CausalGrid, region, n_sources: int = 64,
     d_U is the coordinate Euclidean distance; the condition only pins lambda
     up to rescaling, so the report carries the best constant rather than a
     boolean.  Every reachable pair from each sampled source is scored, which
-    guarantees the extremal (null-chain) pairs are seen.
+    guarantees the extremal (null-chain) pairs are seen.  Raises ValueError
+    unless ``region`` passes box_bounds.
     """
-    region = tuple((float(a), float(b)) for a, b in region)
-    if len(region) != grid.st.dim:
-        raise ValueError(f"region dimension {len(region)} != spacetime dimension {grid.st.dim}")
-    lo = np.array([r[0] for r in region])
-    hi = np.array([r[1] for r in region])
+    lo, hi = box_bounds(region, grid.st.dim)
+    region = tuple(zip(lo.tolist(), hi.tolist()))
     inside = np.all((grid.coords >= lo - 1e-12) & (grid.coords <= hi + 1e-12), axis=1)
     candidates = np.flatnonzero(inside)
     if candidates.size == 0:

@@ -132,6 +132,7 @@ def test_malformed_scene_exit_2(tmp_path, capsys):
     ("spacetime", None, {"name": "conformal", "params": {"base": 3, "factor": 2.0}}),
     ("time", None, {"kind": "coordinate", "scale": 5}),
     ("time", None, {"kind": "cubed", "offset": 3}),
+    ("grid", "include_null_exact", "no"),
 ])
 def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     data = json.loads(json.dumps(MINK2))
@@ -218,6 +219,7 @@ def test_malformed_scene_values_exit_2(tmp_path, capsys, key, sub, value):
     ("--h", ["cosmo-time", "SCENE", "--h", "-1e-3"], None),
     ("--eps", ["optical", "SCENE", "--center", "0.5,0", "--queries", "FILE", "--eps", "-1e-3"],
      "[[0.8, 0.1]]"),
+    ("--region", ["check-antilip", "SCENE", "--region", "0.3,-0.3;-0.2,1.2"], None),
 ])
 def test_malformed_flag_values_exit_2(flag, argv, content, scene_file, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -73,6 +73,24 @@ def test_invalid_segments():
         moving_degenerate.validate()
 
 
+@pytest.mark.parametrize("verts, message", [
+    ([[0.0, 0.0], [1.0, np.nan]], "event coordinates must be a finite 1-d vector"),
+    ([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]], "event dimension 3 != spacetime dimension 2"),
+], ids=["nan", "wrong-width"])
+def test_curve_vertices_are_points(verts, message):
+    st, _ = mink()
+    with pytest.raises(ValueError, match=message):
+        PiecewiseCausalCurve(st, np.array(verts), (SegmentSense.FUTURE,))
+
+
+@pytest.mark.parametrize("box", [[(0.6, -0.1), (-0.1, 1.1)], [(-0.1, 0.6), (np.nan, 1.1)]],
+                         ids=["lo-above-hi", "nan"])
+def test_refine_witness_rejects_malformed_box(box):
+    st, tau = mink()
+    with pytest.raises(ValueError, match="region pair"):
+        nd.refine_witness(beta_j(st, 2), tau, 2.0, 0.05, box)
+
+
 def test_degenerate_segments_allowed():
     st, tau = mink()
     c = PiecewiseCausalCurve(st, [[0, 0], [0, 0], [1, 0]],

@@ -84,10 +84,7 @@ def test_edge_midpoint_classification_matches_causal_character():
     for e in idx:
         u, v = grid.edge_u[e], grid.edge_v[e]
         mid = 0.5 * (grid.coords[u] + grid.coords[v])
-        g = nd.metric_eval(st, mid)
-        T = st.orientation(mid)
-        delta = nd.TangentVector(nd.as_event(mid), grid.coords[v] - grid.coords[u])
-        cc = nd.causal_character(g, T, delta)
+        cc = nd.causal_character(st, mid, grid.coords[v] - grid.coords[u])
         assert cc.kind in (CausalKind.TIMELIKE, CausalKind.NULL)
         assert cc.time_sense is TimeSense.FUTURE
 
@@ -281,6 +278,19 @@ def test_conformal_edge_invariance_exact():
     e1, _ = nd.shortest_null_path(g1, g1.node_of([0, 0]), g1.node_of([0, 1]))
     e2, _ = nd.shortest_null_path(g2, g2.node_of([0, 0]), g2.node_of([0, 1]))
     assert e1 == e2
+
+
+@pytest.mark.parametrize("box, h, message", [
+    ([(-0.3, 0.3), (-0.2, 1.2)], math.nan, "h must be finite and positive, got nan"),
+    ([(-0.3, 0.3), (-0.2, 1.2)], math.inf, "h must be finite and positive, got inf"),
+    ([(1.0, 0.0), (1.0, 0.0)], 0.1, r"region pair \[1.0, 0.0\] on axis 0"),
+    ([(-0.3, 0.3), (math.nan, 1.2)], 0.1, r"region pair \[nan, 1.2\] on axis 1"),
+], ids=["h-nan", "h-inf", "lo-above-hi", "lo-nan"])
+@pytest.mark.filterwarnings("error")
+def test_build_grid_rejects_malformed_box_or_spacing(box, h, message):
+    st = nd.builtin("minkowski", dim=2)
+    with pytest.raises(ValueError, match=message):
+        nd.build_grid(st, nd.coordinate_time(st), box, h)
 
 
 def test_node_of_rejects_off_lattice():

@@ -13,13 +13,10 @@ from nulldist.errors import (
     UnknownName,
     ZeroVector,
 )
-from nulldist.spacetime import CausalKind, TimeSense, as_event
+from nulldist.optical import build_chart, chart_inverse, g_R_eval, grad_norm_omega
+from nulldist.spacetime import CausalKind, TimeSense
 
 BUILTINS = ["minkowski", "upper_half_minkowski", "missing_ray", "warped_product"]
-
-
-def tv(st, p, v):
-    return nd.TangentVector(as_event(np.asarray(p, float)), np.asarray(v, float))
 
 
 def test_metric_eval_minkowski():
@@ -46,15 +43,13 @@ def test_metric_eval_missing_ray_excised():
 def test_causal_character_examples():
     st = nd.builtin("minkowski", dim=4)
     p = [0.0, 0.0, 0.0, 0.0]
-    g = nd.metric_eval(st, p)
-    T = st.orientation(p)
-    cc = nd.causal_character(g, T, tv(st, p, [1, 0, 0, 0]), 1e-9)
+    cc = nd.causal_character(st, p, [1, 0, 0, 0], 1e-9)
     assert cc.kind is CausalKind.TIMELIKE and cc.time_sense is TimeSense.FUTURE
-    cc = nd.causal_character(g, T, tv(st, p, [1, 1, 0, 0]), 1e-9)
+    cc = nd.causal_character(st, p, [1, 1, 0, 0], 1e-9)
     assert cc.kind is CausalKind.NULL and cc.time_sense is TimeSense.FUTURE
-    cc = nd.causal_character(g, T, tv(st, p, [0, 1, 0, 0]), 1e-9)
+    cc = nd.causal_character(st, p, [0, 1, 0, 0], 1e-9)
     assert cc.kind is CausalKind.SPACELIKE and cc.time_sense is TimeSense.NONE
-    cc = nd.causal_character(g, T, tv(st, p, [-1, 0.5, 0, 0]), 1e-9)
+    cc = nd.causal_character(st, p, [-1, 0.5, 0, 0], 1e-9)
     assert cc.kind is CausalKind.TIMELIKE and cc.time_sense is TimeSense.PAST
 
 
@@ -62,31 +57,28 @@ def test_causal_character_zero_vector():
     st = nd.builtin("minkowski", dim=4)
     p = [0.0, 0.0, 0.0, 0.0]
     with pytest.raises(ZeroVector):
-        nd.causal_character(nd.metric_eval(st, p), st.orientation(p),
-                            tv(st, p, [0, 0, 0, 0]), 1e-9)
+        nd.causal_character(st, p, [0, 0, 0, 0], 1e-9)
 
 
 def test_reverse_cs_gap_values():
     st = nd.builtin("minkowski", dim=4)
     p = [0.0, 0.0, 0.0, 0.0]
-    g = nd.metric_eval(st, p)
-    u = tv(st, p, [1, 0, 0, 0])
-    assert nd.reverse_cs_gap(g, u, u) == pytest.approx(0.0, abs=1e-12)
+    u = [1, 0, 0, 0]
+    assert nd.reverse_cs_gap(st, p, u, u) == pytest.approx(0.0, abs=1e-12)
     # |g(u,v)| = 2, |u|_g = 1, |v|_g = sqrt(3)
-    v = tv(st, p, [2, 1, 0, 0])
-    assert nd.reverse_cs_gap(g, u, v) == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-12)
+    v = [2, 1, 0, 0]
+    assert nd.reverse_cs_gap(st, p, u, v) == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-12)
     # null pair: norms vanish, |g(u,v)| = 2
-    nu = tv(st, p, [1, 1, 0, 0])
-    nv = tv(st, p, [1, -1, 0, 0])
-    assert nd.reverse_cs_gap(g, nu, nv) == pytest.approx(2.0, abs=1e-12)
+    nu = [1, 1, 0, 0]
+    nv = [1, -1, 0, 0]
+    assert nd.reverse_cs_gap(st, p, nu, nv) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_reverse_cs_gap_rejects_spacelike():
     st = nd.builtin("minkowski", dim=4)
     p = [0.0, 0.0, 0.0, 0.0]
-    g = nd.metric_eval(st, p)
     with pytest.raises(NotCausal):
-        nd.reverse_cs_gap(g, tv(st, p, [1, 0, 0, 0]), tv(st, p, [0, 1, 0, 0]))
+        nd.reverse_cs_gap(st, p, [1, 0, 0, 0], [0, 1, 0, 0])
 
 
 def test_builtin_unknown_and_conformal():
@@ -141,14 +133,10 @@ def test_causal_character_conformal_invariance(phi):
     stc = nd.builtin("conformal", base="minkowski", dim=4, factor=phi)
     rng = np.random.default_rng(11)
     p = np.zeros(4)
-    g1 = nd.metric_eval(st, p)
-    g2 = nd.metric_eval(stc, p) if phi != 1 else g1
-    # conformal metric fails the Lorentzian-signature constructor? no: 4*eta fine
-    T1 = st.orientation(p)
     for _ in range(500):
-        v = tv(st, p, rng.normal(size=4))
-        c1 = nd.causal_character(g1, T1, v)
-        c2 = nd.causal_character(nd.MetricForm(stc.metric_at(p)), T1, v)
+        v = rng.normal(size=4)
+        c1 = nd.causal_character(st, p, v)
+        c2 = nd.causal_character(stc, p, v)
         assert c1 == c2
 
 
@@ -169,9 +157,9 @@ def test_reverse_cs_nonnegative_on_causal_pairs(name):
     for c in pts:
         g = nd.metric_eval(st, c)
         for _ in range(500):  # 10^4 pairs per spacetime across the point pool
-            u = tv(st, c, _random_causal(rng, g.entries, 4))
-            v = tv(st, c, _random_causal(rng, g.entries, 4))
-            assert nd.reverse_cs_gap(g, u, v) >= -1e-9
+            u = _random_causal(rng, g.entries, 4)
+            v = _random_causal(rng, g.entries, 4)
+            assert nd.reverse_cs_gap(st, c, u, v) >= -1e-9
 
 
 def test_orientation_continuity():
@@ -198,3 +186,37 @@ def test_event_dimension_mismatch():
     st = nd.builtin("minkowski", dim=4)
     with pytest.raises(ValueError):
         nd.metric_eval(st, [0.0, 0.0])
+
+
+# every public entry that takes a point or a vector, given the bad one as x
+POINT_ENTRIES = {
+    "metric_eval": lambda st, ch, x: nd.metric_eval(st, x),
+    "causal_character.p": lambda st, ch, x: nd.causal_character(st, x, [1.0, 0.0]),
+    "causal_character.v": lambda st, ch, x: nd.causal_character(st, [0.5, 0.0], x),
+    "reverse_cs_gap.p": lambda st, ch, x: nd.reverse_cs_gap(st, x, [1.0, 0.0], [1.0, 0.0]),
+    "reverse_cs_gap.u": lambda st, ch, x: nd.reverse_cs_gap(st, [0.5, 0.0], x, [1.0, 0.0]),
+    "reverse_cs_gap.v": lambda st, ch, x: nd.reverse_cs_gap(st, [0.5, 0.0], [1.0, 0.0], x),
+    "geodesic_shoot.p": lambda st, ch, x: nd.geodesic_shoot(st, x, [1.0, 0.0], 1.0),
+    "geodesic_shoot.v": lambda st, ch, x: nd.geodesic_shoot(st, [0.5, 0.0], x, 1.0),
+    "build_chart": lambda st, ch, x: build_chart(st, x),
+    "chart_inverse": lambda st, ch, x: chart_inverse(ch, x),
+    "grad_norm_omega": lambda st, ch, x: grad_norm_omega(ch, x),
+    "g_R_eval": lambda st, ch, x: g_R_eval(ch, x),
+}
+
+
+@pytest.fixture(scope="module")
+def mink2_chart():
+    st = nd.builtin("minkowski", dim=2)
+    return st, build_chart(st, [0.0, 0.0], TimeSense.FUTURE, eps=0.5)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.5, 0.0, 0.0], "event dimension 3 != spacetime dimension 2"),
+    ([math.nan, 0.0], "event coordinates must be a finite 1-d vector"),
+], ids=["wrong-dim", "nan"])
+@pytest.mark.parametrize("entry", sorted(POINT_ENTRIES))
+def test_point_entries_share_one_check(mink2_chart, entry, bad, message):
+    st, ch = mink2_chart
+    with pytest.raises(ValueError, match=message):
+        POINT_ENTRIES[entry](st, ch, bad)

@@ -206,6 +206,13 @@ def test_anti_lipschitz_region_of_wrong_dimension(region):
         nd.check_anti_lipschitz(grid, region)
 
 
+@pytest.mark.parametrize("region", [[(0.5, 1.5), (0.5, -0.5)], [(0.5, 1.5), (math.nan, 0.5)]])
+def test_anti_lipschitz_rejects_malformed_region(region):
+    st, tau, grid = upper_grid()
+    with pytest.raises(ValueError, match="region pair"):
+        nd.check_anti_lipschitz(grid, region)
+
+
 def test_regularity_upper_half_true():
     st = nd.builtin("upper_half_minkowski", dim=2)
     tau = nd.coordinate_time(st)
