@@ -17,8 +17,8 @@ so a group's edges are one 2-D index of its rows.
   node lies below T (a zero weight, or one lost in rounding), the step
   settles only the ``(dist, node)``-smallest open node, the heap's next pop.
   Zero-weight ties therefore settle one node per step, the kernel's worst
-  case; on a causal grid only a time function that is not strictly
-  increasing along causal edges gives zero weights.
+  case; ``build_grid`` rejects a time function that does not rise along
+  every causal edge, so a causal grid has no zero weight.
 - Reachability runs breadth first, one level per step.
 - The longest-path pass relaxes one time layer per step.
 """

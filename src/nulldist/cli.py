@@ -286,7 +286,7 @@ def _cmd_encode_test(args) -> int:
             "estimate": rep.result.estimate,
             "lattice_estimate": rep.result.lattice_estimate,
             "lower_bound": rep.result.lower_bound,
-            "reachable": rep.reachable,
+            "reachable": rep.result.reachable,
             "tol_eq": rep.tol_eq,
             "properness_claimed": rep.properness_claimed,
         })
@@ -409,7 +409,7 @@ def _preset_missing_ray():
     rep = encodes_causality_test(grid, [1.0, -1.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0])
     est = rep.result.estimate
     ok = (rep.verdict is EncodesVerdict.VIOLATION_MISSING_CAUSAL
-          and not rep.reachable and 2.0 - 1e-9 <= est <= 2.0 + 2 * h + 1e-9)
+          and not rep.result.reachable and 2.0 - 1e-9 <= est <= 2.0 + 2 * h + 1e-9)
     return ok, f"verdict {rep.verdict.value}, estimate {est:.6g} in [2, 2+2h]"
 
 

@@ -20,7 +20,6 @@ from .grid import (
     axis_corner_directions,
     box_bounds,
     null_distances_from,
-    reach,
     shortest_null_path,
 )
 from .spacetime import NULL_TOL, LightCone, Spacetime, as_point
@@ -327,7 +326,6 @@ class EncodesVerdict(Enum):
     CAUSAL_AND_EQUAL = "CausalAndEqual"
     SPACELIKE_AND_STRICT = "SpacelikeAndStrict"
     VIOLATION_MISSING_CAUSAL = "Violation(MissingCausal)"
-    VIOLATION_CAUSAL_BUT_STRICT = "Violation(CausalButStrict)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,23 +333,22 @@ class NullDistanceResult:
     """``estimate`` is the null length of ``witness``; ``lattice_estimate`` is
     the Dijkstra value, the same number unless the witness was refined off
     the lattice.  ``encodes_equality`` is decided on ``lattice_estimate``:
-    it is ``lattice_estimate - lower_bound <= default_tol_eq(grid)``."""
+    it is ``lattice_estimate - lower_bound <= default_tol_eq(grid)``.
+    ``reachable``: the lattice witness is directed, all segments of one sense."""
 
     estimate: float
     lower_bound: float
     witness: Optional[PiecewiseCausalCurve]
     encodes_equality: bool
     lattice_estimate: float
+    reachable: bool
 
 
 @dataclass(frozen=True, eq=False)
 class EncodesReport:
     verdict: EncodesVerdict
     result: NullDistanceResult
-    reachable: bool
     tol_eq: float
-    tau_p: float
-    tau_q: float
     properness_claimed: bool
 
 
@@ -362,8 +359,8 @@ def default_tol_eq(grid: CausalGrid) -> float:
 
 def null_distance_result(grid: CausalGrid, p_node: int, q_node: int) -> NullDistanceResult:
     """Lattice null distance between nodes ``p_node`` and ``q_node`` of
-    ``grid``, with its witness curve, the |dtau| lower bound and the equality
-    flag at the band default_tol_eq(grid).  Raises SamePoint for one node."""
+    ``grid``, with its witness curve, the |dtau| lower bound, the equality flag
+    at the band default_tol_eq(grid) and reachable.  Raises SamePoint for one node."""
     est, path = shortest_null_path(grid, p_node, q_node)
     if len(path) < 2:
         raise SamePoint(f"p and q are the same point {grid.coords[p_node].tolist()}: "
@@ -372,7 +369,7 @@ def null_distance_result(grid: CausalGrid, p_node: int, q_node: int) -> NullDist
     witness = curve_from_grid_path(grid, path)
     return NullDistanceResult(estimate=est, lower_bound=lower, witness=witness,
                               encodes_equality=(est - lower) <= default_tol_eq(grid),
-                              lattice_estimate=est)
+                              lattice_estimate=est, reachable=len(set(witness.senses)) == 1)
 
 
 def _refined_result(grid: CausalGrid, res: NullDistanceResult,
@@ -392,39 +389,30 @@ def _refined_result(grid: CausalGrid, res: NullDistanceResult,
 
 def encodes_causality_test(grid: CausalGrid, p, q) -> EncodesReport:
     """Compare null-distance equality against directed reachability on
-    ``grid`` between the lattice points ``p`` and ``q``.
+    ``grid`` between the lattice points ``p`` and ``q``, both read from one
+    search: SpacelikeAndStrict off the |dtau| floor (by more than
+    default_tol_eq(grid), reported as tol_eq), else CausalAndEqual if the
+    lattice witness is directed and MissingCausal, the counterexample class,
+    if not.
 
-    MissingCausal flags the counterexample class where the estimate sits at
-    the |dtau| floor (within default_tol_eq(grid), reported as tol_eq) yet
-    no directed path exists; CausalButStrict would indicate a broken grid,
-    since a directed path realizes the floor exactly.
-
-    When the lattice estimate exceeds |dtau| its witness is refined off the
-    lattice (refine_witness); a certified refinement becomes the result's
-    estimate and witness, and the Dijkstra value stays in lattice_estimate.
-    The verdict is decided on the lattice estimate either way.
+    A witness that is not directed is refined off the lattice
+    (refine_witness); a certified refinement becomes the result's estimate
+    and witness, and the Dijkstra value stays in lattice_estimate.  The
+    verdict is decided on the lattice estimate either way.
     ``properness_claimed`` is what grid.tau claims about itself.
     """
     p_node = grid.node_of(np.asarray(p, dtype=float))
     q_node = grid.node_of(np.asarray(q, dtype=float))
     res = null_distance_result(grid, p_node, q_node)
-    if res.estimate > res.lower_bound:
+    if not res.reachable:
         res = _refined_result(grid, res, swapped=p_node > q_node)
-    tau_p = float(grid.tau_values[p_node])
-    tau_q = float(grid.tau_values[q_node])
-    # q in J-(p) is p in J+(q): search forward from the earlier event
-    first, last = (p_node, q_node) if tau_q >= tau_p else (q_node, p_node)
-    reachable = last in reach(grid, first)
-    if res.encodes_equality and reachable:
-        verdict = EncodesVerdict.CAUSAL_AND_EQUAL
-    elif res.encodes_equality and not reachable:
-        verdict = EncodesVerdict.VIOLATION_MISSING_CAUSAL
-    elif reachable:
-        verdict = EncodesVerdict.VIOLATION_CAUSAL_BUT_STRICT
-    else:
+    if not res.encodes_equality:
         verdict = EncodesVerdict.SPACELIKE_AND_STRICT
-    return EncodesReport(verdict=verdict, result=res, reachable=reachable,
-                         tol_eq=default_tol_eq(grid), tau_p=tau_p, tau_q=tau_q,
+    elif res.reachable:
+        verdict = EncodesVerdict.CAUSAL_AND_EQUAL
+    else:
+        verdict = EncodesVerdict.VIOLATION_MISSING_CAUSAL
+    return EncodesReport(verdict=verdict, result=res, tol_eq=default_tol_eq(grid),
                          properness_claimed=bool(grid.tau.claims.proper))
 
 

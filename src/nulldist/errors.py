@@ -53,6 +53,10 @@ class NonFiniteValue(NullDistError):
     """Metric or time function evaluated to NaN or inf on the lattice."""
 
 
+class NotATimeFunction(NullDistError):
+    """The time function fails to rise strictly along a future-causal edge."""
+
+
 class NodeNotInGrid(NullDistError):
     """Coordinates do not snap to a kept lattice node."""
 

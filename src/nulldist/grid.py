@@ -2,12 +2,12 @@
 
 A box of the spacetime is discretized into a uniform lattice.  For every
 stencil offset whose displacement is future causal at the segment midpoint a
-directed edge is emitted, weighted by the time-function gap |dtau| and by
-the Lorentzian segment length, and stored once, sorted by source: the edge
+directed edge u -> v is emitted, weighted by the rise tau(v) - tau(u) > 0 and
+by the Lorentzian segment length, and stored once, sorted by source: the edge
 arrays are the out-CSR, and ``_kernels.table`` builds from them the padded
-neighbour table of the undirected graph.  Undirected Dijkstra over the
-|dtau| weights gives an upper estimate of the null distance; directed
-closure gives J+.
+neighbour table of the undirected graph.  Undirected Dijkstra over the rises
+gives an upper estimate of the null distance, with a witness that is directed
+iff one end lies in J+ of the other; directed closure gives J+.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     NoCausalEdges,
     NodeNotInGrid,
     NonFiniteValue,
+    NotATimeFunction,
 )
 from .spacetime import NULL_TOL, LightCone, Spacetime, require_finite
 
@@ -212,7 +213,8 @@ def build_grid(st: Spacetime, tau, box, h: float,
     only the causal offsets are paired.  Raises ValueError unless h is
     finite and positive and ``box`` passes box_bounds, NonFiniteValue if
     ``tau`` at a node or the metric at a candidate midpoint is NaN or inf,
-    and NoCausalEdges if no causal edge survives.
+    NotATimeFunction if ``tau`` fails to rise strictly along an edge, and
+    NoCausalEdges if no causal edge survives.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h!r}")
@@ -293,9 +295,14 @@ def build_grid(st: Spacetime, tau, box, h: float,
             if not np.any(clear):
                 continue
             u, v, length = u[clear], v[clear], length[clear]
+        rise = tau_values[v] - tau_values[u]
+        if not np.all(rise > 0.0):
+            k = int(np.argmin(rise > 0.0))
+            raise NotATimeFunction(f"tau rises by {rise[k]:g} along the future-causal edge "
+                                   f"{coords[u[k]].tolist()} -> {coords[v[k]].tolist()}")
         eu.append(u)
         ev.append(v)
-        ew.append(np.abs(tau_values[v] - tau_values[u]))
+        ew.append(rise)
         el.append(length)
 
     if not eu:
@@ -346,7 +353,7 @@ def reach(grid: CausalGrid, node: int) -> ReachSet:
 
 
 def shortest_null_path(grid: CausalGrid, p_node: int, q_node: int):
-    """Dijkstra over the undirected |dtau|-weighted support graph.
+    """Dijkstra over the undirected rise-weighted support graph.
 
     Returns (estimate, path) where path is the node-id witness chain from
     p to q.  The estimate always dominates |tau(q) - tau(p)| and upper-bounds

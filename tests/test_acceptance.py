@@ -95,7 +95,7 @@ def test_criterion_03_missing_ray_violation():
     elapsed = time.perf_counter() - t0
     est = rep.result.estimate
     verdict_ok = rep.verdict is EncodesVerdict.VIOLATION_MISSING_CAUSAL
-    unreachable_ok = not rep.reachable
+    unreachable_ok = not rep.result.reachable
     runtime_ok = elapsed < 60.0
     five_percent_ok = abs(est - 2.0) <= 0.10
     ok = verdict_ok and unreachable_ok and runtime_ok and five_percent_ok

@@ -266,6 +266,22 @@ def test_encodes_verdicts_upper_half():
     assert past.verdict is EncodesVerdict.CAUSAL_AND_EQUAL  # past branch via swap
 
 
+def test_encodes_keeps_directed_lattice_witness():
+    """A directed witness is not refined, even when its rounded lattice sum
+    sits one ulp above |dtau| (tau = t^3)."""
+    st = nd.builtin("minkowski", dim=2)
+    grid = nd.build_grid(st, nd.cubed_time(st), [(-0.5, 1.0), (-1.0, 1.0)], 0.05)
+    p, q = [-0.35, 0.15], [-0.1, 0.0]
+    rep = nd.encodes_causality_test(grid, p, q)
+    res = rep.result
+    assert rep.verdict is EncodesVerdict.CAUSAL_AND_EQUAL and res.reachable
+    assert res.lattice_estimate > res.lower_bound  # the sum's rounding, not a zigzag
+    assert res.estimate == res.lattice_estimate
+    _, path = nd.shortest_null_path(grid, grid.node_of(p), grid.node_of(q))
+    assert np.array_equal(res.witness.vertices, grid.coords[path])
+    assert set(res.witness.senses) == {SegmentSense.FUTURE}
+
+
 def test_encodes_missing_ray_violation():
     st = nd.builtin("missing_ray", dim=4)
     tau = nd.coordinate_time(st)
@@ -273,7 +289,7 @@ def test_encodes_missing_ray_violation():
     grid = nd.build_grid(st, tau, params.box, params.h, params.stencil)
     rep = nd.encodes_causality_test(grid, [1, -1, 0, 0], [3, 1, 0, 0])
     assert rep.verdict is EncodesVerdict.VIOLATION_MISSING_CAUSAL
-    assert not rep.reachable
+    assert not rep.result.reachable
     assert rep.result.encodes_equality
     assert not rep.properness_claimed  # verdict computed under unproven properness
     # the refined witness is a certified curve around the ray, below the lattice value

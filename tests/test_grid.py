@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nulldist as nd
-from nulldist.errors import Disconnected, GridTooLarge, NodeNotInGrid
+from nulldist.errors import Disconnected, GridTooLarge, NodeNotInGrid, NotATimeFunction
 from nulldist.grid import MAX_NODES, StencilSpec
 from nulldist.spacetime import CausalKind, TimeSense
 
@@ -249,20 +249,36 @@ def test_lower_bound_symmetry_triangle():
         assert eac <= eab + ebc + 1e-12
 
 
-def test_causal_case_equality_random_pairs():
-    st, tau, grid = mink_grid(box=[(0.0, 2.0), (-1.0, 1.0)], h=0.1)
+@pytest.mark.parametrize("name, dim, time, box, h", [
+    ("minkowski", 2, nd.coordinate_time, [(0.0, 2.0), (-1.0, 1.0)], 0.1),
+    ("minkowski", 2, nd.cubed_time, [(-0.5, 1.0), (-1.0, 1.0)], 0.05),
+    ("upper_half_minkowski", 3, nd.coordinate_time, [(0.1, 1.1), (-0.5, 0.5), (-0.5, 0.5)], 0.1),
+    ("missing_ray", 3, nd.coordinate_time, [(0.5, 3.5), (-1.0, 1.0), (-1.0, 1.0)], 0.25),
+    ("warped_product", 3, nd.coordinate_time, [(0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)], 0.125),
+], ids=["slab-t", "slab-t3", "upper-half-2p1", "missing-ray-2p1", "warped-2p1"])
+def test_causal_case_equality_random_pairs(name, dim, time, box, h):
+    """The lattice witness is directed exactly when reach relates the pair;
+    then the estimate is |dtau|, else it exceeds it by two edge rises or more."""
+    st = nd.builtin(name, dim=dim)
+    grid = nd.build_grid(st, time(st), box, h)
+    gap = 2.0 * grid.edge_w.min()
     rng = np.random.default_rng(9)
-    checked = 0
-    while checked < 100:
+    seen = set()
+    for _ in range(200):
         a = int(rng.integers(0, grid.n_nodes))
         members = np.flatnonzero(nd.reach(grid, a).members)
         members = members[members != a]
-        if members.size == 0:
+        pool = members if members.size and rng.random() < 0.5 else np.arange(grid.n_nodes)
+        b = int(pool[rng.integers(0, pool.size)])
+        if b == a:
             continue
-        b = int(members[rng.integers(0, members.size)])
-        est, _ = nd.shortest_null_path(grid, a, b)
-        assert abs(est - (grid.tau_values[b] - grid.tau_values[a])) <= 1e-12
-        checked += 1
+        res = nd.null_distance_result(grid, a, b)
+        related = b in nd.reach(grid, a) or a in nd.reach(grid, b)
+        assert res.reachable == related
+        excess = res.estimate - res.lower_bound
+        assert excess <= 1e-12 if related else excess >= gap - 1e-12
+        seen.add(related)
+    assert seen == {True, False}
 
 
 def test_conformal_edge_invariance_exact():
@@ -291,6 +307,19 @@ def test_build_grid_rejects_malformed_box_or_spacing(box, h, message):
     st = nd.builtin("minkowski", dim=2)
     with pytest.raises(ValueError, match=message):
         nd.build_grid(st, nd.coordinate_time(st), box, h)
+
+
+@pytest.mark.parametrize("batch, message", [
+    (lambda pts: -pts[:, 0], r"tau rises by -0.1 along the future-causal edge"),
+    (lambda pts: np.zeros(pts.shape[0]), r"tau rises by 0 along the future-causal edge"),
+], ids=["minus-t", "zero"])
+def test_build_grid_rejects_tau_that_does_not_rise(batch, message):
+    """A tau that falls or stays flat along a causal edge is no time function:
+    reachability and the |dtau| floor would disagree on its lattice."""
+    st = nd.builtin("minkowski", dim=2)
+    tau = nd.TimeFunction(batch=batch, claims=nd.TimeClaims())
+    with pytest.raises(NotATimeFunction, match=message):
+        nd.build_grid(st, tau, [(0.0, 1.0), (-1.0, 1.0)], 0.1)
 
 
 def test_node_of_rejects_off_lattice():
