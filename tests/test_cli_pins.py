@@ -1,8 +1,8 @@
 """CLI output bytes pinned on small fixed 1+1 and 2+1 scenes.
 
-Every subcommand that builds a grid writes exactly the pinned bytes here,
-apart from the wall-clock field ``wall_ms``; the ``cosmo-time`` CSVs are
-pinned by sha256.  A change that moves an output on purpose updates its
+Every subcommand that builds a grid, and ``optical``, writes exactly the
+pinned bytes here, apart from the wall-clock field ``wall_ms``; the
+``cosmo-time`` CSVs are pinned by sha256.  A change that moves an output on purpose updates its
 pin and says which values moved and why.
 """
 
@@ -40,17 +40,24 @@ SHIFT_B = dict(MINK2, grid={"box": [[0.0, 1.0], [0.0, 1.0]], "h": 0.1})
 UPPER3 = dict(MINK3, spacetime={"name": "upper_half_minkowski", "params": {}},
               grid={"box": [[0.1, 0.9], [-0.4, 0.4], [-0.4, 0.4]], "h": 0.1})
 UPPER2_AFFINE = dict(UPPER2, time={"kind": "affine", "scale": 2.0, "offset": 0.5})
+WARPED2 = {
+    "schema": 1, "dim": 2,
+    "spacetime": {"name": "warped_product", "params": {}},
+    "time": {"kind": "coordinate"},
+}
 SCENES = {"mink2": MINK2, "ball2": BALL2, "upper2": UPPER2, "conf2": CONF2,
           "upper2_affine": UPPER2_AFFINE,
-          "shift_a": SHIFT_A, "shift_b": SHIFT_B, "mink3": MINK3, "upper3": UPPER3}
+          "shift_a": SHIFT_A, "shift_b": SHIFT_B, "mink3": MINK3, "upper3": UPPER3,
+          "warped2": WARPED2}
 PAIRS = {
     "pairs2": [[[0, 0], [0.2, 0.1]], [[0, 0], [0, 1]], [[0.1, 0.5], [-0.1, 0.3]],
                [[0, 0], [0, 0.15]]],
     "pairs3": [[[0, 0, 0], [0.4, 0.2, -0.2]], [[0.2, -0.2, -0.1], [0.2, 0.2, 0.2]]],
     "pairs_upper2": [[[0.2, 0], [0.6, 0.3]], [[0.5, -0.2], [0.5, 0.2]]],
+    "queries_warped2": [[1.1, 0.05], [1.05, -0.08], [0.95, 0.02]],
 }
 
-# argv with scene names and pair-file names as placeholders; OUT and CSV are
+# argv with scene names and pair- or query-file names as placeholders; OUT and CSV are
 # the output files the command writes
 CASES = {
     "nulldist-2": ["nulldist", "mink2", "--p", "0,0", "--q", "0,1", "--out", "OUT",
@@ -82,6 +89,8 @@ CASES = {
                    "--out", "OUT"],
     "isometry-2-translate": ["isometry", "shift_a", "shift_b", "--map", "translate:0,0.5",
                              "--n-pairs", "10", "--out", "OUT"],
+    "optical-2": ["optical", "warped2", "--center", "1,0", "--eps", "0.3",
+                  "--queries", "queries_warped2", "--out", "OUT"],
 }
 
 
@@ -103,7 +112,7 @@ def run_case(name, tmp_path):
     command = CASES[name][0]
     if command == "cosmo-time":
         out = {name: "sha256:" + hashlib.sha256(raw).hexdigest()}
-    elif command == "ball":
+    elif command in ("ball", "optical"):
         out = {name + ".csv": raw.decode("utf-8")}
     else:
         out = {name: re.sub(r'"wall_ms": [^,\n]+', '"wall_ms": X', raw.decode("utf-8"))}
@@ -465,6 +474,12 @@ dir0,dir1,dir2,x0,x1,x2
   "vol_n": 2.0,
   "vol_nm1": 1.0
 }
+""",
+    'optical-2.csv': """\
+x0,x1,omega,lambda,grad_norm
+1.1,0.05,0.0463523660753,0.0550229208227,1.4142136174
+1.05,-0.08,-0.0307278457137,0.084089642599,1.41421391612
+0.95,0.02,-0.0688112603667,0.0190012667037,1.41421356369
 """,
     'isometry-2-translate': """\
 {
