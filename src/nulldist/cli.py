@@ -424,7 +424,7 @@ def _preset_conformal_invariance(h: float):
     g2 = build_grid(st2, tau2, box, h)
     same_edges = (np.array_equal(g1.edge_u, g2.edge_u)
                   and np.array_equal(g1.edge_v, g2.edge_v)
-                  and np.array_equal(g1.edge_w, g2.edge_w))
+                  and np.array_equal(g1.tau_values, g2.tau_values))
     e1, _ = shortest_null_path(g1, g1.node_of([0, 0]), g1.node_of([0, 1]))
     e2, _ = shortest_null_path(g2, g2.node_of([0, 0]), g2.node_of([0, 1]))
     ok = same_edges and e1 == e2

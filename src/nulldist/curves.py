@@ -45,8 +45,9 @@ class PiecewiseCausalCurve:
             raise ValueError("need at least two vertices")
         if len(self.senses) != v.shape[0] - 1:
             raise ValueError("need one sense per segment")
-        for row in v:
-            as_point(row, self.st.dim)
+        bad = ~np.isfinite(v).all(axis=1) | (v.shape[1] != self.st.dim)
+        if bad.any():  # as_point names what is wrong with the first bad vertex
+            as_point(v[np.argmax(bad)], self.st.dim)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "senses", tuple(self.senses))
 
@@ -92,18 +93,18 @@ class PiecewiseCausalCurve:
 
 
 def curve_from_grid_path(grid: CausalGrid, path: Sequence[int]) -> PiecewiseCausalCurve:
-    """Wrap a node-id chain as a curve, deriving each segment's sense."""
-    verts = grid.coords[np.asarray(path, dtype=int)]
-    st = grid.st
-    d = np.diff(verts, axis=0)
-    moves = np.abs(d).max(axis=1) > 0.0
-    mid = 0.5 * (verts[:-1][moves] + verts[1:][moves])
-    # every grid edge is causal: take the sense of each moving segment as it is
-    cone = LightCone(st.metric_batch(mid), d[moves], mid, NULL_TOL)
-    future = cone.future(st.orientation_batch(mid), slice(None))
-    senses = np.full(d.shape[0], SegmentSense.DEGENERATE, dtype=object)
-    senses[moves] = np.where(future, SegmentSense.FUTURE, SegmentSense.PAST)
-    return PiecewiseCausalCurve(st, verts, tuple(senses))
+    """Wrap ``path``, a chain of grid edges as shortest_null_path returns it,
+    as a curve: tau rises along every edge, so a step is FUTURE where tau
+    rises and PAST where it falls.  A step that keeps tau fixed is no edge
+    and raises ValueError; validate() rejects a spacelike step of any other
+    chain that is no path of edges."""
+    path = np.asarray(path, dtype=int)
+    rise = np.diff(grid.tau_values[path])
+    if not np.all(rise != 0.0):
+        i = int(np.argmin(rise != 0.0))
+        raise ValueError(f"step {i} of the path, node {path[i]} -> {path[i + 1]}, keeps tau fixed")
+    senses = np.where(rise > 0.0, SegmentSense.FUTURE, SegmentSense.PAST)
+    return PiecewiseCausalCurve(grid.st, grid.coords[path], tuple(senses))
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +438,11 @@ def ball_boundary_sample(grid: CausalGrid, center, R: float, n_dirs: int) -> np.
 
     Returns an (n_dirs, 2*dim) array of [direction..., boundary coords...];
     the crossing is located by stepping then bisecting the grid-snapped
-    distance field, so it is accurate to about one lattice spacing.
+    distance field, so it is accurate to about one lattice spacing.  Raises
+    ValueError unless R is finite and positive and n_dirs at least 1.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not (math.isfinite(R) and R > 0 and n_dirs >= 1):
+        raise ValueError(f"need a finite R > 0 and n_dirs >= 1, got R = {R!r}, n_dirs = {n_dirs!r}")
     center = np.asarray(center, dtype=float)
     c_node = grid.node_of(center)
     dist = null_distances_from(grid, c_node)

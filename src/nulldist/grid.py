@@ -2,12 +2,12 @@
 
 A box of the spacetime is discretized into a uniform lattice.  For every
 stencil offset whose displacement is future causal at the segment midpoint a
-directed edge u -> v is emitted, weighted by the rise tau(v) - tau(u) > 0 and
-by the Lorentzian segment length, and stored once, sorted by source: the edge
-arrays are the out-CSR, and ``_kernels.table`` builds from them the padded
-neighbour table of the undirected graph.  Undirected Dijkstra over the rises
-gives an upper estimate of the null distance, with a witness that is directed
-iff one end lies in J+ of the other; directed closure gives J+.
+directed edge u -> v is emitted with its Lorentzian segment length and stored
+once, sorted by source: the edge arrays are the out-CSR.  tau must rise along
+every edge; the rises tau(v) - tau(u) weight the padded neighbour table of the
+undirected graph that ``_kernels.table`` builds.  Undirected Dijkstra over the
+rises gives an upper estimate of the null distance, with a witness that is
+directed iff one end lies in J+ of the other; directed closure gives J+.
 """
 
 from __future__ import annotations
@@ -113,13 +113,14 @@ class ReachSet:
 class CausalGrid:
     """Immutable lattice with directed future-causal edges.
 
-    Edges come sorted stably by source, so the edge arrays are the out-CSR.
+    Edges come sorted stably by source, so the edge arrays are the out-CSR;
+    edge e rises by ``tau_values[edge_v[e]] - tau_values[edge_u[e]]`` > 0.
     Construction is the only mutating phase; afterwards concurrent queries
     are safe (each query owns its scratch arrays inside the kernels).
     """
 
     def __init__(self, st, tau, params: GridParams, coords, ids_full, shape,
-                 edge_u, edge_v, edge_w, edge_len, tau_values, offsets_used):
+                 edge_u, edge_v, edge_len, tau_values, offsets_used):
         self.st = st
         self.tau = tau
         self.params = params
@@ -131,7 +132,6 @@ class CausalGrid:
         self._ids_full = ids_full
         self.edge_u = edge_u
         self.edge_v = edge_v
-        self.edge_w = edge_w
         self.edge_len = edge_len
         self.tau_values = tau_values
         self.offsets_used = offsets_used
@@ -146,14 +146,15 @@ class CausalGrid:
     # -- graph views --------------------------------------------------------
 
     def csr_out(self):
-        """(indptr, nbr, wt) of the directed graph: the edge arrays themselves."""
-        return self._indptr, self.edge_v, self.edge_w
+        """(indptr, nbr) of the directed graph: the edge arrays themselves."""
+        return self._indptr, self.edge_v
 
     def csr_undirected(self):
         """(nbr, wt, wout) of the undirected graph: ``_kernels.table`` of the
-        edges, built on first use."""
+        edges weighted by their rises, built on first use."""
         if self._table is None:
-            self._table = _kernels.table(self.n_nodes, self.edge_u, self.edge_v, self.edge_w)
+            rise = self.tau_values[self.edge_v] - self.tau_values[self.edge_u]
+            self._table = _kernels.table(self.n_nodes, self.edge_u, self.edge_v, rise)
         return self._table
 
     # -- node lookup --------------------------------------------------------
@@ -262,7 +263,7 @@ def build_grid(st: Spacetime, tau, box, h: float,
             causal_of = cone.causal
             future_of = cone.future(st.orientation_batch(rows), slice(None))
             length_of = np.sqrt(np.abs(cone.q))
-    eu, ev, ew, el = [], [], [], []
+    eu, ev, el = [], [], []
     for i, (o, delta) in enumerate(zip(offsets, deltas)):
         if causal_of is not None and not causal_of[i]:
             continue  # spacelike: none of its pairs is an edge
@@ -302,7 +303,6 @@ def build_grid(st: Spacetime, tau, box, h: float,
                                    f"{coords[u[k]].tolist()} -> {coords[v[k]].tolist()}")
         eu.append(u)
         ev.append(v)
-        ew.append(rise)
         el.append(length)
 
     if not eu:
@@ -311,7 +311,7 @@ def build_grid(st: Spacetime, tau, box, h: float,
                             f"of box {params.box} at h = {h:g}")
     order = np.argsort(np.concatenate(eu), kind="stable")
     edges = []
-    for parts in (eu, ev, ew, el):  # holding every list until all are sorted raises peak memory
+    for parts in (eu, ev, el):  # holding every list until all are sorted raises peak memory
         whole = np.concatenate(parts)
         parts.clear()
         edges.append(whole[order])
@@ -348,7 +348,7 @@ def reach(grid: CausalGrid, node: int) -> ReachSet:
     """Directed causal closure J+(node), node included; q is in J-(p) iff p is in J+(q)."""
     if not 0 <= node < grid.n_nodes:
         raise NodeNotInGrid(f"node {node} not in grid")
-    indptr, nbr, _ = grid.csr_out()
+    indptr, nbr = grid.csr_out()
     return ReachSet(origin=node, members=_kernels.bfs_reach(indptr, nbr, node))
 
 

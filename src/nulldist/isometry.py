@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MapLeavesGrid, NodeNotInGrid, NonPositivePhi, SingularJacobian
 from .grid import CausalGrid, box_bounds, null_distances_from
-from .spacetime import NULL_TOL, LightCone, Spacetime
+from .spacetime import NULL_TOL, LightCone, Spacetime, central_probes
 
 
 class RigidityVerdict(Enum):
@@ -163,10 +163,8 @@ def _fd_jacobians(pmap: PointMap, P: np.ndarray, step: float):
     """Central-difference Jacobians (m, dim, dim) of the map at the rows of P
     and the images (m, dim) of those rows, from one map call."""
     m, dim = P.shape
-    axes = np.arange(dim)
-    pts = np.repeat(P[:, None, :], 2 * dim + 1, axis=1)  # p, then p +- step e_a
-    pts[:, 1 + 2 * axes, axes] += step
-    pts[:, 2 + 2 * axes, axes] -= step
+    # p, then p +- step e_a
+    pts = np.concatenate([P[:, None], central_probes(P, np.full(m, step))], axis=1)
     img = pmap(pts.reshape(-1, dim)).reshape(pts.shape)
     J = np.swapaxes(img[:, 1::2] - img[:, 2::2], 1, 2) / (2 * step)
     singular = np.flatnonzero(np.abs(np.linalg.det(J)) < 1e-12)

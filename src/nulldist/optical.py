@@ -19,7 +19,7 @@ from . import _kernels
 from .errors import LeftDomain, NoConvergence, NullDistError, OnAxisDegenerate
 from .grid import CausalGrid, StencilSpec, axis_corner_directions, offset_pairs, reach
 from .shooting import _rk4_step, _shoot_state, christoffels
-from .spacetime import MetricForm, Spacetime, TimeSense, as_point
+from .spacetime import MetricForm, Spacetime, TimeSense, as_point, central_probes
 
 SHOOT_CHUNK = 128  # rows per batched shot; bounds the RK4 temporaries
 
@@ -475,15 +475,8 @@ def _probe_steps(Y: np.ndarray) -> np.ndarray:
 
 
 def _probes(Y: np.ndarray) -> np.ndarray:
-    """The (m, 2*dim, dim) Jacobian probes around the rows of Y: y + h e_a,
-    then y - h e_a, for each axis a."""
-    dim = Y.shape[1]
-    h = _probe_steps(Y)
-    probes = np.repeat(Y[:, None], 2 * dim, axis=1)
-    diag = np.arange(dim)
-    probes[:, 2 * diag, diag] += h[:, None]
-    probes[:, 2 * diag + 1, diag] -= h[:, None]
-    return probes
+    """The central_probes around the rows of Y at the steps _probe_steps(Y)."""
+    return central_probes(Y, _probe_steps(Y))
 
 
 def _residuals(chart: NullChart, Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -612,12 +605,9 @@ def grad_norm_omega(chart: NullChart, q, val: Optional[OpticalValue] = None) -> 
     if val.lam <= axis_band:
         raise OnAxisDegenerate("omega is not differentiable on the chart axis")
     h = 1e-5 * max(1.0, float(np.abs(q).max()))
-    dim = chart.st.dim
-    stencil = np.repeat(q[None], 2 * dim, axis=0)  # q + h e_a, q - h e_a, for each a
-    stencil[0::2][np.diag_indices(dim)] += h
-    stencil[1::2][np.diag_indices(dim)] -= h
+    stencil = central_probes(q[None], np.array([h]))[0]
     warm = (val.omega, val.lam * val.direction)
-    vals = chart_inverse_batch(chart, stencil, seeds=[warm] * (2 * dim))
+    vals = chart_inverse_batch(chart, stencil, seeds=[warm] * stencil.shape[0])
     for v in vals:
         if isinstance(v, NoConvergence):
             raise v

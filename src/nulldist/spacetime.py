@@ -46,6 +46,16 @@ def as_point(p, dim: int) -> np.ndarray:
     return c
 
 
+def central_probes(P: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The (m, 2*dim, dim) central-difference probes around the rows of P:
+    p + h[r] e_a at index 2a and p - h[r] e_a at index 2a + 1, for row r."""
+    probes = np.repeat(P[:, None], 2 * P.shape[1], axis=1)
+    diag = np.arange(P.shape[1])
+    probes[:, 2 * diag, diag] += h[:, None]
+    probes[:, 2 * diag + 1, diag] -= h[:, None]
+    return probes
+
+
 @dataclass(frozen=True, eq=False)
 class MetricForm:
     """Symmetric bilinear form: Lorentzian (-, +, ..., +) for spacetime
@@ -274,13 +284,10 @@ class Spacetime:
         c = np.asarray(coords, float)
         if self.metric_deriv is not None:
             return self.metric_deriv(c)
-        h = 1e-5 * np.maximum(1.0, np.abs(c).max(axis=1))[:, None]
-        axes = np.arange(self.dim)
-        pts = np.repeat(c[:, None, :], 2 * self.dim, axis=1)
-        pts[:, 2 * axes, axes] += h
-        pts[:, 2 * axes + 1, axes] -= h
+        h = 1e-5 * np.maximum(1.0, np.abs(c).max(axis=1))
+        pts = central_probes(c, h)
         g = self.metric_batch(pts.reshape(-1, self.dim)).reshape(pts.shape + (self.dim,))
-        return (g[:, 0::2] - g[:, 1::2]) / (2.0 * h)[:, :, None, None]
+        return (g[:, 0::2] - g[:, 1::2]) / (2.0 * h)[:, None, None, None]
 
 
 def metric_eval(st: Spacetime, p) -> MetricForm:

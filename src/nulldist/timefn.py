@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .errors import NoCausalPairs
 from .grid import CausalGrid, box_bounds, reach
-from .spacetime import Spacetime
+from .spacetime import Spacetime, as_point
 
 INTEGRAL_ROWS = 16384  # metric evaluations per chunk of the boundary length integral
 
@@ -36,7 +36,8 @@ class TimeFunction:
 
     ``batch`` maps an (m, dim) coordinate array to the m values of tau and is
     the only evaluator: ``tau(p)`` is the batch of one, so scalar and batch
-    values agree bit for bit.
+    values agree bit for bit.  ``tau(p)`` raises as_point's ValueError unless p
+    is a finite 1-d vector, of any length: tau does not know its dimension.
     """
 
     batch: Callable[[np.ndarray], np.ndarray]
@@ -44,7 +45,8 @@ class TimeFunction:
     name: str = "tau"
 
     def __call__(self, coords) -> float:
-        return float(self.batch(np.asarray(coords, dtype=float)[None, :])[0])
+        c = np.asarray(coords, dtype=float)
+        return float(self.batch(as_point(c, c.size)[None, :])[0])
 
 
 def _t_claims(spec: dict) -> TimeClaims:
@@ -154,8 +156,7 @@ def cosmological_time_numeric(grid: CausalGrid) -> np.ndarray:
     base = np.full(grid.n_nodes, -np.inf)
     sources = np.flatnonzero(grid.in_degrees() == 0)
     base[sources] = _boundary_base(grid, grid.coords[sources])
-    indptr, nbr, _ = grid.csr_out()
-    # edge traversal needs Lorentzian lengths, not |dtau| weights
+    indptr, nbr = grid.csr_out()
     return _kernels.longest_path_values(layers, indptr, nbr, grid.edge_len, base)
 
 

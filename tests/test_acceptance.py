@@ -236,7 +236,8 @@ def test_criterion_08_conformal_invariance():
     g2 = nd.build_grid(st2, tau2, box, 0.05)
     edges_ok = (np.array_equal(g1.edge_u, g2.edge_u)
                 and np.array_equal(g1.edge_v, g2.edge_v)
-                and np.array_equal(g1.edge_w, g2.edge_w))
+                and np.array_equal(g1.tau_values[g1.edge_v] - g1.tau_values[g1.edge_u],
+                                   g2.tau_values[g2.edge_v] - g2.tau_values[g2.edge_u]))
     e1, _ = nd.shortest_null_path(g1, g1.node_of([0, 0]), g1.node_of([0, 1]))
     e2, _ = nd.shortest_null_path(g2, g2.node_of([0, 0]), g2.node_of([0, 1]))
     est_ok = e1 == e2

@@ -269,6 +269,14 @@ def test_nulldist_same_point_is_one_error_line(scene_file, capsys):
     assert re.fullmatch(r"error: p and q are the same point \[\S+, 0\.5\]: .*\n", err)
 
 
+def test_encode_test_same_point_is_one_error_line(scene_file, tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text("[[[0, 0.5], [0, 0.5]]]")
+    assert main(["encode-test", scene_file, "--pairs", str(pairs)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: p and q are the same point \[\S+, 0\.5\]: .*\n", err)
+
+
 def test_nulldist_h_override_and_path_dump(scene_file, tmp_path):
     out = tmp_path / "o.json"
     pcsv = tmp_path / "path.csv"

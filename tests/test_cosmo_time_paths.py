@@ -27,7 +27,7 @@ from nulldist.errors import NoCausalEdges, NonFiniteValue
 from nulldist.timefn import _boundary_base
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
-GRID_ARRAYS = ("coords", "edge_u", "edge_v", "edge_w", "edge_len", "tau_values")
+GRID_ARRAYS = ("coords", "edge_u", "edge_v", "edge_len", "tau_values")
 
 
 def ref_boundary_base(grid, node_coords):

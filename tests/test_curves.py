@@ -1,5 +1,7 @@
 """Curve machinery: null length, zigzags, verdicts, ball boundaries."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from nulldist.curves import (
     curve_from_grid_path,
     grid_distance_oracle,
 )
-from nulldist.errors import BallExitsGrid, InvalidSegment
+from nulldist.errors import BallExitsGrid, InvalidSegment, SamePoint
 from nulldist.grid import GridParams
 
 
@@ -114,6 +116,15 @@ def test_zigzag_beta_balance():
     f, p = nd.zigzag_decompose(beta_j(st, 1), tau3)
     assert f == pytest.approx(0.125, abs=1e-15)
     assert p == pytest.approx(0.125, abs=1e-15)
+
+
+def test_null_distance_result_rejects_same_point():
+    st, tau = mink()
+    grid = nd.build_grid(st, tau, [(-0.3, 0.3), (-0.3, 0.3)], 0.1)
+    n = grid.node_of([0.1, 0.2])
+    point = re.escape(str(grid.coords[n].tolist()))
+    with pytest.raises(SamePoint, match=rf"^p and q are the same point {point}: "):
+        nd.null_distance_result(grid, n, n)
 
 
 def test_telescoping_identity_random_grid_paths():
@@ -348,3 +359,12 @@ def test_ball_exits_grid():
     grid = nd.build_grid(st, tau, params.box, params.h, params.stencil)
     with pytest.raises(BallExitsGrid):
         nd.ball_boundary_sample(grid, [0.0, 0.0], 1.0, 4)
+
+
+def test_ball_rejects_bad_radius_or_direction_count():
+    st, tau = mink()
+    grid = nd.build_grid(st, tau, [(-0.3, 0.3), (-0.3, 0.3)], 0.05)
+    for R, n_dirs in ((0.0, 4), (-1.0, 4), (np.nan, 4), (np.inf, 4), (0.1, 0)):
+        with pytest.raises(ValueError, match=rf"^need a finite R > 0 and n_dirs >= 1, "
+                                             rf"got R = {R!r}, n_dirs = {n_dirs}$"):
+            nd.ball_boundary_sample(grid, [0.0, 0.0], R, n_dirs)

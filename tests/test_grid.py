@@ -19,7 +19,7 @@ def mink_grid(dim=2, box=None, h=0.05, radius=2):
 
 
 def out_offsets(grid, node):
-    indptr, nbr, _ = grid.csr_out()
+    indptr, nbr = grid.csr_out()
     c = grid.coords[node]
     return {tuple(np.rint((grid.coords[v] - c) / grid.h).astype(int))
             for v in nbr[indptr[node]:indptr[node + 1]]}
@@ -261,7 +261,7 @@ def test_causal_case_equality_random_pairs(name, dim, time, box, h):
     then the estimate is |dtau|, else it exceeds it by two edge rises or more."""
     st = nd.builtin(name, dim=dim)
     grid = nd.build_grid(st, time(st), box, h)
-    gap = 2.0 * grid.edge_w.min()
+    gap = 2.0 * (grid.tau_values[grid.edge_v] - grid.tau_values[grid.edge_u]).min()
     rng = np.random.default_rng(9)
     seen = set()
     for _ in range(200):
@@ -290,7 +290,8 @@ def test_conformal_edge_invariance_exact():
     g2 = nd.build_grid(st2, tau2, box, 0.05)
     assert np.array_equal(g1.edge_u, g2.edge_u)
     assert np.array_equal(g1.edge_v, g2.edge_v)
-    assert np.array_equal(g1.edge_w, g2.edge_w)
+    assert np.array_equal(g1.tau_values[g1.edge_v] - g1.tau_values[g1.edge_u],
+                          g2.tau_values[g2.edge_v] - g2.tau_values[g2.edge_u])
     e1, _ = nd.shortest_null_path(g1, g1.node_of([0, 0]), g1.node_of([0, 1]))
     e2, _ = nd.shortest_null_path(g2, g2.node_of([0, 0]), g2.node_of([0, 1]))
     assert e1 == e2

@@ -167,7 +167,8 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 @given(grids())
 def test_dijkstra_matches_reference(case):
     grid, src, tgt = case
-    indptr, nbr, wt = undirected_csr(grid.n_nodes, grid.edge_u, grid.edge_v, grid.edge_w)
+    rise = grid.tau_values[grid.edge_v] - grid.tau_values[grid.edge_u]
+    indptr, nbr, wt = undirected_csr(grid.n_nodes, grid.edge_u, grid.edge_v, rise)
     mixed = pad(indptr, *shuffle_neighbours(indptr, src, nbr, wt))
     for target in (tgt, -1):
         dist, pred = _kernels.dijkstra(*grid.csr_undirected(), src, target)
@@ -227,7 +228,8 @@ def test_dijkstra_matches_reference_on_random_graphs(case):
 @given(grids())
 def test_table_rows_match_stable_csr(case):
     grid, _, _ = case
-    edges = grid.n_nodes, grid.edge_u, grid.edge_v, grid.edge_w
+    rise = grid.tau_values[grid.edge_v] - grid.tau_values[grid.edge_u]
+    edges = grid.n_nodes, grid.edge_u, grid.edge_v, rise
     table = grid.csr_undirected()
     for got, want in zip(table, pad(*undirected_csr(*edges))):
         assert got.dtype == want.dtype
@@ -247,7 +249,7 @@ def test_bfs_reach_matches_reference_and_networkx(case):
     graph.add_nodes_from(range(grid.n_nodes))
     graph.add_edges_from(zip(grid.edge_u.tolist(), grid.edge_v.tolist()))
     # the stored edges are the out-CSR, sorted by source
-    indptr, nbr, _ = grid.csr_out()
+    indptr, nbr = grid.csr_out()
     assert nbr is grid.edge_v
     assert np.array_equal(np.repeat(np.arange(grid.n_nodes), np.diff(indptr)), grid.edge_u)
     mask = _kernels.bfs_reach(indptr, nbr, src)
@@ -261,7 +263,7 @@ def test_bfs_reach_matches_reference_and_networkx(case):
 @given(grids(), hs.integers(0, 2**32 - 1))
 def test_longest_path_matches_reference(case, seed):
     grid, src, tgt = case
-    indptr, nbr, _ = grid.csr_out()
+    indptr, nbr = grid.csr_out()
     lengths = grid.edge_len
     # a few seeded nodes leave most of the lattice unreached (-inf)
     base = np.full(grid.n_nodes, -np.inf)

@@ -1,9 +1,11 @@
 """The one light-cone test against the per-segment code it replaced.
 
 The references below classify one segment at a time with its own metric
-evaluation, as PiecewiseCausalCurve.validate and curve_from_grid_path did
-before both went through LightCone.  The batched code must raise the same
-exception with the same message (or pass) and derive the same senses.
+evaluation, as PiecewiseCausalCurve.validate did before it went through
+LightCone, and as curve_from_grid_path did before it read each sense from
+the sign of the step's tau change.  The batched code must raise the same
+exception with the same message (or pass), and a grid path must get the
+same senses.
 """
 
 import numpy as np
@@ -187,17 +189,21 @@ def test_validate_matches_per_segment_reference(curve, tol):
 def test_curve_senses_match_per_segment_reference(st, seed):
     grid = small_grid(st)
     rng = np.random.default_rng(seed)
-    p, q = rng.choice(grid.n_nodes, size=2, replace=False)
-    try:
-        _, path = nd.shortest_null_path(grid, int(p), int(q))
-    except nd.Disconnected:
-        path = [int(p), int(q)]
-    chain = list(rng.integers(0, grid.n_nodes, size=6))  # arbitrary, some still
+    p = int(rng.choice(grid.edge_u))  # p has an edge, so its component holds q != p
+    linked = np.isfinite(nd.null_distances_from(grid, p))
+    linked[p] = False
+    _, path = nd.shortest_null_path(grid, p, int(rng.choice(np.flatnonzero(linked))))
+    curve = curve_from_grid_path(grid, path)
+    assert curve.senses == ref_senses(grid, path)
+    assert np.array_equal(curve.vertices, grid.coords[path])
+    # a chain with a still step is no path of grid edges: the first step
+    # that keeps tau fixed is named
+    chain = list(rng.integers(0, grid.n_nodes, size=6))
     chain[2] = chain[1]
-    for nodes in (path, chain):
-        curve = curve_from_grid_path(grid, nodes)
-        assert curve.senses == ref_senses(grid, nodes)
-        assert np.array_equal(curve.vertices, grid.coords[nodes])
+    tau = grid.tau_values[chain]
+    k = int(np.flatnonzero(np.diff(tau) == 0.0)[0])
+    with pytest.raises(ValueError, match=rf"^step {k} of the path, node {chain[k]} -> "):
+        curve_from_grid_path(grid, chain)
 
 
 def test_non_finite_midpoint_metric_raises():

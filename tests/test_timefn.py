@@ -85,6 +85,15 @@ def test_scalar_value_is_batch_of_one():
         assert not mismatched, (tau.name, len(mismatched))
 
 
+def test_scalar_value_rejects_a_non_point():
+    tau = nd.coordinate_time(nd.builtin("minkowski", dim=2))
+    for p in ([np.nan, 0.0], [0.5, np.inf], [[0.5, 0.1]], 0.5):
+        with pytest.raises(ValueError, match="^event coordinates must be a finite 1-d vector$"):
+            tau(p)
+    # tau does not know the dimension of its spacetime
+    assert tau([0.5, 0.1, 0.3]) == 0.5
+
+
 def upper_grid(dim=2, h=0.1, box=None):
     st = nd.builtin("upper_half_minkowski", dim=dim)
     tau = nd.coordinate_time(st)
