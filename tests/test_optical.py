@@ -214,6 +214,16 @@ def test_lipschitz_flat_1plus1():
     assert ratio < 2.0
 
 
+@pytest.mark.parametrize("name, dim, center, eps, n_pairs, lattice_n, want", [
+    ("minkowski", 2, [0.0, 0.0], 0.5, 400, 9, 1.414213562373512),
+    ("warped_product", 3, [1.0, 0.0, 0.0], 0.3, 200, 5, 1.4131215315307009),
+])
+def test_lipschitz_estimate_pinned(name, dim, center, eps, n_pairs, lattice_n, want):
+    # exact values: the g_R lattice and its shortest paths are deterministic
+    ch = build_chart(nd.builtin(name, dim=dim), center, TimeSense.FUTURE, eps=eps)
+    assert lipschitz_estimate(ch, n_pairs=n_pairs, seed=0, lattice_n=lattice_n) == want
+
+
 def test_omega_monotonicity_1plus1():
     st = nd.builtin("minkowski", dim=2)
     tau = nd.coordinate_time(st)
