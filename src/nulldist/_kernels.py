@@ -2,7 +2,7 @@
 
 Each kernel does its per-edge work in numpy, one group of nodes per step.
 Reachability and the longest-path pass read the directed out-CSR; Dijkstra
-reads the undirected graph as the padded neighbour table ``table`` builds,
+reads the undirected graph as fixed-width rows of neighbours and weights,
 so a group's edges are one 2-D index of its rows.
 
 - Dijkstra settles a whole distance band per step (the OUT criterion of
@@ -26,43 +26,10 @@ so a group's edges are one 2-D index of its rows.
 import numpy as np
 
 
-def table(n, u, v, w):
-    """(nbr, wt, wout): the undirected n-node graph of the edges u - v
-    weighted w as a padded neighbour table (the ELLPACK format of Kincaid,
-    Oppe and Young, ITPACKV 2D, 1989).
-
-    Row i of the (n, K) arrays ``nbr`` and ``wt`` lists node i's edges in
-    edge order, every u -> v copy before every v -> u copy, and K is the
-    largest degree; the slots past a node's degree hold neighbour 0 with
-    weight +inf, which never improves a distance.  ``wout[i]`` is the
-    smallest weight leaving node i (+inf for an isolated node).
-    """
-    out_slot, n_out = _slots(u, n)
-    in_slot, n_in = _slots(v, n)
-    in_slot += n_out[v]
-    width = int((n_out + n_in).max(initial=0))
-    nbr = np.zeros((n, width), dtype=np.int64)
-    wt = np.full((n, width), np.inf)
-    nbr[u, out_slot] = v
-    wt[u, out_slot] = w
-    nbr[v, in_slot] = u
-    wt[v, in_slot] = w
-    return nbr, wt, wt.min(axis=1, initial=np.inf)
-
-
-def _slots(keys, n):
-    """(slot, count): each entry's position among the entries sharing its
-    key, in entry order, and the number of entries of each key 0..n-1."""
-    count = np.bincount(keys, minlength=n)
-    slot = np.empty(keys.shape[0], dtype=np.int64)
-    slot[np.argsort(keys, kind="stable")] = np.arange(keys.shape[0])
-    slot -= (np.cumsum(count) - count)[keys]
-    return slot, count
-
-
 def dijkstra(nbr, wt, wout, src, target):
-    """Single-source shortest paths over a padded neighbour table (see
-    ``table``) with weights >= 0 and ``wout`` the smallest weight of each row.
+    """Single-source shortest paths over rows of slots: ``wt`` (n, W) holds
+    weights >= 0, ``wout`` each row's smallest, ``nbr[rows]`` the (m, W) ids.
+    An id in a +inf slot is only read (a -1 reads ``dist[-1]``): d + inf never wins.
 
     Returns what a binary heap of ``(dist, node)`` pairs returns, bit for
     bit: nodes settle in ``(dist, node)``-lexicographic order, so ties are
@@ -72,7 +39,7 @@ def dijkstra(nbr, wt, wout, src, target):
     dist and pred.  Returns (dist, pred); nodes that were never reached keep
     dist = inf and pred = -1.
     """
-    n = nbr.shape[0]
+    n = wt.shape[0]
     dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=np.int64)
     is_open = np.zeros(n, dtype=np.bool_)

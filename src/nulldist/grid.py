@@ -1,17 +1,18 @@
 """Causal lattice graphs: build, reach, and shortest null-weighted paths.
 
-A box of the spacetime is discretized into a uniform lattice.  For every
+A box of the spacetime is discretized into a uniform ``Lattice``.  For every
 stencil offset whose displacement is future causal at the segment midpoint a
 directed edge u -> v is emitted with its Lorentzian segment length and stored
 once, sorted by source: the edge arrays are the out-CSR.  tau must rise along
-every edge; the rises tau(v) - tau(u) weight the padded neighbour table of the
-undirected graph that ``_kernels.table`` builds.  Undirected Dijkstra over the
-rises gives an upper estimate of the null distance, with a witness that is
-directed iff one end lies in J+ of the other; directed closure gives J+.
+every edge; the undirected graph holds the rises tau(v) - tau(u) in one slot
+per lattice direction.  Undirected Dijkstra over the rises gives an upper
+estimate of the null distance, with a witness that is directed iff one end
+lies in J+ of the other; directed closure gives J+.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -110,17 +111,61 @@ class ReachSet:
         return 0 <= node < self.members.shape[0] and bool(self.members[node])
 
 
+class Lattice:
+    """Node ids where the boolean array ``keep`` is true, in C-order, padded
+    by ``radius`` with -1 and raveled: node i sits at ``ids[at[i]]``.  Padded
+    extents are at least 2 * radius + 1, so offsets within the radius have
+    distinct flat steps; a view (``undirected``) gathers at its ``steps``."""
+
+    def __init__(self, keep: np.ndarray, radius: int):
+        padded = np.full(np.add(keep.shape, 2 * radius), -1, dtype=np.int64)
+        padded[tuple(slice(radius, radius + n) for n in keep.shape)][keep] = \
+            np.arange(np.count_nonzero(keep))
+        self.ids = padded.ravel()
+        self.at = np.flatnonzero(self.ids >= 0)
+        self.strides = np.array(padded.strides) // padded.itemsize  # flat, per axis
+        self.radius = radius
+
+    def node_at(self, index: np.ndarray) -> int:
+        """Node id at the (unpadded) lattice index, -1 if removed."""
+        return int(self.ids[(index + self.radius) @ self.strides])
+
+    def pairs(self, offset: np.ndarray) -> tuple:
+        """(a, b): every node a with a node b at a + offset, in node order."""
+        b = self.ids[self.at + offset @ self.strides]
+        return np.flatnonzero(b >= 0), b[b >= 0]
+
+    def undirected(self, offsets: np.ndarray, u, v, w) -> tuple:
+        """(nbr, wt, wout): the edges u - v weighted w, v at +-``offsets`` from
+        u, as rows of slots.  Slot j of node i stands for the offsets and then
+        their negatives; ``nbr[nodes]`` gives the neighbours there, -1 off the
+        box or removed, ``wt`` the edge's weight or +inf, ``wout`` the minima."""
+        k = offsets.shape[0]
+        nbr = copy.copy(self)
+        nbr.steps = np.concatenate([offsets, -offsets]) @ self.strides
+        order = np.argsort(nbr.steps)  # an edge's slot at u: its flat step's
+        slot = order[np.searchsorted(nbr.steps[order], self.at[v] - self.at[u])]
+        wt = np.full((self.at.shape[0], 2 * k), np.inf)
+        wt[u, slot] = w
+        wt[v, (slot + k) % (2 * k)] = w
+        return nbr, wt, wt.min(axis=1)
+
+    def __getitem__(self, nodes):
+        return self.ids[self.at[nodes][..., None] + self.steps]
+
+
 class CausalGrid:
     """Immutable lattice with directed future-causal edges.
 
     Edges come sorted stably by source, so the edge arrays are the out-CSR;
     edge e rises by ``tau_values[edge_v[e]] - tau_values[edge_u[e]]`` > 0.
-    Construction is the only mutating phase; afterwards concurrent queries
-    are safe (each query owns its scratch arrays inside the kernels).
+    ``edge_offsets`` are the ``offsets_used`` that carry an edge, in emission
+    order.  Construction is the only mutating phase; afterwards concurrent
+    queries are safe (each query owns its scratch arrays inside the kernels).
     """
 
-    def __init__(self, st, tau, params: GridParams, coords, ids_full, shape,
-                 edge_u, edge_v, edge_len, tau_values, offsets_used):
+    def __init__(self, st, tau, params: GridParams, coords, lattice, shape,
+                 edge_u, edge_v, edge_len, tau_values, offsets_used, edge_offsets):
         self.st = st
         self.tau = tau
         self.params = params
@@ -129,19 +174,20 @@ class CausalGrid:
         self.lo = params.lo()
         self.shape = shape
         self.coords = coords
-        self._ids_full = ids_full
+        self.lattice = lattice
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_len = edge_len
         self.tau_values = tau_values
         self.offsets_used = offsets_used
+        self.edge_offsets = edge_offsets
         self.n_nodes = coords.shape[0]
         self.n_edges = edge_u.shape[0]
         # worst-case factor by which axis-null zigzags overestimate spacelike
         # separation (L1 corner direction)
         self.spacelike_overestimate_max = math.sqrt(max(1, st.dim - 1))
         self._indptr = np.searchsorted(edge_u, np.arange(self.n_nodes + 1))
-        self._table = None
+        self._undirected = None
 
     # -- graph views --------------------------------------------------------
 
@@ -150,12 +196,12 @@ class CausalGrid:
         return self._indptr, self.edge_v
 
     def csr_undirected(self):
-        """(nbr, wt, wout) of the undirected graph: ``_kernels.table`` of the
-        edges weighted by their rises, built on first use."""
-        if self._table is None:
+        """``Lattice.undirected`` of the edges weighted by their rises, built on first use."""
+        if self._undirected is None:
             rise = self.tau_values[self.edge_v] - self.tau_values[self.edge_u]
-            self._table = _kernels.table(self.n_nodes, self.edge_u, self.edge_v, rise)
-        return self._table
+            self._undirected = self.lattice.undirected(self.edge_offsets, self.edge_u,
+                                                       self.edge_v, rise)
+        return self._undirected
 
     # -- node lookup --------------------------------------------------------
 
@@ -169,7 +215,7 @@ class CausalGrid:
         k = np.rint((c - self.lo) / self.h).astype(np.int64)
         if np.any(k < 0) or np.any(k >= self.shape):
             raise NodeNotInGrid(f"{c.tolist()} is outside the grid box")
-        return c, k, int(self._ids_full[tuple(k)])
+        return c, k, self.lattice.node_at(k)
 
     def node_of(self, coords) -> int:
         c, k, node = self._snap(coords)
@@ -242,9 +288,7 @@ def build_grid(st: Spacetime, tau, box, h: float,
     if not np.any(keep):
         raise ExcisionSwallowsBox("thickened excisions removed every node")
 
-    ids_full = np.full(total, -1, dtype=np.int64)
-    ids_full[keep] = np.arange(int(keep.sum()))
-    ids_full = ids_full.reshape(tuple(shape))
+    lattice = Lattice(keep.reshape(tuple(shape)), stencil.radius)
     coords = coords_full[keep]
     tau_values = np.asarray(tau.batch(coords), dtype=float)
     require_finite("time function", tau_values, coords)
@@ -263,16 +307,13 @@ def build_grid(st: Spacetime, tau, box, h: float,
             causal_of = cone.causal
             future_of = cone.future(st.orientation_batch(rows), slice(None))
             length_of = np.sqrt(np.abs(cone.q))
-    eu, ev, el = [], [], []
+    eu, ev, el, carriers = [], [], [], []
     for i, (o, delta) in enumerate(zip(offsets, deltas)):
         if causal_of is not None and not causal_of[i]:
             continue  # spacelike: none of its pairs is an edge
-        a_ids, b_ids = offset_pairs(ids_full, o)
-        mask = (a_ids >= 0) & (b_ids >= 0)
-        if not np.any(mask):
+        a_ids, b_ids = lattice.pairs(o)
+        if not a_ids.size:
             continue
-        a_ids = a_ids[mask]
-        b_ids = b_ids[mask]
         if causal_of is not None:
             future = future_of[i]
             length = np.broadcast_to(length_of[i], a_ids.shape)
@@ -304,6 +345,7 @@ def build_grid(st: Spacetime, tau, box, h: float,
         eu.append(u)
         ev.append(v)
         el.append(length)
+        carriers.append(i)
 
     if not eu:
         # with no edge every pair is disconnected and every node a source
@@ -316,15 +358,8 @@ def build_grid(st: Spacetime, tau, box, h: float,
         parts.clear()
         edges.append(whole[order])
         del whole
-    return CausalGrid(st, tau, params, coords, ids_full, shape, *edges, tau_values, offsets)
-
-
-def offset_pairs(ids: np.ndarray, offset) -> tuple:
-    """Entries of the lattice array ``ids`` at every index pair (k, k + offset)
-    inside it: (sources, targets), each raveled in C-order."""
-    src = tuple(slice(max(0, -int(c)), n - max(0, int(c))) for c, n in zip(offset, ids.shape))
-    dst = tuple(slice(max(0, int(c)), n - max(0, -int(c))) for c, n in zip(offset, ids.shape))
-    return ids[src].ravel(), ids[dst].ravel()
+    return CausalGrid(st, tau, params, coords, lattice, shape, *edges, tau_values, offsets,
+                      offsets[carriers])
 
 
 def axis_corner_directions(n: int) -> np.ndarray:
@@ -371,7 +406,9 @@ def shortest_null_path(grid: CausalGrid, p_node: int, q_node: int):
         # the search ran out, so it reached exactly the source's component
         size = int(np.isfinite(dist).sum())
         raise Disconnected(f"nodes {p_node} and {q_node} are not connected: "
-                           f"node {src}'s component holds {size} of {grid.n_nodes} nodes")
+                           f"node {src}'s component holds {size} of {grid.n_nodes} nodes; "
+                           f"edges run along {len(grid.edge_offsets)} of the "
+                           f"{len(grid.offsets_used)} stencil offsets")
     path = [tgt]
     while path[-1] != src:
         path.append(int(pred[path[-1]]))

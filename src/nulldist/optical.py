@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import LeftDomain, NoConvergence, NullDistError, OnAxisDegenerate
-from .grid import CausalGrid, StencilSpec, axis_corner_directions, offset_pairs, reach
+from .grid import CausalGrid, Lattice, StencilSpec, axis_corner_directions, reach
 from .shooting import _rk4_step, _shoot_state, christoffels
 from .spacetime import MetricForm, Spacetime, TimeSense, as_point, central_probes
 
@@ -660,15 +660,13 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     omegas, gr = omegas.ravel(), gr.reshape(n_nodes, dim, dim)
 
     # undirected lattice edges, one per +- offset pair, max-norm radius 1
-    ids = np.arange(n_nodes).reshape((lattice_n,) * dim)
-    pairs = [offset_pairs(ids, o) for o in StencilSpec(radius=1).offsets(dim)]
-    u = np.concatenate([src for src, _ in pairs])
-    v = np.concatenate([dst for _, dst in pairs])
+    lattice = Lattice(np.ones((lattice_n,) * dim, dtype=bool), 1)
+    offsets = StencilSpec(radius=1).offsets(dim)
+    u, v = (np.concatenate(ends) for ends in zip(*map(lattice.pairs, offsets)))
     delta = nodes[v] - nodes[u]
     gmid = 0.5 * (gr[u] + gr[v])
     w = np.sqrt(np.einsum("mi,mij,mj->m", delta, gmid, delta))
-
-    graph = _kernels.table(n_nodes, u, v, w)
+    graph = lattice.undirected(offsets, u, v, w)
 
     rng = np.random.default_rng(seed)
     n_sources = max(2, min(n_nodes, int(math.ceil(n_pairs / max(1, n_nodes - 1)))))
@@ -676,11 +674,8 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
     # radial-axis nodes (all transverse coordinates at the center) see the
     # gradient-aligned direction where the supremum is attained
     mid = lattice_n // 2
-    axis_idx = np.full(dim, mid)
     for k in (1, lattice_n - 2, lattice_n - 1):
-        axis_idx_k = axis_idx.copy()
-        axis_idx_k[1] = k
-        sources.append(int(ids[tuple(axis_idx_k)]))
+        sources.append(lattice.node_at(np.array([mid, k] + [mid] * (dim - 2))))
     best = 0.0
     for s in sources:
         dist, _ = _kernels.dijkstra(*graph, int(s), -1)

@@ -166,13 +166,13 @@ def test_nan_metric_on_one_node_has_no_edges(constant):
 ])
 def test_constant_metric_pairs_only_causal_offsets(monkeypatch, name, n_paired):
     calls = []
-    pairs = nd.grid.offset_pairs
+    pairs = nd.grid.Lattice.pairs
 
-    def counted(ids, offset):
+    def counted(lattice, offset):
         calls.append(offset)
-        return pairs(ids, offset)
+        return pairs(lattice, offset)
 
-    monkeypatch.setattr("nulldist.grid.offset_pairs", counted)
+    monkeypatch.setattr("nulldist.grid.Lattice.pairs", counted)
     st = nd.builtin(name, dim=4)
     grid = nd.build_grid(st, nd.coordinate_time(st), [[0.5, 1.5]] + [[-0.5, 0.5]] * 3, 0.25,
                          nd.StencilSpec(radius=2))

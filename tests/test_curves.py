@@ -132,15 +132,14 @@ def test_telescoping_identity_random_grid_paths():
     grid = nd.build_grid(st, tau, [(-0.5, 0.5), (-0.5, 0.5)], 0.1)
     rng = np.random.default_rng(2)
     nbr, wt, _ = grid.csr_undirected()
-    deg = np.isfinite(wt).sum(axis=1)  # a row's slots past its degree are padding
     for _ in range(25):
         node = int(rng.integers(0, grid.n_nodes))
         path = [node]
         for _ in range(12):
-            k = deg[path[-1]]
-            if k == 0:
+            slots = np.flatnonzero(np.isfinite(wt[path[-1]]))  # the row's edges
+            if slots.size == 0:
                 break
-            path.append(int(nbr[path[-1], rng.integers(0, k)]))
+            path.append(int(nbr[path[-1]][slots[rng.integers(0, slots.size)]]))
         if len(path) < 2:
             continue
         curve = curve_from_grid_path(grid, path)
@@ -211,16 +210,15 @@ def test_rectifiable_equals_null_length_on_grid_paths():
     oracle = grid_distance_oracle(grid)
     rng = np.random.default_rng(4)
     nbr, wt, _ = grid.csr_undirected()
-    deg = np.isfinite(wt).sum(axis=1)  # a row's slots past its degree are padding
     done = 0
     while done < 20:
         node = int(rng.integers(0, grid.n_nodes))
         path = [node]
         for _ in range(6):
-            k = deg[path[-1]]
-            if k == 0:
+            slots = np.flatnonzero(np.isfinite(wt[path[-1]]))  # the row's edges
+            if slots.size == 0:
                 break
-            nxt = int(nbr[path[-1], rng.integers(0, k)])
+            nxt = int(nbr[path[-1]][slots[rng.integers(0, slots.size)]])
             if nxt != path[-1]:
                 path.append(nxt)
         if len(path) < 3:
@@ -239,15 +237,14 @@ def test_dhat_lower_bounds_any_grid_path():
     grid = nd.build_grid(st, tau, [(-0.4, 0.4), (-0.4, 0.4)], 0.1)
     rng = np.random.default_rng(6)
     nbr, wt, _ = grid.csr_undirected()
-    deg = np.isfinite(wt).sum(axis=1)  # a row's slots past its degree are padding
     for _ in range(20):
         node = int(rng.integers(0, grid.n_nodes))
         path = [node]
         for _ in range(8):
-            k = deg[path[-1]]
-            if k == 0:
+            slots = np.flatnonzero(np.isfinite(wt[path[-1]]))  # the row's edges
+            if slots.size == 0:
                 break
-            path.append(int(nbr[path[-1], rng.integers(0, k)]))
+            path.append(int(nbr[path[-1]][slots[rng.integers(0, slots.size)]]))
         if len(path) < 2:
             continue
         curve = curve_from_grid_path(grid, path)

@@ -155,8 +155,23 @@ def test_disconnected_raises():
     grid = nd.build_grid(st, tau, [(-1.0, 1.0), (-0.1, 0.1)], 0.1)
     # the ball cuts the strip into two halves of 21 nodes
     with pytest.raises(Disconnected, match=r"^nodes 4 and 37 are not connected: "
-                                           r"node 4's component holds 21 of 42 nodes$"):
+                                           r"node 4's component holds 21 of 42 nodes; "
+                                           r"edges run along 8 of the 12 stencil offsets$"):
         nd.shortest_null_path(grid, grid.node_of([-0.9, 0.0]), grid.node_of([0.9, 0.0]))
+
+
+def test_disconnected_names_the_offsets_that_carry_edges():
+    # cones narrower than the stencil's flattest causal offset: only the
+    # time-axis offsets carry edges, so the lattice falls into columns
+    st = nd.builtin("warped_product", dim=2, slope=2.0, offset=1.0)
+    tau = nd.coordinate_time(st)
+    grid = nd.build_grid(st, tau, [[0.5, 1.5], [-0.5, 0.5]], 0.1)
+    assert (grid.n_nodes, grid.n_edges) == (121, 209)
+    assert grid.edge_offsets.tolist() == [[1, 0], [2, 0]]
+    with pytest.raises(Disconnected, match=r"^nodes 0 and 120 are not connected: "
+                                           r"node 0's component holds 11 of 121 nodes; "
+                                           r"edges run along 2 of the 12 stencil offsets$"):
+        nd.shortest_null_path(grid, 0, 120)
 
 
 def test_guardrail():

@@ -7,8 +7,9 @@ bit on random 1+1, 2+1 and 3+1 lattices, with and without an excised ray,
 and Dijkstra also on random CSR graphs with tied, zero and absorbed weights.
 Each kernel must also return the same arrays when every node's neighbour
 list is shuffled: the lattice's edge order is not part of any result.
-Dijkstra reads a padded neighbour table, which ``pad`` builds from a CSR
-graph; the reference reads the CSR itself.
+Dijkstra reads fixed-width rows: the grid's lattice view, or the padded
+table that ``pad`` builds from a CSR graph; the reference reads the CSR
+itself.
 """
 
 from functools import lru_cache
@@ -112,14 +113,15 @@ def undirected_csr(n, u, v, w):
     return indptr, np.concatenate([v, u])[order], np.concatenate([w, w])[order]
 
 
-def pad(indptr, nbr, wt):
+def pad(indptr, nbr, wt, fill=0):
     """(nbr, wt, wout) of a CSR graph as a padded neighbour table: row i
-    holds node i's CSR neighbours in CSR order, then neighbour 0 with weight
-    +inf up to the largest degree; wout is each row's smallest weight."""
+    holds node i's CSR neighbours in CSR order, then neighbour ``fill`` with
+    weight +inf up to the largest degree; wout is each row's smallest
+    weight."""
     n = indptr.shape[0] - 1
     owner = np.repeat(np.arange(n), np.diff(indptr))
     slot = np.arange(nbr.shape[0]) - indptr[owner]
-    table = np.zeros((n, int(np.diff(indptr).max(initial=0))), dtype=np.int64)
+    table = np.full((n, int(np.diff(indptr).max(initial=0))), fill, dtype=np.int64)
     weights = np.full(table.shape, np.inf)
     table[owner, slot] = nbr
     weights[owner, slot] = wt
@@ -134,28 +136,35 @@ def shuffle_neighbours(indptr, seed, *per_edge):
 
 
 @lru_cache(maxsize=None)
-def lattice(dim, radius, h, t0, extent, excised, cubed):
-    st = nd.builtin("missing_ray" if excised else "minkowski", dim=dim)
+def lattice(name, dim, radius, h, t0, extent, cubed):
+    st = nd.builtin(name, dim=dim)
     tau = nd.cubed_time(st) if cubed else nd.coordinate_time(st)
     box = [(t0, t0 + extent)] + [(-0.5 * extent, 0.4 * extent)] * (dim - 1)
     return nd.build_grid(st, tau, box, h, StencilSpec(radius=radius))
+
+
+# the times each spacetime's boxes start at: the excised ray starts at
+# t = 2, so boxes reaching past it cut edges; the warped product's cones
+# (a(t) = t) narrow as t grows, and its edges take the per-candidate path
+T0 = {"minkowski": [-0.5, 0.0, 0.3], "missing_ray": [1.0, 1.25, 1.5],
+      "warped_product": [0.5, 0.75, 1.0]}
 
 
 @hs.composite
 def grids(draw):
     dim = draw(hs.sampled_from([2, 3, 4]))
     h = draw(hs.sampled_from({2: [0.1, 0.125, 0.2], 3: [0.2, 0.25], 4: [0.5]}[dim]))
-    excised = draw(hs.booleans())
-    # the excised ray starts at t = 2; boxes reaching past it cut edges
-    t0 = draw(hs.sampled_from([1.0, 1.25, 1.5] if excised else [-0.5, 0.0, 0.3]))
+    names = ["minkowski", "missing_ray"] + (["warped_product"] if dim == 3 else [])
+    name = draw(hs.sampled_from(names))
+    t0 = draw(hs.sampled_from(T0[name]))
     if dim == 4:
-        # 5 nodes a side: at radius 2 the central node fills all 80 slots of
-        # its table row, and the rows of the others end in padding
+        # 5 nodes a side: at radius 2 the central node has all 80 of its
+        # lattice neighbours, and the others have some off the box
         extent, radius = 2.4, 2
     else:
         extent = draw(hs.sampled_from([0.8, 1.2, 1.6]))
         radius = draw(hs.integers(1, 3))
-    grid = lattice(dim, radius, h, t0, extent, excised, draw(hs.booleans()))
+    grid = lattice(name, dim, radius, h, t0, extent, draw(hs.booleans()))
     nodes = hs.integers(0, grid.n_nodes - 1)
     return grid, draw(nodes), draw(nodes)
 
@@ -214,31 +223,51 @@ def csr_graphs(draw):
 def test_dijkstra_matches_reference_on_random_graphs(case):
     indptr, nbr, wt, src, tgt = case
     mixed = pad(indptr, *shuffle_neighbours(indptr, tgt, nbr, wt))
+    # padding ids are never followed: 0, or -1 as the lattice view reads
+    # off the box
     for target in (tgt, -1):
-        dist, pred = _kernels.dijkstra(*pad(indptr, nbr, wt), src, target)
         ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
-        assert np.array_equal(dist, ref_dist)
-        assert np.array_equal(pred, ref_pred)
-        dist, pred = _kernels.dijkstra(*mixed, src, target)
-        assert np.array_equal(dist, ref_dist)
-        assert np.array_equal(pred, ref_pred)
+        for graph in (pad(indptr, nbr, wt), pad(indptr, nbr, wt, fill=-1), mixed):
+            dist, pred = _kernels.dijkstra(*graph, src, target)
+            assert np.array_equal(dist, ref_dist)
+            assert np.array_equal(pred, ref_pred)
 
 
 @SETTINGS
 @given(grids())
-def test_table_rows_match_stable_csr(case):
+def test_undirected_view_layout(case):
     grid, _, _ = case
-    rise = grid.tau_values[grid.edge_v] - grid.tau_values[grid.edge_u]
-    edges = grid.n_nodes, grid.edge_u, grid.edge_v, rise
-    table = grid.csr_undirected()
-    for got, want in zip(table, pad(*undirected_csr(*edges))):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    # edges not sorted by source are placed as the stable CSR places them
-    n, *per_edge = edges
-    backwards = [a[::-1] for a in per_edge]
-    for got, want in zip(_kernels.table(n, *backwards), pad(*undirected_csr(n, *backwards))):
-        assert np.array_equal(got, want)
+    nbr, wt, wout = grid.csr_undirected()
+    n, k = grid.n_nodes, grid.edge_offsets.shape[0]
+    steps = np.concatenate([grid.edge_offsets, -grid.edge_offsets])
+    assert wt.shape == (n, 2 * k)
+    assert np.array_equal(wout, wt.min(axis=1))
+    # the view against lattice arithmetic on coords: -1 off the box or at a
+    # removed point
+    index = np.rint((grid.coords - grid.lo) / grid.h).astype(np.int64)
+    dense = np.full(tuple(grid.shape), -1, dtype=np.int64)
+    dense[tuple(index.T)] = np.arange(n)
+    there = index[:, None, :] + steps[None]
+    off = ((there < 0) | (there >= grid.shape)).any(axis=2)
+    want = np.where(off, -1, dense[tuple(np.clip(there, 0, grid.shape - 1).transpose(2, 0, 1))])
+    ids = nbr[np.arange(n)]
+    assert np.array_equal(ids, want)
+    assert np.array_equal(nbr[n // 2], want[n // 2])
+    # every edge fills the slot of its step at each end with its rise, and
+    # no other slot is finite
+    u, v = grid.edge_u, grid.edge_v
+    seen = {tuple(s) for s in (index[v] - index[u]).tolist()}
+    assert grid.edge_offsets.tolist() == [o for o in grid.offsets_used.tolist()
+                                          if tuple(o) in seen or tuple(-c for c in o) in seen]
+    slot_of = {tuple(s): j for j, s in enumerate(steps.tolist())}
+    slot = np.array([slot_of[tuple(s)] for s in (index[v] - index[u]).tolist()])
+    back = (slot + k) % (2 * k)
+    rise = grid.tau_values[v] - grid.tau_values[u]
+    assert np.array_equal(wt[u, slot], rise)
+    assert np.array_equal(wt[v, back], rise)
+    assert np.array_equal(ids[u, slot], v)
+    assert np.array_equal(ids[v, back], u)
+    assert np.isfinite(wt).sum() == 2 * grid.n_edges
 
 
 @SETTINGS
