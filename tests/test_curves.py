@@ -168,6 +168,27 @@ def test_small_zags():
     assert ok
 
 
+def test_cubed_time_lattice_witness_pins():
+    """Criterion 2's spacelike minimizer on the lattice, pinned exactly: its
+    zigzag decomposition and the small-zags report against its own
+    estimate.  The report reads ok False: the pair is spacelike, so
+    dhat(p, q) = tau(q) - tau(p) fails and the past content, half the
+    null length, sits far above the bound."""
+    st = nd.builtin("minkowski", dim=2)
+    tau = nd.cubed_time(st)
+    grid = nd.build_grid(st, tau, [(-0.04, 0.08), (-0.08, 1.08)], 0.01)
+    res = nd.null_distance_result(grid, grid.node_of([0, 0]), grid.node_of([0, 1]))
+    assert res.witness.n_segments == 66 and not res.reachable
+    assert res.estimate == 9.999999999999983e-05
+    assert nd.zigzag_decompose(res.witness, tau) == (5.0000000000000036e-05,
+                                                      5.000000000000003e-05)
+    ok, rep = nd.small_zags_check(res.witness, res.estimate, tau)
+    assert not ok
+    assert rep["null_length"] == 0.00010000000000000005
+    assert rep["bound"] == 1.0000000002168405e-09
+    assert rep["telescope_residual"] == 6.776263578034403e-21
+
+
 def test_rectifiable_causal_segment_depth0():
     st, tau = mink()
     grid = nd.build_grid(st, tau, [(-0.2, 1.2), (-0.2, 1.2)], 0.1)
@@ -310,6 +331,7 @@ def test_encodes_missing_ray_violation():
     assert np.all(ray.segment_distance(v[:-1], v[1:]) > 0.0)
     assert res.lattice_estimate == 2 + 2 * params.h
     assert res.lower_bound <= res.estimate < res.lattice_estimate
+    assert res.estimate == 2.000200079703339 and res.witness.n_segments == 6
     back = nd.encodes_causality_test(grid, [3, 1, 0, 0], [1, -1, 0, 0])
     assert back.result.estimate == res.estimate
     # a spacelike pair's surplus zigzags collapse and are merged away; the
