@@ -43,7 +43,6 @@ from .curves import (
     EncodesVerdict,
     NullDistanceResult,
     PiecewiseCausalCurve,
-    SegmentSense,
     ball_boundary_sample,
     curve_from_grid_path,
     encodes_causality_test,

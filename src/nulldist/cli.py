@@ -22,7 +22,6 @@ from . import __version__
 from .curves import (
     EncodesVerdict,
     PiecewiseCausalCurve,
-    SegmentSense,
     ball_boundary_sample,
     encodes_causality_test,
     null_distance_result,
@@ -378,12 +377,10 @@ def _preset_cubed_time():
     D = 1.0
     for j in (1, 2, 4):
         verts = [[0.0, 0.0]]
-        senses = []
         for i in range(1, 2 * j + 1):
             t = D / (2 * j) if i % 2 == 1 else 0.0
             verts.append([t, i * D / (2 * j)])
-            senses.append(SegmentSense.FUTURE if i % 2 == 1 else SegmentSense.PAST)
-        beta = PiecewiseCausalCurve(st, verts, tuple(senses))
+        beta = PiecewiseCausalCurve(st, verts)
         expect = (2 * j) * (D / (2 * j)) ** 3
         got = null_length(beta, tau)
         if abs(got - expect) > 1e-12:

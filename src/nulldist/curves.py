@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,86 +27,55 @@ from .grid import (
 from .spacetime import NULL_TOL, LightCone, Spacetime, as_point
 
 
-class SegmentSense(Enum):
-    FUTURE = "future"
-    PAST = "past"
-    DEGENERATE = "degenerate"
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewiseCausalCurve:
-    """Vertex chain with a declared time sense per straight segment."""
+    """Vertex chain of straight segments.  A segment's time sense is the
+    sign of its change of any time function, so the curve stores none."""
 
     st: Spacetime
     vertices: np.ndarray  # (k+1, dim)
-    senses: tuple
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 2:
             raise ValueError("need at least two vertices")
-        if len(self.senses) != v.shape[0] - 1:
-            raise ValueError("need one sense per segment")
         bad = ~np.isfinite(v).all(axis=1) | (v.shape[1] != self.st.dim)
         if bad.any():  # as_point names what is wrong with the first bad vertex
             as_point(v[np.argmax(bad)], self.st.dim)
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "senses", tuple(self.senses))
 
     @property
     def n_segments(self) -> int:
         return self.vertices.shape[0] - 1
 
     def validate(self, tol: float = NULL_TOL) -> None:
-        """Check every segment against its midpoint metric, one metric
-        evaluation for the whole curve.  InvalidSegment names the first
-        failing segment; a non-finite midpoint metric raises NonFiniteValue."""
+        """Check that every segment that moves is causal at its midpoint, one
+        metric evaluation for the whole curve.  InvalidSegment names the first
+        spacelike segment; a non-finite midpoint metric raises NonFiniteValue."""
         v = self.vertices
         d = np.diff(v, axis=0)
-        step = np.abs(d).max(axis=1)
-        rows = [i for i, s in enumerate(self.senses)
-                if s is not SegmentSense.DEGENERATE and step[i] > 0.0]
+        rows = np.flatnonzero(np.abs(d).max(axis=1) > 0.0)
         mid = 0.5 * (v[:-1][rows] + v[1:][rows])
         cone = LightCone(self.st.metric_batch(mid), d[rows], mid, tol)
-        causal = cone.causal
-        runs_future = iter(cone.future(self.st.orientation_batch(mid[causal]), causal))
-        k = 0  # row of segment i in cone
-        for i, sense in enumerate(self.senses):
-            if sense is SegmentSense.DEGENERATE:
-                if step[i] > 1e-12 * max(1.0, np.abs(v[i]).max()):
-                    raise InvalidSegment(f"segment {i} declared degenerate but moves")
-                continue
-            if step[i] == 0.0:
-                raise InvalidSegment(f"segment {i} has coincident endpoints but sense {sense}")
-            if not causal[k]:
-                raise InvalidSegment(f"segment {i} is spacelike (g(d,d)={cone.q[k]:g})")
-            want_future = sense is SegmentSense.FUTURE
-            if next(runs_future) != want_future:
-                raise InvalidSegment(f"segment {i} runs {'past' if want_future else 'future'} "
-                                     f"but is declared {sense.value}")
-            k += 1
+        if not cone.causal.all():
+            k = int(np.argmin(cone.causal))
+            raise InvalidSegment(f"segment {rows[k]} is spacelike (g(d,d)={cone.q[k]:g})")
 
     def reverse(self) -> "PiecewiseCausalCurve":
-        flip = {SegmentSense.FUTURE: SegmentSense.PAST,
-                SegmentSense.PAST: SegmentSense.FUTURE,
-                SegmentSense.DEGENERATE: SegmentSense.DEGENERATE}
-        return PiecewiseCausalCurve(self.st, self.vertices[::-1].copy(),
-                                    tuple(flip[s] for s in reversed(self.senses)))
+        return PiecewiseCausalCurve(self.st, self.vertices[::-1].copy())
 
 
 def curve_from_grid_path(grid: CausalGrid, path: Sequence[int]) -> PiecewiseCausalCurve:
     """Wrap ``path``, a chain of grid edges as shortest_null_path returns it,
-    as a curve: tau rises along every edge, so a step is FUTURE where tau
-    rises and PAST where it falls.  A step that keeps tau fixed is no edge
-    and raises ValueError; validate() rejects a spacelike step of any other
-    chain that is no path of edges."""
+    as a curve.  Every edge changes tau, so a step that keeps tau fixed is
+    no edge and raises ValueError; validate() rejects a spacelike step of
+    any other chain that is no path of edges."""
     path = np.asarray(path, dtype=int)
     rise = np.diff(grid.tau_values[path])
     if not np.all(rise != 0.0):
         i = int(np.argmin(rise != 0.0))
         raise ValueError(f"step {i} of the path, node {path[i]} -> {path[i + 1]}, keeps tau fixed")
-    senses = np.where(rise > 0.0, SegmentSense.FUTURE, SegmentSense.PAST)
-    return PiecewiseCausalCurve(grid.st, grid.coords[path], tuple(senses))
+    return PiecewiseCausalCurve(grid.st, grid.coords[path])
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +85,10 @@ def curve_from_grid_path(grid: CausalGrid, path: Sequence[int]) -> PiecewiseCaus
 def null_length(curve: PiecewiseCausalCurve, tau) -> float:
     """Sum of |dtau| over the segment breakpoints."""
     curve.validate()
-    vals = tau.batch(curve.vertices)
+    return _null_length(tau.batch(curve.vertices))
+
+
+def _null_length(vals: np.ndarray) -> float:
     return float(np.abs(np.diff(vals)).sum())
 
 
@@ -180,31 +154,31 @@ def grid_distance_oracle(grid: CausalGrid) -> Callable:
 
 
 def zigzag_decompose(curve: PiecewiseCausalCurve, tau) -> tuple:
-    """(future_len, past_len) with future - past = dtau(end) - dtau(start)."""
+    """(future_len, past_len): the rises and the falls of tau along the
+    segments, so future - past = tau(end) - tau(start)."""
     curve.validate()
-    vals = tau.batch(curve.vertices)
-    future = 0.0
-    past = 0.0
-    for i, sense in enumerate(curve.senses):
-        gap = vals[i + 1] - vals[i]
-        if sense is SegmentSense.FUTURE:
-            future += gap
-        elif sense is SegmentSense.PAST:
-            past += -gap
-    return future, past
+    return _zigzags(tau.batch(curve.vertices))
+
+
+def _zigzags(vals: np.ndarray) -> tuple:
+    """Sums of the rises and of the falls of ``vals``, each added in order."""
+    gaps = np.diff(vals)
+    return reduce(add, gaps[gaps > 0.0], 0.0), reduce(add, -gaps[gaps < 0.0], 0.0)
 
 
 def small_zags_check(curve: PiecewiseCausalCurve, dhat_pq: float, tau,
                      tol: float = 1e-9):
     """Past content of a near-minimizer is bounded by its excess length.
 
-    For a curve from p to q with tau(q) >= tau(p), the telescoping identity
-    gives past_len = (null_length - dtau)/2, so a curve within eps of the
-    infimum has past_len < null_length - dhat(p,q) + tol.
+    Hypothesis: dhat(p, q) = tau(q) - tau(p) at the ends p, q of the curve;
+    the telescoping identity then gives past_len = (null_length - dhat)/2 <
+    null_length - dhat + tol.  A spacelike pair breaks it: criterion 2's
+    lattice minimizer reads False, past content 5e-5 against a bound of 1e-9.
     """
-    future, past = zigzag_decompose(curve, tau)
-    total = null_length(curve, tau)
+    curve.validate()
     vals = tau.batch(curve.vertices)
+    future, past = _zigzags(vals)
+    total = _null_length(vals)
     bound = total - dhat_pq + tol
     report = {
         "future_len": future,
@@ -229,33 +203,32 @@ REFINE_MERGE = 1e-5         # segments shorter than this many h are merged away
 def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float, box):
     """Move the interior break points of ``curve`` to lower its null length.
 
-    Every segment keeps its declared sense, so the null length is the
-    linear form sum(sign_i * (tau(v_{i+1}) - tau(v_i))) and, by the
-    telescoping identity, falls exactly when the past content does.  SLSQP
-    minimizes it with the endpoints fixed, each segment strictly inside its
-    cone at the midpoint (slack REFINE_CAUSAL_SLACK, so the result survives
-    validate() after rounding), at least REFINE_CLEARANCE * h from every
-    excision, and every vertex inside ``box``, which must pass box_bounds.
-    Zigzags that the optimum does not need shrink to near-zero length;
-    segments shorter than REFINE_MERGE * h are then merged into their
-    successor.
+    Every segment keeps sign_i, the sign of its tau change, so the null
+    length is the linear form sum(sign_i * (tau(v_{i+1}) - tau(v_i))) and,
+    by the telescoping identity, falls exactly when the past content does.
+    SLSQP minimizes it with the endpoints fixed, each segment strictly
+    inside its cone at the midpoint (slack REFINE_CAUSAL_SLACK, so the
+    result survives validate() after rounding), at least REFINE_CLEARANCE *
+    h from every excision, and every vertex inside ``box``, which must pass
+    box_bounds.  Zigzags that the optimum does not need shrink to near-zero
+    length; segments shorter than REFINE_MERGE * h are then merged into
+    their successor.
 
     Returns ``(refined_curve, null_length)`` only for a certified result:
     the endpoints are those of ``curve``, validate() passes, every segment
     misses every excision (segment_distance > 0), every vertex lies in the
     domain, and the null length is strictly below ``ceiling``.  Returns
-    None otherwise.  Degenerate input segments are dropped first.
+    None otherwise.  Zero-length input segments are dropped first.
     """
     from scipy.optimize import minimize
 
     st = curve.st
     lo, hi = box_bounds(box, st.dim)
-    moving = [s is not SegmentSense.DEGENERATE for s in curve.senses]
-    verts = curve.vertices[[True] + moving]
-    senses = tuple(s for s, m in zip(curve.senses, moving) if m)
-    if len(senses) < 2:
+    moving = np.abs(np.diff(curve.vertices, axis=0)).max(axis=1) > 0.0
+    verts = curve.vertices[np.concatenate([[True], moving])]
+    if verts.shape[0] < 3:
         return None
-    sign = np.array([1.0 if s is SegmentSense.FUTURE else -1.0 for s in senses])
+    sign = np.sign(np.diff(tau.batch(verts)))
     dim = st.dim
 
     def chain(x):
@@ -281,42 +254,34 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float, b
     cons = [{"type": "ineq", "fun": in_cone}]
     if st.excisions:
         cons.append({"type": "ineq", "fun": clear})
-    bounds = list(zip(lo.tolist(), hi.tolist())) * (len(senses) - 1)
+    bounds = list(zip(lo.tolist(), hi.tolist())) * (verts.shape[0] - 2)
     res = minimize(null_len, verts[1:-1].ravel(), method="SLSQP", bounds=bounds,
                    constraints=cons, options={"maxiter": 200, "ftol": 1e-10})
 
-    refined = _merge_short_segments(st, chain(res.x), senses, REFINE_MERGE * h)
+    refined = _merge_short_segments(st, chain(res.x), REFINE_MERGE * h)
     v = refined.vertices
     try:
-        refined.validate()
+        length = null_length(refined, tau)
     except InvalidSegment:
         return None
     if not all(np.all(exc.segment_distance(v[:-1], v[1:]) > 0.0) for exc in st.excisions):
         return None
-    if not np.all(st.domain_batch(v)):
-        return None
-    length = null_length(refined, tau)
-    if not length < ceiling:
+    if not (np.all(st.domain_batch(v)) and length < ceiling):
         return None
     return refined, length
 
 
-def _merge_short_segments(st: Spacetime, v: np.ndarray, senses: tuple,
-                          min_len: float) -> PiecewiseCausalCurve:
+def _merge_short_segments(st: Spacetime, v: np.ndarray, min_len: float) -> PiecewiseCausalCurve:
     """Drop each vertex reached by a segment shorter than ``min_len`` so the
-    next segment, with its own sense, absorbs the short one; a short final
-    segment moves its start onto the fixed endpoint instead."""
-    keep_v = [v[0]]
-    keep_s = []
-    for i, sense in enumerate(senses):
-        if np.abs(v[i + 1] - keep_v[-1]).max() >= min_len:
-            keep_v.append(v[i + 1])
-            keep_s.append(sense)
-        elif i == len(senses) - 1 and keep_s:
-            keep_v[-1] = v[-1]
-    if not keep_s:
-        return PiecewiseCausalCurve(st, v, senses)
-    return PiecewiseCausalCurve(st, np.array(keep_v), tuple(keep_s))
+    next segment absorbs the short one; a short final segment moves its
+    start onto the fixed endpoint instead."""
+    keep = [v[0]]
+    for i in range(1, v.shape[0]):
+        if np.abs(v[i] - keep[-1]).max() >= min_len:
+            keep.append(v[i])
+        elif i == v.shape[0] - 1 and len(keep) > 1:
+            keep[-1] = v[-1]
+    return PiecewiseCausalCurve(st, np.array(keep) if len(keep) > 1 else v)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +300,7 @@ class NullDistanceResult:
     the Dijkstra value, the same number unless the witness was refined off
     the lattice.  ``encodes_equality`` is decided on ``lattice_estimate``:
     it is ``lattice_estimate - lower_bound <= default_tol_eq(grid)``.
-    ``reachable``: the lattice witness is directed, all segments of one sense."""
+    ``reachable``: tau changes one way along every lattice witness segment."""
 
     estimate: float
     lower_bound: float
@@ -368,9 +333,10 @@ def null_distance_result(grid: CausalGrid, p_node: int, q_node: int) -> NullDist
                         f"no witness curve joins it to itself")
     lower = abs(float(grid.tau_values[q_node] - grid.tau_values[p_node]))
     witness = curve_from_grid_path(grid, path)
+    senses = np.sign(np.diff(grid.tau_values[path]))
     return NullDistanceResult(estimate=est, lower_bound=lower, witness=witness,
                               encodes_equality=(est - lower) <= default_tol_eq(grid),
-                              lattice_estimate=est, reachable=len(set(witness.senses)) == 1)
+                              lattice_estimate=est, reachable=bool(np.all(senses == senses[0])))
 
 
 def _refined_result(grid: CausalGrid, res: NullDistanceResult,

@@ -71,7 +71,7 @@ class SamePoint(NullDistError):
 
 
 class InvalidSegment(NullDistError):
-    """A curve segment fails its declared causal-sense check."""
+    """A curve segment is spacelike at its midpoint."""
 
 
 class NoConvergence(NullDistError):

@@ -113,25 +113,28 @@ class ReachSet:
 
 class Lattice:
     """Node ids where the boolean array ``keep`` is true, in C-order, padded
-    by ``radius`` with -1 and raveled: node i sits at ``ids[at[i]]``.  Padded
-    extents are at least 2 * radius + 1, so offsets within the radius have
-    distinct flat steps; a view (``undirected``) gathers at its ``steps``."""
+    with -1 by ``pad`` = min(radius, n - 1) on an axis of n points, raveled:
+    node i sits at ``ids[at[i]]``.  Offsets with |o| <= pad stay inside and
+    have distinct flat steps; a view (``undirected``) gathers at its ``steps``."""
 
     def __init__(self, keep: np.ndarray, radius: int):
-        padded = np.full(np.add(keep.shape, 2 * radius), -1, dtype=np.int64)
-        padded[tuple(slice(radius, radius + n) for n in keep.shape)][keep] = \
+        self.pad = np.minimum(radius, np.array(keep.shape) - 1)
+        padded = np.full(keep.shape + 2 * self.pad, -1, dtype=np.int64)
+        padded[tuple(slice(p, p + n) for p, n in zip(self.pad, keep.shape))][keep] = \
             np.arange(np.count_nonzero(keep))
         self.ids = padded.ravel()
         self.at = np.flatnonzero(self.ids >= 0)
         self.strides = np.array(padded.strides) // padded.itemsize  # flat, per axis
-        self.radius = radius
 
     def node_at(self, index: np.ndarray) -> int:
         """Node id at the (unpadded) lattice index, -1 if removed."""
-        return int(self.ids[(index + self.radius) @ self.strides])
+        return int(self.ids[(index + self.pad) @ self.strides])
 
     def pairs(self, offset: np.ndarray) -> tuple:
-        """(a, b): every node a with a node b at a + offset, in node order."""
+        """(a, b): every node a with a node b at a + offset, in node order;
+        none for an offset that does not fit the box."""
+        if np.any(np.abs(offset) > self.pad):
+            return (np.empty(0, dtype=np.int64),) * 2
         b = self.ids[self.at + offset @ self.strides]
         return np.flatnonzero(b >= 0), b[b >= 0]
 

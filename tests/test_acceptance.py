@@ -14,7 +14,6 @@ import nulldist as nd
 from nulldist.curves import (
     EncodesVerdict,
     PiecewiseCausalCurve,
-    SegmentSense,
     curve_from_grid_path,
     grid_distance_oracle,
 )
@@ -57,12 +56,10 @@ def test_criterion_02_cubed_time_degeneracy():
     witness_ok = True
     for j in (1, 2, 4):
         verts = [[0.0, 0.0]]
-        senses = []
         for i in range(1, 2 * j + 1):
             t = D / (2 * j) if i % 2 == 1 else 0.0
             verts.append([t, i * D / (2 * j)])
-            senses.append(SegmentSense.FUTURE if i % 2 == 1 else SegmentSense.PAST)
-        beta = PiecewiseCausalCurve(st, verts, tuple(senses))
+        beta = PiecewiseCausalCurve(st, verts)
         expect = (2 * j) * (D / (2 * j)) ** 3
         witness_ok &= abs(nd.null_length(beta, tau) - expect) <= 1e-15
     box = [(-0.04, 0.08), (-0.08, 1.08)]

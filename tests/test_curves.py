@@ -9,7 +9,6 @@ import nulldist as nd
 from nulldist.curves import (
     EncodesVerdict,
     PiecewiseCausalCurve,
-    SegmentSense,
     curve_from_grid_path,
     grid_distance_oracle,
 )
@@ -25,19 +24,16 @@ def mink(dim=2):
 def beta_j(st, j, D=1.0):
     """Zigzag with 2j null segments between equal-time points D apart."""
     verts = [[0.0, 0.0]]
-    senses = []
     for i in range(1, 2 * j + 1):
         t = D / (2 * j) if i % 2 == 1 else 0.0
         verts.append([t, i * D / (2 * j)])
-        senses.append(SegmentSense.FUTURE if i % 2 == 1 else SegmentSense.PAST)
-    return PiecewiseCausalCurve(st, verts, tuple(senses))
+    return PiecewiseCausalCurve(st, verts)
 
 
 def eps_path(eps):
     st = nd.builtin("missing_ray", dim=4)
     verts = [[1, -1, 0, 0], [1 - eps, -1, eps, 0], [3 - eps, 1, eps, 0], [3, 1, 0, 0]]
-    senses = (SegmentSense.PAST, SegmentSense.FUTURE, SegmentSense.FUTURE)
-    return st, PiecewiseCausalCurve(st, verts, senses)
+    return st, PiecewiseCausalCurve(st, verts)
 
 
 def test_null_length_cubed_witness():
@@ -51,7 +47,7 @@ def test_null_length_cubed_witness():
 
 def test_null_length_single_future_segment():
     st, tau = mink()
-    c = PiecewiseCausalCurve(st, [[0, 0], [2, 1]], (SegmentSense.FUTURE,))
+    c = PiecewiseCausalCurve(st, [[0, 0], [2, 1]])
     assert nd.null_length(c, tau) == pytest.approx(2.0, abs=1e-15)
 
 
@@ -63,16 +59,28 @@ def test_null_length_eps_path():
 
 def test_invalid_segments():
     st, tau = mink()
-    bad = PiecewiseCausalCurve(st, [[0, 0], [0.1, 1.0]], (SegmentSense.FUTURE,))
+    bad = PiecewiseCausalCurve(st, [[0, 0], [0.1, 1.0]])
     with pytest.raises(InvalidSegment):
         nd.null_length(bad, tau)  # spacelike displacement
-    wrong_sense = PiecewiseCausalCurve(st, [[0, 0], [1.0, 0.0]], (SegmentSense.PAST,))
-    with pytest.raises(InvalidSegment):
-        nd.null_length(wrong_sense, tau)
-    moving_degenerate = PiecewiseCausalCurve(st, [[0, 0], [1.0, 0.0]],
-                                             (SegmentSense.DEGENERATE,))
-    with pytest.raises(InvalidSegment):
-        moving_degenerate.validate()
+
+
+def test_segment_senses_come_from_tau():
+    """A curve is its vertices: a causal segment that runs to the past
+    validates and counts as past content, reversal swaps the future and
+    past content exactly, and a segment that moves at all must be causal,
+    however short."""
+    st, tau = mink()
+    back = PiecewiseCausalCurve(st, [[0, 0], [1.0, 0.5], [0.25, 0.0]])
+    back.validate()
+    assert nd.zigzag_decompose(back, tau) == (1.0, 0.75)
+    st4, curve = eps_path(0.1)
+    for c, t in ((back, tau), (curve, nd.coordinate_time(st4)),
+                 (beta_j(st, 2), nd.cubed_time(st))):
+        f, p = nd.zigzag_decompose(c, t)
+        assert nd.zigzag_decompose(c.reverse(), t) == (p, f)
+    for verts, i in (([[0, 0], [0, 1e-13]], 0), ([[0, 0], [1, 0], [1, 1e-13]], 1)):
+        with pytest.raises(InvalidSegment, match=rf"^segment {i} is spacelike "):
+            PiecewiseCausalCurve(st, verts).validate()
 
 
 @pytest.mark.parametrize("verts, message", [
@@ -82,7 +90,7 @@ def test_invalid_segments():
 def test_curve_vertices_are_points(verts, message):
     st, _ = mink()
     with pytest.raises(ValueError, match=message):
-        PiecewiseCausalCurve(st, np.array(verts), (SegmentSense.FUTURE,))
+        PiecewiseCausalCurve(st, np.array(verts))
 
 
 @pytest.mark.parametrize("box", [[(0.6, -0.1), (-0.1, 1.1)], [(-0.1, 0.6), (np.nan, 1.1)]],
@@ -95,8 +103,7 @@ def test_refine_witness_rejects_malformed_box(box):
 
 def test_degenerate_segments_allowed():
     st, tau = mink()
-    c = PiecewiseCausalCurve(st, [[0, 0], [0, 0], [1, 0]],
-                             (SegmentSense.DEGENERATE, SegmentSense.FUTURE))
+    c = PiecewiseCausalCurve(st, [[0, 0], [0, 0], [1, 0]])
     assert nd.null_length(c, tau) == pytest.approx(1.0)
     f, p = nd.zigzag_decompose(c, tau)
     assert (f, p) == (1.0, 0.0)
@@ -151,7 +158,7 @@ def test_telescoping_identity_random_grid_paths():
 
 def test_small_zags():
     st, tau = mink()
-    causal = PiecewiseCausalCurve(st, [[0, 0], [1, 0.5]], (SegmentSense.FUTURE,))
+    causal = PiecewiseCausalCurve(st, [[0, 0], [1, 0.5]])
     ok, rep = nd.small_zags_check(causal, 1.0, tau)
     assert ok and rep["past_len"] == 0.0
     st4, curve = eps_path(0.1)
@@ -159,9 +166,7 @@ def test_small_zags():
     ok, rep = nd.small_zags_check(curve, 2.0, tau4)
     assert ok and rep["past_len"] == pytest.approx(0.1, abs=1e-12)
     # near-minimizer with excess 0.02 has past content exactly 0.01
-    near = PiecewiseCausalCurve(
-        st, [[0.0, 0.0], [0.51, 0.5], [0.5, 0.5], [1.0, 0.6]],
-        (SegmentSense.FUTURE, SegmentSense.PAST, SegmentSense.FUTURE))
+    near = PiecewiseCausalCurve(st, [[0.0, 0.0], [0.51, 0.5], [0.5, 0.5], [1.0, 0.6]])
     f, p = nd.zigzag_decompose(near, tau)
     assert p == pytest.approx(0.01, abs=1e-12)
     ok, _ = nd.small_zags_check(near, 1.0, tau, tol=1e-9)
@@ -193,7 +198,7 @@ def test_rectifiable_causal_segment_depth0():
     st, tau = mink()
     grid = nd.build_grid(st, tau, [(-0.2, 1.2), (-0.2, 1.2)], 0.1)
     oracle = grid_distance_oracle(grid)
-    c = PiecewiseCausalCurve(st, [[0, 0], [1.0, 0.5]], (SegmentSense.FUTURE,))
+    c = PiecewiseCausalCurve(st, [[0, 0], [1.0, 0.5]])
     val = nd.rectifiable_length(c, oracle, depth=0)
     assert val == pytest.approx(1.0, abs=1e-12)
     assert val == pytest.approx(nd.null_length(c, tau), abs=1e-12)
@@ -218,8 +223,7 @@ def test_rectifiable_monotone_in_depth():
     st, tau = mink()
     grid = nd.build_grid(st, tau, [(-0.3, 0.3), (-0.2, 1.2)], 0.05)
     oracle = grid_distance_oracle(grid)
-    c = PiecewiseCausalCurve(st, [[0, 0], [0.25, 0.25], [0.0, 0.5]],
-                             (SegmentSense.FUTURE, SegmentSense.PAST))
+    c = PiecewiseCausalCurve(st, [[0, 0], [0.25, 0.25], [0.0, 0.5]])
     vals = [nd.rectifiable_length(c, oracle, depth=d) for d in range(4)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] <= nd.null_length(c, tau) + 1e-9
@@ -308,7 +312,7 @@ def test_encodes_keeps_directed_lattice_witness():
     assert res.estimate == res.lattice_estimate
     _, path = nd.shortest_null_path(grid, grid.node_of(p), grid.node_of(q))
     assert np.array_equal(res.witness.vertices, grid.coords[path])
-    assert set(res.witness.senses) == {SegmentSense.FUTURE}
+    assert np.all(np.diff(grid.tau_values[path]) > 0.0)  # tau rises along every segment
 
 
 def test_encodes_missing_ray_violation():

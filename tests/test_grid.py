@@ -96,6 +96,23 @@ def test_node_count_matches_box():
     assert grid.n_nodes == 5 * 5
 
 
+def test_flat_axes_pad_no_ids():
+    """An axis of one point is not padded: the 3+1 box flat in space holds
+    its 201 nodes in 205 lattice ids (4 pad the time axis), and its edges
+    and distances are those of the 1+1 box flat in space."""
+    st = nd.builtin("minkowski", dim=4)
+    grid = nd.build_grid(st, nd.coordinate_time(st), [[0, 2], [0, 0], [0, 0], [0, 0]], 0.01)
+    assert (grid.n_nodes, grid.lattice.ids.size, grid.n_edges) == (201, 205, 399)
+    st2 = nd.builtin("minkowski", dim=2)
+    line = nd.build_grid(st2, nd.coordinate_time(st2), [[0, 2], [0, 0]], 0.01)
+    for name in ("edge_u", "edge_v", "edge_len"):
+        assert np.array_equal(getattr(grid, name), getattr(line, name))
+    assert np.array_equal(grid.edge_offsets[:, 1:], np.zeros((2, 3)))
+    est, path = nd.shortest_null_path(grid, grid.node_of([0.5, 0, 0, 0]), grid.node_of([2, 0, 0, 0]))
+    assert est == nd.shortest_null_path(line, line.node_of([0.5, 0]), line.node_of([2, 0]))[0]
+    assert len(path) == 76
+
+
 def test_reach_examples():
     st, tau, grid = mink_grid(box=[(-0.5, 2.5), (-0.5, 2.5)], h=0.25, radius=1)
     origin = grid.node_of([0.0, 0.0])

@@ -4,8 +4,8 @@ The references below classify one segment at a time with its own metric
 evaluation, as PiecewiseCausalCurve.validate did before it went through
 LightCone, and as curve_from_grid_path did before it read each sense from
 the sign of the step's tau change.  The batched code must raise the same
-exception with the same message (or pass), and a grid path must get the
-same senses.
+exception with the same message (or pass), and tau must change along a
+grid path in the sense the cone gives each step.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from hypothesis import strategies as hs
 import nulldist as nd
 from nulldist.curves import (
     PiecewiseCausalCurve,
-    SegmentSense,
     curve_from_grid_path,
     null_length,
 )
@@ -24,48 +23,35 @@ from nulldist.errors import InvalidSegment, NonFiniteValue
 from nulldist.spacetime import NULL_TOL, LightCone, Spacetime
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
-SENSES = (SegmentSense.FUTURE, SegmentSense.PAST, SegmentSense.DEGENERATE)
 
 
 def ref_validate(curve, tol=NULL_TOL):
     for i in range(curve.n_segments):
         a, b = curve.vertices[i], curve.vertices[i + 1]
         delta = b - a
-        sense = curve.senses[i]
-        if sense is SegmentSense.DEGENERATE:
-            if np.abs(delta).max() > 1e-12 * max(1.0, np.abs(a).max()):
-                raise InvalidSegment(f"segment {i} declared degenerate but moves")
-            continue
         if np.abs(delta).max() == 0.0:
-            raise InvalidSegment(f"segment {i} has coincident endpoints but sense {sense}")
+            continue
         mid = 0.5 * (a + b)
         g = curve.st.metric_batch(mid[None, :])[0]
         q = float(delta @ g @ delta)
         scale = float(np.abs(g).max())
         if q > tol * scale * float(delta @ delta):
             raise InvalidSegment(f"segment {i} is spacelike (g(d,d)={q:g})")
-        tvec = curve.st.orientation_batch(mid[None, :])[0]
-        s = float(tvec @ g @ delta)
-        want_future = sense is SegmentSense.FUTURE
-        if (s < 0) != want_future:
-            raise InvalidSegment(f"segment {i} runs {'past' if want_future else 'future'} "
-                                 f"but is declared {sense.value}")
 
 
-def ref_senses(grid, path):
-    verts = grid.coords[np.asarray(path, dtype=int)]
+def ref_senses(st, verts):
+    """Per step: 1 where the cone orientation says future, -1 past, 0 still."""
     senses = []
     for i in range(verts.shape[0] - 1):
         delta = verts[i + 1] - verts[i]
         if np.abs(delta).max() == 0.0:
-            senses.append(SegmentSense.DEGENERATE)
+            senses.append(0)
             continue
         mid = 0.5 * (verts[i] + verts[i + 1])
-        g = grid.st.metric_batch(mid[None, :])[0]
-        tvec = grid.st.orientation_batch(mid[None, :])[0]
-        senses.append(SegmentSense.FUTURE if float(tvec @ g @ delta) < 0
-                      else SegmentSense.PAST)
-    return tuple(senses)
+        g = st.metric_batch(mid[None, :])[0]
+        tvec = st.orientation_batch(mid[None, :])[0]
+        senses.append(1 if float(tvec @ g @ delta) < 0 else -1)
+    return senses
 
 
 def outcome(check):
@@ -113,7 +99,8 @@ def test_every_emitted_edge_validates(st, seed):
     rng = np.random.default_rng(seed)
     for e in rng.choice(grid.n_edges, size=min(grid.n_edges, 60), replace=False):
         verts = grid.coords[[grid.edge_u[e], grid.edge_v[e]]]
-        PiecewiseCausalCurve(st, verts, (SegmentSense.FUTURE,)).validate()
+        PiecewiseCausalCurve(st, verts).validate()
+        assert ref_senses(st, verts) == [1]
 
 
 def test_band_is_closed():
@@ -135,22 +122,22 @@ def test_orientation_only_on_causal_rows(monkeypatch):
     grid = small_grid(st)
     assert sum(rows) == grid.n_edges  # no excision: every causal row becomes an edge
     rows.clear()
-    curve = PiecewiseCausalCurve(st, [[1.0, 0, 0], [1.0, 1, 0], [2.0, 1, 0]],
-                                 (SegmentSense.FUTURE, SegmentSense.FUTURE))
+    curve = PiecewiseCausalCurve(st, [[1.0, 0, 0], [1.0, 1, 0], [2.0, 1, 0]])
     with pytest.raises(InvalidSegment, match="segment 0 is spacelike"):
         curve.validate()
-    assert rows == [1]
+    PiecewiseCausalCurve(st, [[1.0, 0, 0], [2.0, 0.5, 0]]).validate()
+    assert rows == []  # validate() reads no orientation
 
 
 @hs.composite
 def mixed_curves(draw):
     """Chains of honest causal and still segments, each in turn replaced, one
-    time in four, by a segment whose displacement kind and declared sense are
-    drawn freely: degenerate, coincident, spacelike and wrong-sense ones."""
+    time in four, by a segment whose displacement kind is drawn freely:
+    still, sub-1e-12 jitter, spacelike and oblique ones."""
     st = draw(spacetimes())
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
     x = np.concatenate([[1.0], rng.uniform(-0.5, 0.5, st.dim - 1)])
-    verts, senses = [x], []
+    verts = [x]
     for _ in range(draw(hs.integers(1, 6))):
         free = draw(hs.integers(0, 3)) == 0
         kind = draw(hs.sampled_from(["still", "jitter", "spacelike", "oblique", "timelike", "null"]
@@ -170,12 +157,7 @@ def mixed_curves(draw):
             step[0], step[axis] = dt, rng.uniform(0.5, 2.0) * dt
         x = x + step
         verts.append(x)
-        if free:
-            senses.append(draw(hs.sampled_from(SENSES)))
-        else:
-            senses.append(SegmentSense.DEGENERATE if kind == "still" else
-                          SegmentSense.FUTURE if dt > 0 else SegmentSense.PAST)
-    return PiecewiseCausalCurve(st, np.array(verts), tuple(senses))
+    return PiecewiseCausalCurve(st, np.array(verts))
 
 
 @settings(SETTINGS, max_examples=100)  # enough to reach every failure kind
@@ -192,10 +174,13 @@ def test_curve_senses_match_per_segment_reference(st, seed):
     p = int(rng.choice(grid.edge_u))  # p has an edge, so its component holds q != p
     linked = np.isfinite(nd.null_distances_from(grid, p))
     linked[p] = False
-    _, path = nd.shortest_null_path(grid, p, int(rng.choice(np.flatnonzero(linked))))
-    curve = curve_from_grid_path(grid, path)
-    assert curve.senses == ref_senses(grid, path)
-    assert np.array_equal(curve.vertices, grid.coords[path])
+    q = int(rng.choice(np.flatnonzero(linked)))
+    _, path = nd.shortest_null_path(grid, p, q)
+    senses = ref_senses(st, grid.coords[path])
+    assert np.sign(np.diff(grid.tau_values[path])).tolist() == senses
+    res = nd.null_distance_result(grid, p, q)
+    assert np.array_equal(res.witness.vertices, grid.coords[path])
+    assert res.reachable == (len(set(senses)) == 1)
     # a chain with a still step is no path of grid edges: the first step
     # that keeps tau fixed is named
     chain = list(rng.integers(0, grid.n_nodes, size=6))
@@ -209,8 +194,8 @@ def test_curve_senses_match_per_segment_reference(st, seed):
 def test_non_finite_midpoint_metric_raises():
     st = nd.builtin("conformal", dim=2, base="minkowski",
                     factor=lambda pts: np.where(pts[:, 0] > 0.4, np.nan, 1.0))
-    spacelike = PiecewiseCausalCurve(st, [[0.6, 0.0], [0.61, 1.0]], (SegmentSense.PAST,))
-    future = PiecewiseCausalCurve(st, [[0.6, 0.0], [1.0, 0.1]], (SegmentSense.FUTURE,))
+    spacelike = PiecewiseCausalCurve(st, [[0.6, 0.0], [0.61, 1.0]])
+    future = PiecewiseCausalCurve(st, [[0.6, 0.0], [1.0, 0.1]])
     for curve in (spacelike, future):
         with pytest.raises(NonFiniteValue, match="metric is not finite at"):
             curve.validate()
