@@ -119,7 +119,7 @@ class Lattice:
 
     def __init__(self, keep: np.ndarray, radius: int):
         self.pad = np.minimum(radius, np.array(keep.shape) - 1)
-        padded = np.full(keep.shape + 2 * self.pad, -1, dtype=np.int64)
+        padded = np.full(np.add(keep.shape, 2 * self.pad), -1, dtype=np.int64)
         padded[tuple(slice(p, p + n) for p, n in zip(self.pad, keep.shape))][keep] = \
             np.arange(np.count_nonzero(keep))
         self.ids = padded.ravel()

@@ -40,13 +40,10 @@ def ref_validate(curve, tol=NULL_TOL):
 
 
 def ref_senses(st, verts):
-    """Per step: 1 where the cone orientation says future, -1 past, 0 still."""
+    """Per step: 1 where the cone orientation says future, else -1."""
     senses = []
     for i in range(verts.shape[0] - 1):
         delta = verts[i + 1] - verts[i]
-        if np.abs(delta).max() == 0.0:
-            senses.append(0)
-            continue
         mid = 0.5 * (verts[i] + verts[i + 1])
         g = st.metric_batch(mid[None, :])[0]
         tvec = st.orientation_batch(mid[None, :])[0]
