@@ -91,6 +91,49 @@ def test_builtin_unknown_and_conformal():
         nd.builtin("conformal", base="minkowski", dim=4, factor=-1.0)
 
 
+# domain_batch at t = -0.5, 0 and 0.5 off the t-axis, on the missing ray at
+# t = 2.5, 0.1 off it there, and on the ray's line below its origin, at t = 1.5
+FLAT_DOMAINS = {
+    "minkowski": [True] * 6,
+    "upper_half_minkowski": [False, False, True, True, True, True],
+    "missing_ray": [False, False, True, False, True, True],
+}
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("name", sorted(FLAT_DOMAINS))
+def test_flat_builtins(name, dim):
+    st = nd.builtin(name, dim=dim)
+    eta = np.diag([-1.0] + [1.0] * (dim - 1))
+    pts = np.random.default_rng(2).uniform(0.3, 2.8, size=(3, dim))
+    g = st.metric_batch(pts)
+    assert g.dtype == float and np.array_equal(g, np.broadcast_to(eta, (3, dim, dim)))
+    g[:] = 0.0  # each call returns its own copy
+    assert np.array_equal(st.metric_batch(pts), np.broadcast_to(eta, (3, dim, dim)))
+    dg = st.metric_derivatives(pts)
+    assert dg.shape == (3, dim, dim, dim) and dg.dtype == float
+    assert not dg.any() and not np.signbit(dg).any()  # +0.0 throughout
+    probes = np.zeros((6, dim))
+    probes[:, 0] = [-0.5, 0.0, 0.5, 2.5, 2.5, 1.5]
+    probes[:3, 1] = 0.3
+    probes[4, 1] = 0.1
+    assert st.domain_batch(probes).tolist() == FLAT_DOMAINS[name]
+    if name == "missing_ray":
+        ray, = st.excisions
+        assert isinstance(ray, nd.HalfLine)
+        assert np.array_equal(ray.origin, [2.0] + [0.0] * (dim - 1))
+        assert np.array_equal(ray.direction, [1.0] + [0.0] * (dim - 1))
+    else:
+        assert st.excisions == ()
+    analytic = st.cosmological_time_analytic
+    if name == "minkowski":
+        assert analytic is None
+    else:
+        tau = analytic(pts)
+        assert np.array_equal(tau, pts[:, 0]) and not np.shares_memory(tau, pts)
+    assert st.name == name and st.params == {"dim": dim} and st.constant_metric is True
+
+
 def test_conformal_base_and_factor_are_checked():
     # a base spec as a dict is the scene's to convert (scene._build_spacetime)
     spec = {"name": "minkowski"}
