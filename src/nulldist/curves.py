@@ -242,7 +242,7 @@ def refine_witness(curve: PiecewiseCausalCurve, tau, ceiling: float, h: float, b
         d = np.diff(v, axis=0)
         mid = 0.5 * (v[:-1] + v[1:])
         cone = LightCone(st.metric_batch(mid), d, mid, NULL_TOL)
-        s = cone.time_component(st.orientation_batch(mid), slice(None))
+        s = cone.time_component(slice(None))
         slack = REFINE_CAUSAL_SLACK * np.einsum("mi,mi->m", d, d)
         return np.concatenate([-cone.q / cone.scale - slack, -sign * s / cone.scale])
 

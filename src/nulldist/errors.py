@@ -50,7 +50,7 @@ class NoCausalEdges(NullDistError):
 
 
 class NonFiniteValue(NullDistError):
-    """Metric or time function evaluated to NaN or inf on the lattice."""
+    """Metric, time function or geodesic state evaluated to NaN or inf."""
 
 
 class NotATimeFunction(NullDistError):

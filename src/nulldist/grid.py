@@ -308,7 +308,7 @@ def build_grid(st: Spacetime, tau, box, h: float,
             pass  # tested edge by edge below, which names the first candidate's midpoint
         else:
             causal_of = cone.causal
-            future_of = cone.future(st.orientation_batch(rows), slice(None))
+            future_of = cone.future(slice(None))
             length_of = np.sqrt(np.abs(cone.q))
     eu, ev, el, carriers = [], [], [], []
     for i, (o, delta) in enumerate(zip(offsets, deltas)):
@@ -326,7 +326,7 @@ def build_grid(st: Spacetime, tau, box, h: float,
             causal = cone.causal
             if not np.any(causal):
                 continue
-            future = cone.future(st.orientation_batch(rows[causal]), causal)
+            future = cone.future(causal)
             length = np.sqrt(np.abs(cone.q[causal]))
             a_ids, b_ids = a_ids[causal], b_ids[causal]
         # orient each edge so its displacement is future causal

@@ -140,7 +140,7 @@ def build_chart(st: Spacetime, p, sense=TimeSense.FUTURE, eps: float = 0.2,
     if not st.domain_contains(coords):
         raise LeftDomain(0.0)
     g = st.metric_at(coords)
-    T = st.orientation_batch(coords[None, :])[0]
+    T = np.eye(st.dim)[0]  # d/dx0, the future orientation
     e0 = T / math.sqrt(abs(float(T @ g @ T)))
     if sense == TimeSense.PAST:
         e0 = -e0

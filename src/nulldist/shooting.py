@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import LeftDomain, StepTooLarge
+from .errors import LeftDomain, NonFiniteValue, StepTooLarge
 from .spacetime import Spacetime, as_point
 
 NULL_DRIFT_TOL = 1e-6  # relative bound on |g(u,u)| along null shots
@@ -64,7 +64,8 @@ def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
     """Integrate the geodesic equation for every row of (m, dim) x0, u0.
 
     Returns final (x, u), per-row errors (None, or what a shot of that row
-    alone raises; the row stays at its last good step) and the largest
+    alone raises: LeftDomain, NonFiniteValue once x or u is NaN or inf, or
+    StepTooLarge; the row stays at its last good step) and the largest
     relative |g(u,u)| of a step that passed the null monitor."""
     if step <= 0:
         raise ValueError("step must be positive")
@@ -76,11 +77,17 @@ def _shoot_state(st: Spacetime, x0: np.ndarray, u0: np.ndarray, s: float,
     g = None  # the null monitor's metric at x, which the next step starts from
     for i in range(n):
         nx, nu = _rk4_step(st, dt, x, u, g=g)
-        ok = np.array(st.domain_batch(nx), dtype=bool)  # a copy: rows are cleared below
+        finite = np.isfinite(nx).all(axis=1) & np.isfinite(nu).all(axis=1)
+        if finite.all():
+            ok = np.array(st.domain_batch(nx), dtype=bool)  # a copy: rows are cleared below
+        else:  # a blown-up row is not handed to the domain test
+            ok = finite.copy()
+            ok[finite] = st.domain_batch(nx[finite])
         failed = not ok.all()  # the per-row bookkeeping runs only on such a step
         if failed:
-            for r in live[~ok]:
-                errors[r] = LeftDomain((i + 1) * dt)
+            for r, fin in zip(live[~ok], finite[~ok]):
+                errors[r] = LeftDomain((i + 1) * dt) if fin else NonFiniteValue(
+                    f"geodesic state is not finite after step {i + 1}; reduce step")
         if monitor_null and ok.any():
             k = np.flatnonzero(ok) if failed else slice(None)
             uk = nu[k][:, None, :]
@@ -112,7 +119,9 @@ def geodesic_shoot(st: Spacetime, p, v, s: float, step: float = 0.05) -> np.ndar
     (dim,) array.
 
     Null initial data is detected automatically and the |g(u,u)| constraint
-    is monitored along the trajectory.
+    is monitored along the trajectory.  Raises LeftDomain when the shot
+    leaves the domain, NonFiniteValue when its state overflows, and
+    StepTooLarge when the null constraint drifts.
     """
     p, v = as_point(p, st.dim), as_point(v, st.dim)
     g = st.metric_at(p)

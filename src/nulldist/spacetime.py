@@ -8,11 +8,13 @@ Conventions (fixed once for the whole package):
   own), timelike iff g(v, v) is below it; LightCone is the one place that
   decides this;
 * coordinate 0 is the time coordinate of every built-in chart and the
-  future orientation field is the coordinate vector d/dx0.
+  future orientation field is the coordinate vector d/dx0, which LightCone
+  reads itself (time_component, future).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -131,15 +133,17 @@ class LightCone:
     def null(self) -> np.ndarray:
         return np.abs(self.q) <= self.band
 
-    def time_component(self, T: np.ndarray, rows) -> np.ndarray:
-        """g(T, d) on ``rows`` (a mask, indices or a slice) for the future
-        vectors T, one per selected row: negative where d points to the future,
-        positive where it points to the past."""
-        return np.einsum("mij,mi,mj->m", self.g[rows], T, self.d[rows])
+    def time_component(self, rows) -> np.ndarray:
+        """g(d/dx0, d) on ``rows`` (a mask, indices or a slice): negative where
+        d points to the future, positive where it points to the past."""
+        d = self.d[rows]
+        T = np.zeros(d.shape)
+        T[:, 0] = 1.0
+        return np.einsum("mij,mi,mj->m", self.g[rows], T, d)
 
-    def future(self, T: np.ndarray, rows) -> np.ndarray:
+    def future(self, rows) -> np.ndarray:
         """Whether each selected d points to the future (time_component < 0)."""
-        return self.time_component(T, rows) < 0
+        return self.time_component(rows) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +276,6 @@ class Spacetime:
     def domain_contains(self, coords: np.ndarray) -> bool:
         return bool(self.domain_batch(np.asarray(coords, float)[None, :])[0])
 
-    def orientation_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Future timelike field; d/dx0 for every built-in chart."""
-        out = np.zeros_like(coords)
-        out[:, 0] = 1.0
-        return out
-
     def metric_derivatives(self, coords: np.ndarray) -> np.ndarray:
         """d g_{ij} / d x^a at (m, dim) points, indexed [m, a, i, j]: the closed
         form if given, else central differences, step 1e-5 * max(1, max|row|)."""
@@ -300,8 +298,8 @@ def metric_eval(st: Spacetime, p) -> MetricForm:
 
 def causal_character(st: Spacetime, p, v, tol: float = NULL_TOL) -> CausalCharacter:
     """Classify the vector v at the event p against the cone of the metric
-    there, time-oriented by ``st.orientation_batch`` (LightCone's relative
-    null band, so classification is exactly conformally invariant)."""
+    there, time-oriented by d/dx0 (LightCone's relative null band, so
+    classification is exactly conformally invariant)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     p = as_point(p, st.dim)
@@ -316,7 +314,7 @@ def causal_character(st: Spacetime, p, v, tol: float = NULL_TOL) -> CausalCharac
         kind = CausalKind.TIMELIKE
     else:
         return CausalCharacter(CausalKind.SPACELIKE, TimeSense.NONE)
-    s = cone.time_component(st.orientation_batch(p[None]), slice(None))[0]
+    s = cone.time_component(slice(None))[0]
     sense = TimeSense.FUTURE if s < 0 else (TimeSense.PAST if s > 0 else TimeSense.NONE)
     return CausalCharacter(kind, sense)
 
@@ -338,68 +336,27 @@ def reverse_cs_gap(st: Spacetime, p, u, v, tol: float = NULL_TOL) -> float:
 # built-in spacetimes
 # ---------------------------------------------------------------------------
 
-def _flat_metric_batch(dim):
-    eta = np.eye(dim)
-    eta[0, 0] = -1.0
-
-    def batch(pts):
-        return np.broadcast_to(eta, (pts.shape[0], dim, dim)).copy()
-
-    return batch
-
-
-def _zeros_deriv(dim):
-    def deriv(pts):
-        return np.zeros((pts.shape[0], dim, dim, dim))
-
-    return deriv
-
-
-def _all_domain(pts):
-    return np.ones(pts.shape[0], dtype=bool)
-
-
-def _make_minkowski(dim):
-    return Spacetime(
-        dim=dim, name="minkowski",
-        metric_batch=_flat_metric_batch(dim),
-        domain_batch=_all_domain,
-        metric_deriv=_zeros_deriv(dim),
-        params={"dim": dim}, constant_metric=True,
-    )
-
-
-def _make_upper_half(dim):
-    def domain(pts):
-        return pts[:, 0] > 0.0
-
-    return Spacetime(
-        dim=dim, name="upper_half_minkowski",
-        metric_batch=_flat_metric_batch(dim),
-        domain_batch=domain,
-        metric_deriv=_zeros_deriv(dim),
-        cosmological_time_analytic=lambda pts: pts[:, 0].copy(),
-        params={"dim": dim}, constant_metric=True,
-    )
-
-
-def _make_missing_ray(dim):
-    origin = np.zeros(dim)
-    origin[0] = 2.0
-    direction = np.zeros(dim)
-    direction[0] = 1.0
-    ray = HalfLine(origin, direction)
+def _make_flat(dim, name):
+    """Minkowski space (``minkowski``), its half t > 0
+    (``upper_half_minkowski``), or that half without the ray from (2, 0, ...)
+    along d/dx0 (``missing_ray``)."""
+    e0 = np.eye(dim)[0]
+    eta = np.diag([-1.0] + [1.0] * (dim - 1))
+    excisions = (HalfLine(2.0 * e0, e0),) if name == "missing_ray" else ()
 
     def domain(pts):
-        return (pts[:, 0] > 0.0) & ~ray.contains(pts)
+        inside = np.ones(pts.shape[0], dtype=bool) if name == "minkowski" else pts[:, 0] > 0.0
+        for ray in excisions:
+            inside &= ~ray.contains(pts)
+        return inside
 
     return Spacetime(
-        dim=dim, name="missing_ray",
-        metric_batch=_flat_metric_batch(dim),
+        dim=dim, name=name,
+        metric_batch=lambda pts: np.broadcast_to(eta, (pts.shape[0], dim, dim)).copy(),
         domain_batch=domain,
-        excisions=(ray,),
-        metric_deriv=_zeros_deriv(dim),
-        cosmological_time_analytic=lambda pts: pts[:, 0].copy(),
+        excisions=excisions,
+        metric_deriv=lambda pts: np.zeros((pts.shape[0], dim, dim, dim)),
+        cosmological_time_analytic=None if name == "minkowski" else lambda pts: pts[:, 0].copy(),
         params={"dim": dim}, constant_metric=True,
     )
 
@@ -440,8 +397,8 @@ def _make_conformal(base: Spacetime, factor):
         const = None
     else:
         const = float(factor)
-        if const <= 0.0:
-            raise NonPositiveConformalFactor(f"factor must be > 0, got {const}")
+        if not (math.isfinite(const) and const > 0.0):
+            raise NonPositiveConformalFactor(f"factor must be finite and > 0, got {const}")
         phi = lambda pts: np.full(pts.shape[0], const)
 
     def metric(pts):
@@ -477,19 +434,20 @@ def builtin(name: str, **params) -> Spacetime:
     positive constant or callable on coordinate batches).  Raises
     UnknownName for an unknown name, a parameter the name does not take, a
     conformal base or factor that is missing or of another kind, or a dim=
-    that differs from a conformal base spacetime's.
+    that differs from a conformal base spacetime's; ValueError for a slope
+    or offset that is not finite; NonPositiveConformalFactor for a constant
+    factor that is not finite and positive.
     """
     dim_given = "dim" in params
     dim = int(params.pop("dim", 4))
-    if name == "minkowski":
-        st = _make_minkowski(dim)
-    elif name == "upper_half_minkowski":
-        st = _make_upper_half(dim)
-    elif name == "missing_ray":
-        st = _make_missing_ray(dim)
+    if name in ("minkowski", "upper_half_minkowski", "missing_ray"):
+        st = _make_flat(dim, name)
     elif name == "warped_product":
         slope = float(params.pop("slope", 1.0))
         offset = float(params.pop("offset", 0.0))
+        for key, value in (("slope", slope), ("offset", offset)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         st = _make_warped(dim, slope, offset)
     elif name == "conformal":
         base = params.pop("base", None)

@@ -85,10 +85,13 @@ def cubed_time(st: Spacetime) -> TimeFunction:
 
 
 def affine_time(st: Spacetime, scale: float = 1.0, offset: float = 0.0) -> TimeFunction:
-    """tau(p) = scale*t + offset (scale > 0): the claims of tau = t on ``st``,
-    cosmological only when tau is t itself."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    """tau(p) = scale*t + offset: the claims of tau = t on ``st``,
+    cosmological only when tau is t itself.  Raises ValueError unless scale
+    is finite and positive and offset is finite."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset!r}")
     claims = _t_claims(st.params | {"name": st.name})
     return TimeFunction(
         batch=lambda pts: scale * pts[:, 0] + offset,

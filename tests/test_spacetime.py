@@ -87,8 +87,12 @@ def test_builtin_unknown_and_conformal():
     st = nd.builtin("conformal", base="minkowski", dim=4, factor=2.0)
     g = st.metric_at(np.array([1.0, 0.0, 0.0, 0.0]))
     assert np.allclose(g, 4.0 * np.diag([-1.0, 1.0, 1.0, 1.0]))
-    with pytest.raises(NonPositiveConformalFactor):
-        nd.builtin("conformal", base="minkowski", dim=4, factor=-1.0)
+    for factor in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveConformalFactor, match="finite and > 0"):
+            nd.builtin("conformal", base="minkowski", dim=2, factor=factor)
+    for key, value in (("slope", math.nan), ("offset", math.inf), ("offset", -math.inf)):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got"):
+            nd.builtin("warped_product", dim=2, **{key: value})
 
 
 # domain_batch at t = -0.5, 0 and 0.5 off the t-axis, on the missing ray at
@@ -205,19 +209,20 @@ def test_reverse_cs_nonnegative_on_causal_pairs(name):
             assert nd.reverse_cs_gap(st, c, u, v) >= -1e-9
 
 
-def test_orientation_continuity():
-    st = nd.builtin("warped_product", dim=4)
+def test_orientation_is_future_timelike():
+    """The time orientation is d/dx0 on every built-in: it must be timelike
+    everywhere in the domain, and causal_character must call it future."""
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    spacetimes = [nd.builtin(name, dim=4) for name in BUILTINS] + [
+        nd.builtin("conformal", base="missing_ray", dim=4, factor=2.0),
+        nd.builtin("conformal", base="warped_product", dim=4,
+                   factor=lambda pts: 1.0 + 0.1 * pts[:, 0] ** 2)]
     rng = np.random.default_rng(5)
-    pts = _domain_samples(st, rng, 40)
-    h = 0.05
-    for c in pts:
-        q = c + rng.uniform(-h, h, size=4)
-        if not st.domain_contains(q):
-            continue
-        g = st.metric_at(0.5 * (c + q))
-        Tp = st.orientation_batch(c[None, :])[0]
-        Tq = st.orientation_batch(q[None, :])[0]
-        assert float(Tp @ g @ Tq) < 0
+    for st in spacetimes:
+        for c in _domain_samples(st, rng, 40):
+            assert st.metric_at(c)[0, 0] < 0
+            cc = nd.causal_character(st, c, e0)
+            assert cc.kind is CausalKind.TIMELIKE and cc.time_sense is TimeSense.FUTURE
 
 
 def test_metric_form_rejects_asymmetric():

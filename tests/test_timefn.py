@@ -67,6 +67,16 @@ def test_time_claims_of_t(base, factor):
         assert affine_time(st, a, b).claims == replace(want, cosmological=False)
 
 
+def test_affine_time_rejects_bad_numbers():
+    st = nd.builtin("upper_half_minkowski", dim=2)
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^scale must be finite and positive, got"):
+            affine_time(st, scale=scale)
+    for offset in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^offset must be finite, got"):
+            affine_time(st, offset=offset)
+
+
 def test_cubed_time_values():
     st = nd.builtin("minkowski", dim=2)
     tau = nd.cubed_time(st)
