@@ -111,9 +111,9 @@ def test_band_is_closed():
 
 def test_orientation_only_on_causal_rows(monkeypatch):
     rows = []
-    time_component = LightCone.time_component
+    orient = LightCone.time_component
     monkeypatch.setattr(LightCone, "time_component",
-                        lambda cone, sel: rows.append(len(cone.d[sel])) or time_component(cone, sel))
+                        lambda cone, sel: rows.append(len(cone.d[sel])) or orient(cone, sel))
     # the scale factor t crosses 1 in the box, so some offsets are causal on some rows only
     st = nd.builtin("warped_product", dim=3)
     grid = small_grid(st)

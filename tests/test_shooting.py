@@ -2,12 +2,12 @@
 
 The references below integrate one geodesic at a time: Christoffel symbols
 from a single 4x4 inverse, the per-point RK4 loop that raises on the first
-non-finite state or failed domain or null-drift check, the axis state interpolated one time at a
-time, and chart_forward on top of them, plus the Newton iteration that shot
-every probe and line-search step alone, and the chart inversion that ran one
-Newton solve after another.  The batched code must agree with them bit for
-bit, row by row, and a row that fails must carry the exception the reference
-raises for it alone.
+non-finite state or failed domain or null-drift check, the axis state
+interpolated one time at a time, and chart_forward on top of them, plus the
+Newton iteration that shot every probe and line-search step alone, and the
+chart inversion that ran one Newton solve after another.  The batched code
+must agree with them bit for bit, row by row, and a row that fails must carry
+the exception the reference raises for it alone.
 """
 
 import bisect
