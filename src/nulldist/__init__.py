@@ -4,17 +4,11 @@ analytically known examples."""
 
 from . import errors
 from .spacetime import (
-    BallExcision,
-    CausalCharacter,
-    CausalKind,
     HalfLine,
     MetricForm,
     Spacetime,
     TimeSense,
     builtin,
-    causal_character,
-    metric_eval,
-    reverse_cs_gap,
 )
 from .timefn import (
     AntiLipschitzReport,
@@ -64,7 +58,6 @@ from .optical import (
     g_R_eval,
     grad_norm_omega,
     lipschitz_estimate,
-    omega_monotonicity_check,
 )
 from .shooting import geodesic_shoot
 from .isometry import (
@@ -74,7 +67,6 @@ from .isometry import (
     assess_conformal,
     check_preserving,
     coarea_volume_compare,
-    conformal_factor,
     conformal_factors,
     dilation_map,
     identity_map,

@@ -174,6 +174,9 @@ def small_zags_check(curve: PiecewiseCausalCurve, dhat_pq: float, tau,
     the telescoping identity then gives past_len = (null_length - dhat)/2 <
     null_length - dhat + tol.  A spacelike pair breaks it: criterion 2's
     lattice minimizer reads False, past content 5e-5 against a bound of 1e-9.
+
+    No command calls it; it stays public because it states the small-zags
+    lemma of the null-distance construction as a check on a given curve.
     """
     curve.validate()
     vals = tau.batch(curve.vertices)

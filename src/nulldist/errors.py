@@ -5,18 +5,6 @@ class NullDistError(Exception):
     """Base class for all package errors."""
 
 
-class OutOfDomain(NullDistError):
-    """An event lies outside the spacetime's domain or inside an excision."""
-
-
-class ZeroVector(NullDistError):
-    """Tangent vector has all components below tolerance."""
-
-
-class NotCausal(NullDistError):
-    """A causal vector was required but a spacelike one was supplied."""
-
-
 class UnknownName(NullDistError):
     """Unknown built-in spacetime name."""
 

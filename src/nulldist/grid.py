@@ -272,12 +272,14 @@ def build_grid(st: Spacetime, tau, box, h: float,
     dim = st.dim
     lo, hi = box_bounds(box, dim)
     params = GridParams(tuple(zip(lo.tolist(), hi.tolist())), float(h), stencil)
-    shape = np.floor((hi - lo) / h + 1e-9).astype(np.int64) + 1
-    total = int(np.prod(shape))
+    with np.errstate(over="ignore"):  # counted in floats: a tiny h overflows an int cast
+        extent = np.floor((hi - lo) / h + 1e-9) + 1
+        total = float(np.prod(extent))
     if total > MAX_NODES:
-        raise GridTooLarge(f"lattice would hold {total} nodes (limit {MAX_NODES})")
+        raise GridTooLarge(f"lattice would hold {total:.15g} nodes (limit {MAX_NODES})")
     if total == 0:
         raise EmptyGrid("box has no lattice points at this spacing")
+    shape = extent.astype(np.int64)
 
     grids = np.meshgrid(*[lo[a] + h * np.arange(shape[a]) for a in range(dim)],
                         indexing="ij")
@@ -431,11 +433,8 @@ def null_distances_from(grid: CausalGrid, node: int) -> np.ndarray:
 
 def refine_schedule(st: Spacetime, tau, p, q, h_list: Sequence[float], box,
                     stencil: Optional[StencilSpec] = None) -> dict:
-    """Null-distance estimates across a decreasing spacing schedule.
-
-    Reports the per-h estimates, whether they decrease monotonically, and a
-    linear-in-h Richardson extrapolation from the finest two levels.
-    """
+    """Null-distance estimates across a decreasing spacing schedule: the
+    dict {"h": h_list, "estimates": the estimate at each h}."""
     h_list = list(h_list)
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly decreasing")
@@ -444,15 +443,4 @@ def refine_schedule(st: Spacetime, tau, p, q, h_list: Sequence[float], box,
         grid = build_grid(st, tau, box, h, stencil)
         est, _ = shortest_null_path(grid, grid.node_of(p), grid.node_of(q))
         estimates.append(est)
-    extrapolated = estimates[-1]
-    if len(h_list) >= 2 and h_list[-2] != h_list[-1]:
-        h0, h1 = h_list[-2], h_list[-1]
-        e0, e1 = estimates[-2], estimates[-1]
-        extrapolated = (e1 * h0 - e0 * h1) / (h0 - h1)
-    mono = all(b <= a + 1e-12 for a, b in zip(estimates, estimates[1:]))
-    return {
-        "h": h_list,
-        "estimates": estimates,
-        "monotone_nonincreasing": mono,
-        "extrapolated": extrapolated,
-    }
+    return {"h": h_list, "estimates": estimates}

@@ -219,12 +219,6 @@ def conformal_factors(pmap: PointMap, st1: Spacetime, st2: Spacetime, P):
     return np.sqrt(phi2), np.where(valid, dispersion, np.inf)
 
 
-def conformal_factor(pmap: PointMap, st1: Spacetime, st2: Spacetime, p):
-    """(phi, dispersion) at one point: the one-row case of conformal_factors."""
-    phi, dispersion = conformal_factors(pmap, st1, st2, np.asarray(p, dtype=float)[None, :])
-    return float(phi[0]), float(dispersion[0])
-
-
 # ---------------------------------------------------------------------------
 # coarea volume comparison
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import LeftDomain, NoConvergence, NullDistError, OnAxisDegenerate
-from .grid import CausalGrid, Lattice, StencilSpec, axis_corner_directions, reach
+from .grid import Lattice, StencilSpec, axis_corner_directions
 from .shooting import _rk4_step, _shoot_state, christoffels
 from .spacetime import MetricForm, Spacetime, TimeSense, as_point, central_probes
 
@@ -685,85 +685,3 @@ def lipschitz_estimate(chart: NullChart, n_pairs: int = 1000, seed: int = 0,
         ratios = np.abs(omegas[mask] - omegas[s]) / dist[mask]
         best = max(best, float(ratios.max()))
     return best
-
-
-# ---------------------------------------------------------------------------
-# omega as a causal indicator against the grid oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MonotonicityReport:
-    n_causal_pairs: int
-    max_violation: float
-    n_omega_positive: int
-    n_confirmable: int
-    n_confirmed: int
-
-    @property
-    def ok(self) -> bool:
-        return self.max_violation <= 1e-6 and self.n_confirmed == self.n_confirmable
-
-
-def omega_monotonicity_check(chart: NullChart, grid: CausalGrid,
-                             n_samples: int = 200, seed: int = 0) -> MonotonicityReport:
-    """omega is monotone along causal pairs, and omega >= 2h implies grid
-    membership in J+ of the chart center.
-
-    Grid reach confirms membership only for samples whose spatial L1 slack
-    clears the stencil's angular defect (always true in 1+1), so those are
-    the confirmable ones.
-    """
-    rng = np.random.default_rng(seed)
-    p_node = grid.node_of(chart.center)
-    delta = 2.0 * grid.h
-    reach_p = reach(grid, p_node).members
-
-    # restrict sampling to nodes where the chart inverts
-    mask = np.linalg.norm(grid.coords - chart.center, axis=1) <= 0.95 * chart.domain_radius
-    pool = np.flatnonzero(mask)
-    if pool.size == 0:
-        raise NullDistError("no grid nodes inside the chart domain")
-    omega_cache: dict = {}
-
-    def om(node):
-        if node not in omega_cache:
-            omega_cache[node] = chart_inverse(chart, grid.coords[node]).omega
-        return omega_cache[node]
-
-    max_viol = 0.0
-    n_pairs = 0
-    sources = pool[rng.integers(0, pool.size, size=min(32, pool.size))]
-    for s in sources:
-        members = reach(grid, int(s)).members & mask
-        members[s] = False
-        idx = np.flatnonzero(members)
-        if idx.size == 0:
-            continue
-        picks = idx[rng.integers(0, idx.size, size=min(8, idx.size))]
-        for t_node in picks:
-            n_pairs += 1
-            max_viol = max(max_viol, om(int(s)) - om(int(t_node)))
-            if n_pairs >= n_samples:
-                break
-        if n_pairs >= n_samples:
-            break
-
-    n_pos = 0
-    n_confirmable = 0
-    n_confirmed = 0
-    p_coords = grid.coords[p_node]
-    samples = pool[rng.integers(0, pool.size, size=min(n_samples, pool.size))]
-    for node in samples:
-        w = om(int(node))
-        if w < delta:
-            continue
-        n_pos += 1
-        gap = grid.coords[node] - p_coords
-        l1 = float(np.abs(gap[1:]).sum())
-        if l1 <= gap[0] + 1e-9:  # inside the guaranteed lattice cone
-            n_confirmable += 1
-            if reach_p[node]:
-                n_confirmed += 1
-    return MonotonicityReport(n_causal_pairs=n_pairs, max_violation=max(0.0, max_viol),
-                              n_omega_positive=n_pos, n_confirmable=n_confirmable,
-                              n_confirmed=n_confirmed)

@@ -21,14 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    NonFiniteValue,
-    NonPositiveConformalFactor,
-    NotCausal,
-    OutOfDomain,
-    UnknownName,
-    ZeroVector,
-)
+from .errors import NonFiniteValue, NonPositiveConformalFactor, UnknownName
 
 NULL_TOL = 1e-9  # relative tolerance for the null classification band
 
@@ -80,22 +73,9 @@ class MetricForm:
         return ev[0] < 0 and np.all(ev[1:] > 0)
 
 
-class CausalKind(Enum):
-    TIMELIKE = "timelike"
-    NULL = "null"
-    SPACELIKE = "spacelike"
-
-
 class TimeSense(Enum):
     FUTURE = "future"
     PAST = "past"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class CausalCharacter:
-    kind: CausalKind
-    time_sense: TimeSense
 
 
 def require_finite(what: str, values: np.ndarray, points: np.ndarray) -> None:
@@ -214,32 +194,6 @@ class HalfLine:
         return best
 
 
-@dataclass(frozen=True, eq=False)
-class BallExcision:
-    """Closed coordinate ball removed from the domain."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
-
-    def distance(self, pts: np.ndarray) -> np.ndarray:
-        return np.maximum(np.linalg.norm(pts - self.center, axis=1) - self.radius, 0.0)
-
-    def segment_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ab = b - a
-        aa = np.einsum("ij,ij->i", ab, ab)
-        t = np.einsum("ij,ij->i", self.center - a, ab)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip(np.where(aa > 0, t / np.where(aa > 0, aa, 1.0), 0.0), 0.0, 1.0)
-        foot = a + t[:, None] * ab
-        return np.maximum(np.linalg.norm(foot - self.center, axis=1) - self.radius, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # the spacetime object
 # ---------------------------------------------------------------------------
@@ -286,50 +240,6 @@ class Spacetime:
         pts = central_probes(c, h)
         g = self.metric_batch(pts.reshape(-1, self.dim)).reshape(pts.shape + (self.dim,))
         return (g[:, 0::2] - g[:, 1::2]) / (2.0 * h)[:, None, None, None]
-
-
-def metric_eval(st: Spacetime, p) -> MetricForm:
-    """Metric at an event; raises OutOfDomain off the region or in an excision."""
-    p = as_point(p, st.dim)
-    if not st.domain_contains(p):
-        raise OutOfDomain(f"event {p.tolist()} is outside {st.name}")
-    return MetricForm(st.metric_at(p))
-
-
-def causal_character(st: Spacetime, p, v, tol: float = NULL_TOL) -> CausalCharacter:
-    """Classify the vector v at the event p against the cone of the metric
-    there, time-oriented by d/dx0 (LightCone's relative null band, so
-    classification is exactly conformally invariant)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    p = as_point(p, st.dim)
-    g = metric_eval(st, p).entries
-    v = as_point(v, st.dim)
-    if np.all(np.abs(v) < tol):
-        raise ZeroVector("all components below tolerance")
-    cone = LightCone(g[None], v[None], p[None], tol)
-    if cone.null[0]:
-        kind = CausalKind.NULL
-    elif cone.q[0] < 0:
-        kind = CausalKind.TIMELIKE
-    else:
-        return CausalCharacter(CausalKind.SPACELIKE, TimeSense.NONE)
-    s = cone.time_component(slice(None))[0]
-    sense = TimeSense.FUTURE if s < 0 else (TimeSense.PAST if s > 0 else TimeSense.NONE)
-    return CausalCharacter(kind, sense)
-
-
-def reverse_cs_gap(st: Spacetime, p, u, v, tol: float = NULL_TOL) -> float:
-    """|g(u,v)| - |u|_g |v|_g for the vectors u, v at the event p,
-    nonnegative (up to tol) for causal pairs."""
-    p = as_point(p, st.dim)
-    g = metric_eval(st, p).entries
-    u, v = as_point(u, st.dim), as_point(v, st.dim)
-    cone = LightCone(np.stack([g, g]), np.stack([u, v]), np.stack([p, p]), tol)
-    if not np.all(cone.causal):
-        raise NotCausal("reverse Cauchy-Schwarz needs causal vectors")
-    nu, nv = np.sqrt(np.abs(cone.q))
-    return abs(float(u @ g @ v)) - float(nu) * float(nv)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +344,14 @@ def builtin(name: str, **params) -> Spacetime:
     positive constant or callable on coordinate batches).  Raises
     UnknownName for an unknown name, a parameter the name does not take, a
     conformal base or factor that is missing or of another kind, or a dim=
-    that differs from a conformal base spacetime's; ValueError for a slope
-    or offset that is not finite; NonPositiveConformalFactor for a constant
-    factor that is not finite and positive.
+    that differs from a conformal base spacetime's; NonPositiveConformalFactor
+    for a constant factor that is not finite and positive; ValueError for a
+    slope or offset that is not finite or a dim= that is not an int >= 1.
     """
     dim_given = "dim" in params
-    dim = int(params.pop("dim", 4))
+    dim = params.pop("dim", 4)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if name in ("minkowski", "upper_half_minkowski", "missing_ray"):
         st = _make_flat(dim, name)
     elif name == "warped_product":

@@ -8,7 +8,6 @@ import pytest
 import nulldist as nd
 from nulldist.errors import Disconnected, GridTooLarge, NodeNotInGrid, NotATimeFunction
 from nulldist.grid import MAX_NODES, StencilSpec
-from nulldist.spacetime import CausalKind, TimeSense
 
 
 def mink_grid(dim=2, box=None, h=0.05, radius=2):
@@ -77,16 +76,14 @@ def test_warped_diagonal_closes_with_expansion():
     assert (1, 0) in out_offsets(grid, late)
 
 
-def test_edge_midpoint_classification_matches_causal_character():
-    st, tau, grid = mink_grid()
-    rng = np.random.default_rng(0)
-    idx = rng.integers(0, grid.n_edges, size=50)
-    for e in idx:
-        u, v = grid.edge_u[e], grid.edge_v[e]
-        mid = 0.5 * (grid.coords[u] + grid.coords[v])
-        cc = nd.causal_character(st, mid, grid.coords[v] - grid.coords[u])
-        assert cc.kind in (CausalKind.TIMELIKE, CausalKind.NULL)
-        assert cc.time_sense is TimeSense.FUTURE
+def test_flat_edges_are_future_causal_in_closed_form():
+    # each edge's integer offset o rises in time and lies in the flat cone
+    _, _, grid = mink_grid()
+    step = (grid.coords[grid.edge_v] - grid.coords[grid.edge_u]) / grid.h
+    o = np.rint(step).astype(np.int64)
+    assert grid.n_edges and np.allclose(step, o, rtol=0.0, atol=1e-9)
+    assert np.all(o[:, 0] > 0)
+    assert np.all(o[:, 0] ** 2 >= (o[:, 1:] ** 2).sum(axis=1))
 
 
 def test_node_count_matches_box():
@@ -161,18 +158,19 @@ def test_shortest_path_missing_ray():
 
 
 def test_disconnected_raises():
-    # two nodes separated by a ball that swallows the middle of a thin strip
+    # two nodes of a thin strip separated by a ray along t = 0 that cuts it
     st = nd.Spacetime(
         dim=2, name="split",
         metric_batch=nd.builtin("minkowski", dim=2).metric_batch,
         domain_batch=lambda pts: np.abs(pts[:, 1]) < 0.15,
-        excisions=(nd.BallExcision(center=[0.0, 0.0], radius=0.3),),
+        excisions=(nd.HalfLine(origin=[0.0, -0.5], direction=[0.0, 1.0]),),
     )
     tau = nd.coordinate_time(st)
     grid = nd.build_grid(st, tau, [(-1.0, 1.0), (-0.1, 0.1)], 0.1)
-    # the ball cuts the strip into two halves of 21 nodes
-    with pytest.raises(Disconnected, match=r"^nodes 4 and 37 are not connected: "
-                                           r"node 4's component holds 21 of 42 nodes; "
+    # the ray removes the three nodes at t = 0 and every edge across it,
+    # leaving two halves of 30 nodes
+    with pytest.raises(Disconnected, match=r"^nodes 4 and 55 are not connected: "
+                                           r"node 4's component holds 30 of 60 nodes; "
                                            r"edges run along 8 of the 12 stencil offsets$"):
         nd.shortest_null_path(grid, grid.node_of([-0.9, 0.0]), grid.node_of([0.9, 0.0]))
 
@@ -196,6 +194,10 @@ def test_guardrail():
     tau = nd.coordinate_time(st)
     with pytest.raises(GridTooLarge):
         nd.build_grid(st, tau, [(0, 100)] * 4, 0.01)
+    # a node count past any int: counted in floats, so no cast overflows
+    st = nd.builtin("minkowski", dim=2)
+    with pytest.raises(GridTooLarge, match="would hold inf nodes"):
+        nd.build_grid(st, nd.coordinate_time(st), [[0, 1], [0, 1]], 1e-300)
     assert MAX_NODES == 20_000_000
 
 
@@ -210,10 +212,10 @@ def test_empty_grid_and_swallowed_box():
         dim=2, name="swallowed",
         metric_batch=nd.builtin("minkowski", dim=2).metric_batch,
         domain_batch=lambda pts: np.ones(pts.shape[0], dtype=bool),
-        excisions=(nd.BallExcision(center=[0.0, 0.0], radius=10.0),),
+        excisions=(nd.HalfLine(origin=[-2.0, 0.0], direction=[1.0, 0.0]),),
     )
-    with pytest.raises(ExcisionSwallowsBox):
-        nd.build_grid(swallowed, tau, [(-1.0, 1.0), (-1.0, 1.0)], 0.25)
+    with pytest.raises(ExcisionSwallowsBox):  # a flat-axis box on the ray
+        nd.build_grid(swallowed, tau, [(-1.0, 1.0), (0.0, 0.0)], 0.25)
 
 
 @pytest.mark.parametrize("name", ["minkowski", "upper_half_minkowski",
@@ -250,7 +252,8 @@ def test_refine_schedule_cubed_time():
     for h, est in zip(h_list, out["estimates"]):
         j = 1.0 / (2.0 * h)
         assert est <= 2 * j * (1.0 / (2 * j)) ** 3 + 1e-12
-    assert out["monotone_nonincreasing"]
+    assert set(out) == {"h", "estimates"}
+    assert all(b < a for a, b in zip(out["estimates"], out["estimates"][1:]))
     assert out["estimates"][-1] < 0.01
 
 

@@ -80,11 +80,11 @@ def test_conformal_factor_examples():
     st1 = nd.builtin("minkowski", dim=4)
     st2 = nd.builtin("conformal", base="minkowski", dim=4, factor=2.0)
     p = [1.0, 0.2, -0.3, 0.5]
-    phi, disp = nd.conformal_factor(identity_map(), st1, st2, p)
+    (phi,), (disp,) = nd.conformal_factors(identity_map(), st1, st2, [p])
     assert phi == pytest.approx(2.0, abs=1e-6) and disp < 0.02
-    phi, _ = nd.conformal_factor(dilation_map(2.0), st1, st1, p)
+    (phi,), _ = nd.conformal_factors(dilation_map(2.0), st1, st1, [p])
     assert phi == pytest.approx(2.0, abs=1e-6)
-    phi, disp = nd.conformal_factor(rotation_map(1, 2, 0.7), st1, st1, p)
+    (phi,), (disp,) = nd.conformal_factors(rotation_map(1, 2, 0.7), st1, st1, [p])
     assert phi == pytest.approx(1.0, abs=1e-6) and disp < 0.02
 
 
@@ -169,7 +169,6 @@ def test_conformal_factors_match_pointwise_reference(pair, dim):
         got = list(zip(*nd.conformal_factors(pmap, st1, st2, P)))
         want = [ref_conformal_factor(pmap, st1, st2, p) for p in P]
         assert bits(got) == bits(want), name
-        assert bits([nd.conformal_factor(pmap, st1, st2, P[5])]) == bits(want[5:6])
 
 
 def bits(rows):
@@ -196,7 +195,7 @@ def test_point_map_rejects_images_of_another_shape(forward):
     with pytest.raises(ValueError, match="shape"):
         pmap(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="shape"):
-        nd.conformal_factor(pmap, st, st, [1.0, 0.1, 0.2])
+        nd.conformal_factors(pmap, st, st, [[1.0, 0.1, 0.2]])
 
 
 def test_point_maps_take_batches():
@@ -224,7 +223,7 @@ def test_conformal_factor_flags_non_conformal():
         return np.column_stack([c[:, 0], 2.0 * c[:, 1]])
 
     pmap = nd.PointMap(forward=squash)
-    _, disp = nd.conformal_factor(pmap, st1, st1, [0.3, 0.4])
+    _, (disp,) = nd.conformal_factors(pmap, st1, st1, [[0.3, 0.4]])
     assert disp > 0.02  # anisotropic stretch breaks conformality
 
 

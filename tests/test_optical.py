@@ -14,7 +14,6 @@ from nulldist.optical import (
     g_R_eval,
     grad_norm_omega,
     lipschitz_estimate,
-    omega_monotonicity_check,
 )
 from nulldist.shooting import christoffels, geodesic_shoot
 from nulldist.spacetime import TimeSense
@@ -222,29 +221,6 @@ def test_lipschitz_estimate_pinned(name, dim, center, eps, n_pairs, lattice_n, w
     # exact values: the g_R lattice and its shortest paths are deterministic
     ch = build_chart(nd.builtin(name, dim=dim), center, TimeSense.FUTURE, eps=eps)
     assert lipschitz_estimate(ch, n_pairs=n_pairs, seed=0, lattice_n=lattice_n) == want
-
-
-def test_omega_monotonicity_1plus1():
-    st = nd.builtin("minkowski", dim=2)
-    tau = nd.coordinate_time(st)
-    ch = build_chart(st, [0.0, 0.0], TimeSense.FUTURE, eps=0.5)
-    grid = nd.build_grid(st, tau, [(-0.3, 0.3), (-0.3, 0.3)], 0.05)
-    rep = omega_monotonicity_check(ch, grid, n_samples=150, seed=0)
-    assert rep.max_violation <= 1e-6
-    assert rep.n_causal_pairs > 0
-    assert rep.n_omega_positive > 0
-    assert rep.n_confirmed == rep.n_confirmable
-
-
-def test_omega_monotonicity_3plus1():
-    st = nd.builtin("minkowski", dim=4)
-    tau = nd.coordinate_time(st)
-    ch = build_chart(st, [0.0, 0.0, 0.0, 0.0], TimeSense.FUTURE, eps=0.6)
-    grid = nd.build_grid(st, tau, [(-0.25, 0.25)] * 4, 0.05)
-    rep = omega_monotonicity_check(ch, grid, n_samples=80, seed=2)
-    assert rep.max_violation <= 1e-6
-    # confirmable samples clear the stencil's angular defect by construction
-    assert rep.n_confirmed == rep.n_confirmable
 
 
 def test_omega_values_match_closed_form_along_cone():

@@ -1,4 +1,4 @@
-"""Spacetime core: metric evaluation, causal classification, built-ins."""
+"""Spacetime core: metric evaluation, the light-cone test, built-ins."""
 
 import math
 
@@ -6,79 +6,23 @@ import numpy as np
 import pytest
 
 import nulldist as nd
-from nulldist.errors import (
-    NonPositiveConformalFactor,
-    NotCausal,
-    OutOfDomain,
-    UnknownName,
-    ZeroVector,
-)
+from nulldist.errors import NonPositiveConformalFactor, UnknownName
 from nulldist.optical import build_chart, chart_inverse, g_R_eval, grad_norm_omega
-from nulldist.spacetime import CausalKind, TimeSense
+from nulldist.spacetime import NULL_TOL, LightCone, TimeSense
 
 BUILTINS = ["minkowski", "upper_half_minkowski", "missing_ray", "warped_product"]
 
 
 def test_metric_eval_minkowski():
     st = nd.builtin("minkowski", dim=4)
-    g = nd.metric_eval(st, [0.3, -1.0, 2.0, 0.1])
+    g = nd.MetricForm(st.metric_at([0.3, -1.0, 2.0, 0.1]))
     assert np.array_equal(g.entries, np.diag([-1.0, 1.0, 1.0, 1.0]))
 
 
 def test_metric_eval_warped():
     st = nd.builtin("warped_product", dim=4)
-    g = nd.metric_eval(st, [2.0, 0.5, 0.0, 0.0])
+    g = nd.MetricForm(st.metric_at([2.0, 0.5, 0.0, 0.0]))
     assert np.allclose(g.entries, np.diag([-1.0, 4.0, 4.0, 4.0]))
-
-
-def test_metric_eval_missing_ray_excised():
-    st = nd.builtin("missing_ray", dim=4)
-    with pytest.raises(OutOfDomain):
-        nd.metric_eval(st, [2.0, 0.0, 0.0, 0.0])
-    # just off the ray is fine
-    g = nd.metric_eval(st, [2.0, 0.1, 0.0, 0.0])
-    assert g.signature_ok()
-
-
-def test_causal_character_examples():
-    st = nd.builtin("minkowski", dim=4)
-    p = [0.0, 0.0, 0.0, 0.0]
-    cc = nd.causal_character(st, p, [1, 0, 0, 0], 1e-9)
-    assert cc.kind is CausalKind.TIMELIKE and cc.time_sense is TimeSense.FUTURE
-    cc = nd.causal_character(st, p, [1, 1, 0, 0], 1e-9)
-    assert cc.kind is CausalKind.NULL and cc.time_sense is TimeSense.FUTURE
-    cc = nd.causal_character(st, p, [0, 1, 0, 0], 1e-9)
-    assert cc.kind is CausalKind.SPACELIKE and cc.time_sense is TimeSense.NONE
-    cc = nd.causal_character(st, p, [-1, 0.5, 0, 0], 1e-9)
-    assert cc.kind is CausalKind.TIMELIKE and cc.time_sense is TimeSense.PAST
-
-
-def test_causal_character_zero_vector():
-    st = nd.builtin("minkowski", dim=4)
-    p = [0.0, 0.0, 0.0, 0.0]
-    with pytest.raises(ZeroVector):
-        nd.causal_character(st, p, [0, 0, 0, 0], 1e-9)
-
-
-def test_reverse_cs_gap_values():
-    st = nd.builtin("minkowski", dim=4)
-    p = [0.0, 0.0, 0.0, 0.0]
-    u = [1, 0, 0, 0]
-    assert nd.reverse_cs_gap(st, p, u, u) == pytest.approx(0.0, abs=1e-12)
-    # |g(u,v)| = 2, |u|_g = 1, |v|_g = sqrt(3)
-    v = [2, 1, 0, 0]
-    assert nd.reverse_cs_gap(st, p, u, v) == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-12)
-    # null pair: norms vanish, |g(u,v)| = 2
-    nu = [1, 1, 0, 0]
-    nv = [1, -1, 0, 0]
-    assert nd.reverse_cs_gap(st, p, nu, nv) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_reverse_cs_gap_rejects_spacelike():
-    st = nd.builtin("minkowski", dim=4)
-    p = [0.0, 0.0, 0.0, 0.0]
-    with pytest.raises(NotCausal):
-        nd.reverse_cs_gap(st, p, [1, 0, 0, 0], [0, 1, 0, 0])
 
 
 def test_builtin_unknown_and_conformal():
@@ -93,6 +37,12 @@ def test_builtin_unknown_and_conformal():
     for key, value in (("slope", math.nan), ("offset", math.inf), ("offset", -math.inf)):
         with pytest.raises(ValueError, match=f"^{key} must be finite, got"):
             nd.builtin("warped_product", dim=2, **{key: value})
+    # dim= follows the scene's rule: an int, not a bool, at least 1
+    for name in ("minkowski", "conformal"):
+        for dim in (0, -1, 2.7, True, "2", None):
+            with pytest.raises(ValueError, match=r"^dim must be a positive integer, got "):
+                nd.builtin(name, dim=dim, base="minkowski", factor=2.0)
+    assert nd.builtin("minkowski", dim=1).dim == 1
 
 
 # domain_batch at t = -0.5, 0 and 0.5 off the t-axis, on the missing ray at
@@ -171,47 +121,32 @@ def test_signature_on_random_points(name):
     st = nd.builtin(name, dim=4)
     rng = np.random.default_rng(7)
     for c in _domain_samples(st, rng, 50):
-        assert nd.metric_eval(st, c).signature_ok()
+        assert nd.MetricForm(st.metric_at(c)).signature_ok()
 
 
 @pytest.mark.parametrize("phi", [0.5, 2.0, 7.0])
 def test_causal_character_conformal_invariance(phi):
+    """phi^2 eta and eta give each vector the same causal, null, timelike
+    and time-sense verdicts (exactly null vectors among them)."""
     st = nd.builtin("minkowski", dim=4)
     stc = nd.builtin("conformal", base="minkowski", dim=4, factor=phi)
-    rng = np.random.default_rng(11)
-    p = np.zeros(4)
-    for _ in range(500):
-        v = rng.normal(size=4)
-        c1 = nd.causal_character(st, p, v)
-        c2 = nd.causal_character(stc, p, v)
-        assert c1 == c2
-
-
-def _random_causal(rng, gm, dim):
-    """Random causal vector: time component stretched past the cone."""
-    r = rng.normal(size=dim)
-    sp = float(r[1:] @ gm[1:, 1:] @ r[1:])
-    sign = 1.0 if r[0] >= 0 else -1.0
-    r[0] = sign * math.sqrt(sp / abs(gm[0, 0])) * (1.0 + rng.uniform(0.0, 1.0))
-    return r
-
-
-@pytest.mark.parametrize("name", BUILTINS)
-def test_reverse_cs_nonnegative_on_causal_pairs(name):
-    st = nd.builtin(name, dim=4)
-    rng = np.random.default_rng(3)
-    pts = _domain_samples(st, rng, 20)
-    for c in pts:
-        g = nd.metric_eval(st, c)
-        for _ in range(500):  # 10^4 pairs per spacetime across the point pool
-            u = _random_causal(rng, g.entries, 4)
-            v = _random_causal(rng, g.entries, 4)
-            assert nd.reverse_cs_gap(st, c, u, v) >= -1e-9
+    v = np.random.default_rng(11).normal(size=(500, 4))
+    v[:3] = [[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.6, 0.8], [0.0, 0.0, 0.0, 1.0]]
+    p = np.zeros((500, 4))
+    verdicts = []
+    for s in (st, stc):
+        cone = LightCone(s.metric_batch(p), v, p, NULL_TOL)
+        timelike = (cone.q < 0) & ~cone.null
+        verdicts.append((cone.causal, cone.null, timelike,
+                         np.sign(cone.time_component(slice(None)))))
+    assert verdicts[0][1][:2].all() and not verdicts[0][0][2]
+    for flat, scaled in zip(*verdicts):
+        assert np.array_equal(flat, scaled)
 
 
 def test_orientation_is_future_timelike():
     """The time orientation is d/dx0 on every built-in: it must be timelike
-    everywhere in the domain, and causal_character must call it future."""
+    everywhere in the domain, and LightCone must call it future."""
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
     spacetimes = [nd.builtin(name, dim=4) for name in BUILTINS] + [
         nd.builtin("conformal", base="missing_ray", dim=4, factor=2.0),
@@ -219,10 +154,11 @@ def test_orientation_is_future_timelike():
                    factor=lambda pts: 1.0 + 0.1 * pts[:, 0] ** 2)]
     rng = np.random.default_rng(5)
     for st in spacetimes:
-        for c in _domain_samples(st, rng, 40):
-            assert st.metric_at(c)[0, 0] < 0
-            cc = nd.causal_character(st, c, e0)
-            assert cc.kind is CausalKind.TIMELIKE and cc.time_sense is TimeSense.FUTURE
+        pts = _domain_samples(st, rng, 40)
+        g = st.metric_batch(pts)
+        assert np.all(g[:, 0, 0] < 0)
+        cone = LightCone(g, e0[None], pts, NULL_TOL)
+        assert cone.causal.all() and not cone.null.any() and cone.future(slice(None)).all()
 
 
 def test_metric_form_rejects_asymmetric():
@@ -230,20 +166,8 @@ def test_metric_form_rejects_asymmetric():
         nd.MetricForm(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
-def test_event_dimension_mismatch():
-    st = nd.builtin("minkowski", dim=4)
-    with pytest.raises(ValueError):
-        nd.metric_eval(st, [0.0, 0.0])
-
-
 # every public entry that takes a point or a vector, given the bad one as x
 POINT_ENTRIES = {
-    "metric_eval": lambda st, ch, x: nd.metric_eval(st, x),
-    "causal_character.p": lambda st, ch, x: nd.causal_character(st, x, [1.0, 0.0]),
-    "causal_character.v": lambda st, ch, x: nd.causal_character(st, [0.5, 0.0], x),
-    "reverse_cs_gap.p": lambda st, ch, x: nd.reverse_cs_gap(st, x, [1.0, 0.0], [1.0, 0.0]),
-    "reverse_cs_gap.u": lambda st, ch, x: nd.reverse_cs_gap(st, [0.5, 0.0], x, [1.0, 0.0]),
-    "reverse_cs_gap.v": lambda st, ch, x: nd.reverse_cs_gap(st, [0.5, 0.0], [1.0, 0.0], x),
     "geodesic_shoot.p": lambda st, ch, x: nd.geodesic_shoot(st, x, [1.0, 0.0], 1.0),
     "geodesic_shoot.v": lambda st, ch, x: nd.geodesic_shoot(st, [0.5, 0.0], x, 1.0),
     "build_chart": lambda st, ch, x: build_chart(st, x),
