@@ -30,7 +30,7 @@ class ExcisionSwallowsBox(NullDistError):
 
 
 class GridTooLarge(NullDistError):
-    """Lattice would exceed the node-count guardrail."""
+    """Lattice would exceed the node-count or candidate-edge guardrail."""
 
 
 class NoCausalEdges(NullDistError):

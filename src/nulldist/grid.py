@@ -2,12 +2,14 @@
 
 A box of the spacetime is discretized into a uniform ``Lattice``.  For every
 stencil offset whose displacement is future causal at the segment midpoint a
-directed edge u -> v is emitted with its Lorentzian segment length and stored
-once, sorted by source: the edge arrays are the out-CSR.  tau must rise along
-every edge; the undirected graph holds the rises tau(v) - tau(u) in one slot
-per lattice direction.  Undirected Dijkstra over the rises gives an upper
-estimate of the null distance, with a witness that is directed iff one end
-lies in J+ of the other; directed closure gives J+.
+directed edge u -> v is emitted with its Lorentzian segment length, and the
+edges are stored once, as the out-CSR (``indptr``, ``edge_v``, ``edge_len``):
+on a constant metric read node by node off the (causal offset x node) table
+of lattice neighbours, on any other sorted stably by source.  tau must rise
+along every edge; the undirected graph holds the rises tau(v) - tau(u) in one
+slot per lattice direction.  Undirected Dijkstra over the rises gives an
+upper estimate of the null distance, with a witness that is directed iff one
+end lies in J+ of the other; directed closure gives J+.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .errors import (
 from .spacetime import NULL_TOL, LightCone, Spacetime, require_finite
 
 MAX_NODES = 20_000_000
+# lattice points times candidate offsets: 8.9 million on the 3+1 boxes at radius 2
+MAX_CANDIDATES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -55,19 +59,13 @@ class StencilSpec:
 
     def offsets(self, dim: int) -> np.ndarray:
         """Candidate offsets, one representative per +-pair, in lexicographic order."""
-        out = []
-        for o in itertools.product(range(-self.radius, self.radius + 1), repeat=dim):
-            if all(c == 0 for c in o):
-                continue
-            # keep the lexicographically positive representative of {o, -o}
-            lead = next(c for c in o if c != 0)
-            if lead < 0:
-                continue
-            if not self.include_null_exact:
-                if o[0] * o[0] == sum(c * c for c in o[1:]):
-                    continue
-            out.append(o)
-        return np.array(sorted(out), dtype=np.int64)
+        r = self.radius
+        every = np.indices((2 * r + 1,) * dim).reshape(dim, -1).T - r  # C order: lexicographic
+        # the zero offset sits in the middle; the lexicographically positive follow it
+        out = every[every.shape[0] // 2 + 1:]
+        if not self.include_null_exact:
+            out = out[out[:, 0] ** 2 != (out[:, 1:] ** 2).sum(axis=1)]
+        return np.ascontiguousarray(out, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -158,17 +156,20 @@ class Lattice:
 
 
 class CausalGrid:
-    """Immutable lattice with directed future-causal edges.
+    """Immutable lattice with directed future-causal edges, held as an out-CSR.
 
-    Edges come sorted stably by source, so the edge arrays are the out-CSR;
-    edge e rises by ``tau_values[edge_v[e]] - tau_values[edge_u[e]]`` > 0.
+    The out-edges of node i are ``edge_v[indptr[i]:indptr[i + 1]]`` with
+    lengths ``edge_len``, in ``directions`` order; ``edge_u``, each edge's
+    source, is derived from ``indptr`` on every access and never stored.
+    Edge e rises by ``tau_values[edge_v[e]] - tau_values[edge_u[e]]`` > 0.
     ``edge_offsets`` are the ``offsets_used`` that carry an edge, in emission
-    order.  Construction is the only mutating phase; afterwards concurrent
-    queries are safe (each query owns its scratch arrays inside the kernels).
+    order; ``directions`` are the signed offsets, u to v, along which edges run.
+    Construction is the only mutating phase; afterwards concurrent queries
+    are safe (each query owns its scratch arrays inside the kernels).
     """
 
     def __init__(self, st, tau, params: GridParams, coords, lattice, shape,
-                 edge_u, edge_v, edge_len, tau_values, offsets_used, edge_offsets):
+                 indptr, edge_v, edge_len, tau_values, offsets_used, edge_offsets, directions):
         self.st = st
         self.tau = tau
         self.params = params
@@ -178,32 +179,37 @@ class CausalGrid:
         self.shape = shape
         self.coords = coords
         self.lattice = lattice
-        self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_len = edge_len
         self.tau_values = tau_values
         self.offsets_used = offsets_used
         self.edge_offsets = edge_offsets
+        self.directions = directions
         self.n_nodes = coords.shape[0]
-        self.n_edges = edge_u.shape[0]
+        self.n_edges = edge_v.shape[0]
         # worst-case factor by which axis-null zigzags overestimate spacelike
         # separation (L1 corner direction)
         self.spacelike_overestimate_max = math.sqrt(max(1, st.dim - 1))
-        self._indptr = np.searchsorted(edge_u, np.arange(self.n_nodes + 1))
+        self._indptr = indptr
         self._undirected = None
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        """Source of each edge, expanded from the out-CSR's row pointers."""
+        return np.repeat(np.arange(self.n_nodes), np.diff(self._indptr))
 
     # -- graph views --------------------------------------------------------
 
     def csr_out(self):
-        """(indptr, nbr) of the directed graph: the edge arrays themselves."""
+        """(indptr, nbr) of the directed graph: the stored edge arrays."""
         return self._indptr, self.edge_v
 
     def csr_undirected(self):
         """``Lattice.undirected`` of the edges weighted by their rises, built on first use."""
         if self._undirected is None:
-            rise = self.tau_values[self.edge_v] - self.tau_values[self.edge_u]
-            self._undirected = self.lattice.undirected(self.edge_offsets, self.edge_u,
-                                                       self.edge_v, rise)
+            u = self.edge_u
+            rise = self.tau_values[self.edge_v] - self.tau_values[u]
+            self._undirected = self.lattice.undirected(self.edge_offsets, u, self.edge_v, rise)
         return self._undirected
 
     # -- node lookup --------------------------------------------------------
@@ -240,11 +246,15 @@ class CausalGrid:
 
         Node ids follow the lattice C-order with coordinate 0 first, so nodes
         ``layers[k]:layers[k+1]`` share one value of coordinate 0.  Raises
-        CyclicGraph if a directed edge fails to increase coordinate 0.
+        CyclicGraph if a directed edge fails to increase coordinate 0: some
+        direction steps coordinate 0 by <= 0, or the lattice's time axis
+        ``lo + h k``, which holds every node's coordinate 0, fails to rise
+        strictly.
         """
-        t = self.coords[:, 0]
-        if self.n_edges and np.any(t[self.edge_v] <= t[self.edge_u]):
+        axis = self.lo[0] + self.h * np.arange(self.shape[0])
+        if np.any(self.directions[:, 0] <= 0) or np.any(np.diff(axis) <= 0):
             raise CyclicGraph("a directed edge fails to increase coordinate 0")
+        t = self.coords[:, 0]
         return np.concatenate(([0], np.flatnonzero(np.diff(t)) + 1, [self.n_nodes]))
 
     def in_degrees(self) -> np.ndarray:
@@ -259,10 +269,14 @@ def build_grid(st: Spacetime, tau, box, h: float,
     segment passes within h/2 of one; causality of each candidate edge is
     decided by the metric at the segment midpoint.  When
     ``st.constant_metric`` declares the metric the same everywhere, the cones
-    of all stencil offsets are decided in one batch before any pairing, and
-    only the causal offsets are paired.  Raises ValueError unless h is
-    finite and positive and ``box`` passes box_bounds, NonFiniteValue if
-    ``tau`` at a node or the metric at a candidate midpoint is NaN or inf,
+    of all stencil offsets are decided in one batch, and the out-CSR is read
+    node by node off one gather of the (causal offset x node) table of lattice
+    neighbours (``_table_edges``); any other metric is tested pair by pair
+    (``_paired_edges``).  Raises ValueError unless h is finite and positive
+    and ``box`` passes box_bounds, GridTooLarge if the lattice holds more than
+    MAX_NODES points or points times candidate offsets exceed MAX_CANDIDATES
+    (checked before any offset is enumerated), NonFiniteValue if ``tau`` at
+    a node or the metric at a candidate midpoint is NaN or inf,
     NotATimeFunction if ``tau`` fails to rise strictly along an edge, and
     NoCausalEdges if no causal edge survives.
     """
@@ -277,8 +291,10 @@ def build_grid(st: Spacetime, tau, box, h: float,
         total = float(np.prod(extent))
     if total > MAX_NODES:
         raise GridTooLarge(f"lattice would hold {total:.15g} nodes (limit {MAX_NODES})")
-    if total == 0:
-        raise EmptyGrid("box has no lattice points at this spacing")
+    candidates = int(total) * (((2 * stencil.radius + 1) ** dim - 1) // 2)
+    if candidates > MAX_CANDIDATES:
+        raise GridTooLarge(f"{int(total)} lattice points times the radius-{stencil.radius} "
+                           f"stencil give {candidates} candidate edges (limit {MAX_CANDIDATES})")
     shape = extent.astype(np.int64)
 
     grids = np.meshgrid(*[lo[a] + h * np.arange(shape[a]) for a in range(dim)],
@@ -299,72 +315,126 @@ def build_grid(st: Spacetime, tau, box, h: float,
     require_finite("time function", tau_values, coords)
 
     offsets = stencil.offsets(dim)
-    deltas = offsets.astype(float) * h
-    causal_of = None  # per offset, when one batch decides every offset's cone
+    cone = None
     if st.constant_metric:
         # one midpoint per offset decides the cone of every edge along it
+        deltas = offsets.astype(float) * h
         rows = coords[0] + 0.5 * deltas
         try:
             cone = LightCone(st.metric_batch(rows), deltas, rows, NULL_TOL)
         except NonFiniteValue:
-            pass  # tested edge by edge below, which names the first candidate's midpoint
-        else:
-            causal_of = cone.causal
-            future_of = cone.future(slice(None))
-            length_of = np.sqrt(np.abs(cone.q))
-    eu, ev, el, carriers = [], [], [], []
-    for i, (o, delta) in enumerate(zip(offsets, deltas)):
-        if causal_of is not None and not causal_of[i]:
-            continue  # spacelike: none of its pairs is an edge
+            pass  # tested pair by pair, which names the first candidate's midpoint
+    if cone is None:
+        out = _paired_edges(st, h, lattice, coords, tau_values, offsets)
+    else:
+        out = _table_edges(st, h, lattice, coords, tau_values, offsets, cone)
+    indptr, edge_v, edge_len, carriers, directions = out
+    if not carriers.size:
+        # with no edge every pair is disconnected and every node a source
+        raise NoCausalEdges(f"no causal edge joins two of the {coords.shape[0]} kept nodes "
+                            f"of box {params.box} at h = {h:g}")
+    return CausalGrid(st, tau, params, coords, lattice, shape, indptr, edge_v, edge_len,
+                      tau_values, offsets, offsets[carriers], directions)
+
+
+def _table_edges(st, h, lattice, coords, tau_values, offsets, cone):
+    """Out-CSR of a constant metric whose offsets' cones ``cone`` decided.
+
+    Row c of the (causal offset x node) table holds every node's neighbour
+    along the c-th causal offset, signed to point to the future, or -1.
+    Masked by excision clearance and read node by node, the table gives
+    ``edge_v`` sorted by source and, within a node, in offset order.
+    Returns (indptr, edge_v, edge_len, carrier indices, directions).
+    """
+    carry = np.flatnonzero(cone.causal & np.all(np.abs(offsets) <= lattice.pad, axis=1))
+    sign = np.where(cone.future(carry), 1, -1)
+    directions = sign[:, None] * offsets[carry]
+    length = np.sqrt(np.abs(cone.q[carry]))
+    table = lattice.ids[(directions @ lattice.strides)[:, None] + lattice.at]
+    live = table >= 0
+    for c in range(carry.size):
+        if st.excisions:
+            u = np.flatnonzero(live[c])
+            v = table[c, u]
+            a, b = (u, v) if sign[c] > 0 else (v, u)  # tested as the pair (a, a + offset)
+            live[c, u[~_clear(st.excisions, coords[a], coords[b], h)]] = False
+        # a -1 in the table reads the last node's tau, behind a False in live;
+        # for finite tau, tau(v) > tau(u) exactly when the rise is positive
+        fails = live[c] & ~(tau_values[table[c]] > tau_values)
+        if fails.any():
+            u = np.flatnonzero(fails)[:1]
+            _require_rise(tau_values, coords, u, table[c, u])
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(live, axis=0))))
+    carried = live.any(axis=1)  # excision clearance may cut every edge of a direction
+    return (indptr, table.T[live.T], np.broadcast_to(length, table.T.shape)[live.T],
+            carry[carried], directions[carried])
+
+
+def _paired_edges(st, h, lattice, coords, tau_values, offsets):
+    """Out-CSR of any metric, tested pair by pair: every offset's edges in
+    pair order, then sorted stably by source.  Returns as ``_table_edges``."""
+    eu, ev, el, carriers, directions = [], [], [], [], []
+    for i, (o, delta) in enumerate(zip(offsets, offsets.astype(float) * h)):
         a_ids, b_ids = lattice.pairs(o)
         if not a_ids.size:
             continue
-        if causal_of is not None:
-            future = future_of[i]
-            length = np.broadcast_to(length_of[i], a_ids.shape)
-        else:
-            rows = coords[a_ids] + 0.5 * delta
-            cone = LightCone(st.metric_batch(rows), delta[None], rows, NULL_TOL)
-            causal = cone.causal
-            if not np.any(causal):
+        rows = coords[a_ids] + 0.5 * delta
+        cone = LightCone(st.metric_batch(rows), delta[None], rows, NULL_TOL)
+        causal = cone.causal
+        if not np.any(causal):
+            continue
+        future = cone.future(causal)
+        length = np.sqrt(np.abs(cone.q[causal]))
+        a_ids, b_ids = a_ids[causal], b_ids[causal]
+        if st.excisions:
+            clear = _clear(st.excisions, coords[a_ids], coords[b_ids], h)
+            if not np.any(clear):
                 continue
-            future = cone.future(causal)
-            length = np.sqrt(np.abs(cone.q[causal]))
-            a_ids, b_ids = a_ids[causal], b_ids[causal]
+            a_ids, b_ids, future, length = a_ids[clear], b_ids[clear], future[clear], length[clear]
         # orient each edge so its displacement is future causal
         u = np.where(future, a_ids, b_ids)
         v = np.where(future, b_ids, a_ids)
-        if st.excisions:
-            ca, cb = coords[a_ids], coords[b_ids]
-            clear = np.ones(a_ids.shape[0], dtype=bool)
-            for exc in st.excisions:
-                clear &= exc.segment_distance(ca, cb) >= 0.5 * h
-            if not np.any(clear):
-                continue
-            u, v, length = u[clear], v[clear], length[clear]
-        rise = tau_values[v] - tau_values[u]
-        if not np.all(rise > 0.0):
-            k = int(np.argmin(rise > 0.0))
-            raise NotATimeFunction(f"tau rises by {rise[k]:g} along the future-causal edge "
-                                   f"{coords[u[k]].tolist()} -> {coords[v[k]].tolist()}")
+        _require_rise(tau_values, coords, u, v)
         eu.append(u)
         ev.append(v)
         el.append(length)
         carriers.append(i)
-
+        # a node's edge to its past pair partner precedes the one to its future partner
+        if not future.all():
+            directions.append(-o)
+        if future.any():
+            directions.append(o)
     if not eu:
-        # with no edge every pair is disconnected and every node a source
-        raise NoCausalEdges(f"no causal edge joins two of the {coords.shape[0]} kept nodes "
-                            f"of box {params.box} at h = {h:g}")
-    order = np.argsort(np.concatenate(eu), kind="stable")
+        return None, None, None, np.empty(0, dtype=np.int64), None
+    u = np.concatenate(eu)
+    eu.clear()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=coords.shape[0]))))
+    order = np.argsort(u, kind="stable")
+    del u
     edges = []
-    for parts in (eu, ev, el):  # holding every list until all are sorted raises peak memory
+    for parts in (ev, el):  # holding every list until all are sorted raises peak memory
         whole = np.concatenate(parts)
         parts.clear()
         edges.append(whole[order])
         del whole
-    return CausalGrid(st, tau, params, coords, lattice, shape, *edges, tau_values, offsets,
-                      offsets[carriers])
+    return indptr, *edges, np.array(carriers), np.array(directions)
+
+
+def _clear(excisions, a, b, h) -> np.ndarray:
+    """Whether each segment a -> b stays at least h/2 from every excision."""
+    clear = np.ones(a.shape[0], dtype=bool)
+    for exc in excisions:
+        clear &= exc.segment_distance(a, b) >= 0.5 * h
+    return clear
+
+
+def _require_rise(tau_values, coords, u, v) -> None:
+    """NotATimeFunction naming the first edge u -> v along which tau fails to rise."""
+    rise = tau_values[v] - tau_values[u]
+    if not np.all(rise > 0.0):
+        k = int(np.argmin(rise > 0.0))
+        raise NotATimeFunction(f"tau rises by {rise[k]:g} along the future-causal edge "
+                               f"{coords[u[k]].tolist()} -> {coords[v[k]].tolist()}")
 
 
 def axis_corner_directions(n: int) -> np.ndarray:

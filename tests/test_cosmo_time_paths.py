@@ -1,5 +1,9 @@
 """cosmo-time's batched paths against the code they replaced.
 
+* ``build_grid`` reads the out-CSR off one table of lattice neighbours on a
+  constant metric; the reference below is the emission it replaced, every
+  offset's edges tested pair by pair, concatenated and sorted stably by
+  source.
 * ``build_grid`` runs the cone test of every offset in one batch, and pairs
   only the causal offsets, on a spacetime declared ``constant_metric``; with
   the declaration removed it runs it on every candidate edge, and both must
@@ -14,6 +18,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 
 import numpy as np
@@ -23,7 +28,9 @@ from hypothesis import strategies as hs
 
 import nulldist as nd
 from nulldist.cli import _emit_csv, main
-from nulldist.errors import NoCausalEdges, NonFiniteValue
+from nulldist.errors import CyclicGraph, NoCausalEdges, NonFiniteValue, NotATimeFunction
+from nulldist.grid import Lattice
+from nulldist.spacetime import NULL_TOL, LightCone
 from nulldist.timefn import _boundary_base
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -121,6 +128,157 @@ def test_constant_metric_holds(st, radius, include_null_exact, seed):
         assert bits(getattr(fast, name)) == bits(getattr(slow, name)), name
 
 
+def ref_emission(st, tau, box, h, radius):
+    """(edge_u, edge_v, edge_len, edge_offsets) as build_grid emitted them
+    before the table read: per offset, every pair's cone at its midpoint,
+    the edges appended in pair order, then one stable sort by source.
+    Raises NotATimeFunction, NoCausalEdges or CyclicGraph as build_grid
+    and time_layers do."""
+    lo, hi = np.array(box, dtype=float).T
+    shape = (np.floor((hi - lo) / h + 1e-9) + 1).astype(np.int64)
+    axes = np.meshgrid(*[lo[a] + h * np.arange(shape[a]) for a in range(st.dim)], indexing="ij")
+    coords = np.stack([g.ravel() for g in axes], axis=1)
+    keep = st.domain_batch(coords)
+    for exc in st.excisions:
+        keep &= exc.distance(coords) >= 0.5 * h
+    lattice = Lattice(keep.reshape(tuple(shape)), radius)
+    coords = coords[keep]
+    tau_values = tau.batch(coords)
+    offsets = np.array([o for o in itertools.product(range(-radius, radius + 1), repeat=st.dim)
+                        if o > (0,) * st.dim], dtype=np.int64)
+    eu, ev, el, carriers = [], [], [], []
+    for i, o in enumerate(offsets):
+        a, b = lattice.pairs(o)
+        if not a.size:
+            continue
+        delta = o.astype(float) * h
+        rows = coords[a] + 0.5 * delta
+        cone = LightCone(st.metric_batch(rows), delta[None], rows, NULL_TOL)
+        causal = cone.causal
+        if not np.any(causal):
+            continue
+        future = cone.future(causal)
+        length = np.sqrt(np.abs(cone.q[causal]))
+        a, b = a[causal], b[causal]
+        u, v = np.where(future, a, b), np.where(future, b, a)
+        clear = np.ones(a.shape[0], dtype=bool)
+        for exc in st.excisions:
+            clear &= exc.segment_distance(coords[a], coords[b]) >= 0.5 * h
+        if not np.any(clear):
+            continue
+        u, v, length = u[clear], v[clear], length[clear]
+        if not np.all(tau_values[v] - tau_values[u] > 0.0):
+            raise NotATimeFunction()
+        eu.append(u)
+        ev.append(v)
+        el.append(length)
+        carriers.append(i)
+    if not eu:
+        raise NoCausalEdges()
+    order = np.argsort(np.concatenate(eu), kind="stable")
+    u, v, length = (np.concatenate(x)[order] for x in (eu, ev, el))
+    if np.any(coords[v, 0] <= coords[u, 0]):
+        raise CyclicGraph()
+    return u, v, length, offsets[carriers]
+
+
+def null_coordinates(dim):
+    """Flat, in null coordinates along axes 0 and 1: d/dx0 is null, so the
+    edges along axis 0 point to its past and time_layers raises CyclicGraph."""
+    def metric(pts):
+        g = np.zeros((len(pts), dim, dim))
+        g[:, 0, 1] = g[:, 1, 0] = -0.5
+        g[:, range(2, dim), range(2, dim)] = 1.0
+        return g
+
+    return nd.Spacetime(dim=dim, name="null_coordinates", metric_batch=metric,
+                        domain_batch=lambda pts: np.ones(len(pts), dtype=bool),
+                        constant_metric=True)
+
+
+@hs.composite
+def emission_scenes(draw):
+    dim = draw(hs.integers(2, 4))
+    kind = draw(hs.sampled_from(["minkowski", "upper_half_minkowski", "missing_ray",
+                                 "warped_product", "conformal", "null_coordinates"]))
+    warped = {"slope": draw(hs.sampled_from([0.5, 1.0])), "offset": 0.2}
+    if kind == "null_coordinates":
+        st = null_coordinates(dim)
+    elif kind == "warped_product":
+        st = nd.builtin(kind, dim=dim, **warped)
+    elif kind == "conformal":
+        base = draw(hs.sampled_from(["minkowski", "upper_half_minkowski", "missing_ray",
+                                     "warped_product"]))
+        base = nd.builtin(base, dim=dim, **(warped if base == "warped_product" else {}))
+        st = nd.builtin(kind, base=base, factor=draw(hs.sampled_from([2.5, phi])))
+    else:
+        st = nd.builtin(kind, dim=dim)
+    h = {2: 0.1, 3: 0.2, 4: 0.25}[dim]
+    t0 = draw(hs.sampled_from([0.5, 1.0]))
+    box = [[t0, t0 + draw(hs.sampled_from([0.0, 0.5, 1.0, 2.0]))]]
+    box += [[-w, w] for w in draw(hs.lists(hs.sampled_from([0.0, 0.2, 0.5]),
+                                           min_size=dim - 1, max_size=dim - 1))]
+    # coordinate time, or a tilt that fails to rise along some causal edges
+    c = draw(hs.sampled_from([1.0, 3.0] if kind == "null_coordinates" else
+                             [0.0, 0.0, 0.5, 1.5]))
+    sense = -1.0 if c == 3.0 else 1.0
+    tau = nd.timefn.TimeFunction(lambda p: sense * p[:, 0] + c * p[:, 1], nd.timefn.TimeClaims())
+    return st, tau, box, h, draw(hs.integers(1, 3))
+
+
+def outcome(run):
+    try:
+        return run()
+    except (NotATimeFunction, NoCausalEdges, CyclicGraph) as err:
+        return type(err)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(emission_scenes())
+def test_table_read_matches_sorted_lists(scene):
+    st, tau, box, h, radius = scene
+
+    def table_read():
+        grid = nd.build_grid(st, tau, box, h, nd.StencilSpec(radius=radius))
+        indptr, nbr = grid.csr_out()
+        assert nbr is grid.edge_v
+        assert bits(grid.edge_u) == bits(np.repeat(np.arange(grid.n_nodes), np.diff(indptr)))
+        grid.time_layers()
+        return grid.edge_u, grid.edge_v, grid.edge_len, grid.edge_offsets, indptr
+
+    got, want = outcome(table_read), outcome(lambda: ref_emission(st, tau, box, h, radius))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        for a, b in zip(got, want):
+            assert bits(a) == bits(b)
+        n = len(got[4]) - 1
+        assert bits(got[4]) == bits(np.searchsorted(want[0], np.arange(n + 1)))
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_collapsed_time_axis_is_cyclic(constant):
+    """Near t = 2^53 at h = 1, ``lo + h k`` rounds 2^53 + 1 down to 2^53, so
+    edges join nodes of equal coordinate 0, although every causal offset
+    steps coordinate 0 forward and tau = x1 rises along each of them."""
+    def metric(pts):
+        g = np.zeros((len(pts), 2, 2))
+        g[:, 0, 0] = g[:, 1, 1] = 0.1
+        g[:, 0, 1] = g[:, 1, 0] = -0.5
+        return g
+
+    st = nd.Spacetime(dim=2, name="tilted_cone", metric_batch=metric,
+                      domain_batch=lambda pts: np.ones(len(pts), dtype=bool),
+                      constant_metric=constant)
+    tau = nd.timefn.TimeFunction(lambda p: p[:, 1], nd.timefn.TimeClaims())
+    box, h = [[2.0**53, 2.0**53 + 4], [0.0, 4.0]], 1.0
+    grid = nd.build_grid(st, tau, box, h)
+    assert grid.n_edges and np.all(grid.directions[:, 0] > 0)
+    with pytest.raises(CyclicGraph):
+        grid.time_layers()
+    assert outcome(lambda: ref_emission(st, tau, box, h, 2)) is CyclicGraph
+
+
 def test_constant_metric_of_the_builtins():
     assert nd.builtin("upper_half_minkowski").constant_metric
     assert nd.builtin("conformal", base="missing_ray", factor=2.0).constant_metric
@@ -165,19 +323,55 @@ def test_nan_metric_on_one_node_has_no_edges(constant):
     ("warped_product", 312),  # every offset
 ])
 def test_constant_metric_pairs_only_causal_offsets(monkeypatch, name, n_paired):
-    calls = []
+    """A constant metric decides each offset's cone once, at one midpoint,
+    forms no lattice pair offset by offset, and gathers neighbours along the
+    future-causal offsets of the flat cone only: no spacelike offset is
+    gathered or kept.  The warped product pairs every offset and evaluates
+    its metric at every pair."""
+    paired = []
     pairs = nd.grid.Lattice.pairs
 
     def counted(lattice, offset):
-        calls.append(offset)
+        paired.append(offset)
         return pairs(lattice, offset)
 
+    gathered = []  # the shape of every 2-d gather from the lattice's id array
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, index):
+            if np.ndim(index) == 2:
+                gathered.append(np.shape(index))
+            return np.asarray(self)[index]
+
+    init = nd.grid.Lattice.__init__
+
+    def recording(lattice, keep, radius):
+        init(lattice, keep, radius)
+        lattice.ids = lattice.ids.view(Recorded)
+
     monkeypatch.setattr("nulldist.grid.Lattice.pairs", counted)
+    monkeypatch.setattr("nulldist.grid.Lattice.__init__", recording)
     st = nd.builtin(name, dim=4)
-    grid = nd.build_grid(st, nd.coordinate_time(st), [[0.5, 1.5]] + [[-0.5, 0.5]] * 3, 0.25,
-                         nd.StencilSpec(radius=2))
+    evaluated = []
+
+    def metric(pts):
+        evaluated.append(len(pts))
+        return st.metric_batch(pts)
+
+    grid = nd.build_grid(dataclasses.replace(st, metric_batch=metric), nd.coordinate_time(st),
+                         [[0.5, 1.5]] + [[-0.5, 0.5]] * 3, 0.25, nd.StencilSpec(radius=2))
     assert len(grid.offsets_used) == 312
-    assert len(calls) == n_paired
+    if st.constant_metric:
+        assert (evaluated, paired) == ([312], [])
+        assert gathered == [(n_paired, grid.n_nodes)]
+        o = grid.offsets_used
+        causal = o[(o[:, 0] > 0) & (o[:, 0] ** 2 >= (o[:, 1:] ** 2).sum(axis=1))]
+        assert len(causal) == len(grid.directions) == n_paired
+        assert bits(grid.directions) == bits(causal) == bits(grid.edge_offsets)
+    else:
+        assert len(evaluated) == len(paired) == n_paired
+        assert gathered == []
+        assert sum(evaluated) > n_paired
 
 
 def closed_half_space(dim):

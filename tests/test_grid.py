@@ -7,7 +7,7 @@ import pytest
 
 import nulldist as nd
 from nulldist.errors import Disconnected, GridTooLarge, NodeNotInGrid, NotATimeFunction
-from nulldist.grid import MAX_NODES, StencilSpec
+from nulldist.grid import MAX_CANDIDATES, MAX_NODES, StencilSpec
 
 
 def mink_grid(dim=2, box=None, h=0.05, radius=2):
@@ -199,6 +199,28 @@ def test_guardrail():
     with pytest.raises(GridTooLarge, match="would hold inf nodes"):
         nd.build_grid(st, nd.coordinate_time(st), [[0, 1], [0, 1]], 1e-300)
     assert MAX_NODES == 20_000_000
+
+
+def test_candidate_budget_refuses_before_enumerating(monkeypatch):
+    def enumerated(stencil, dim):
+        raise AssertionError("offsets enumerated before the budget check")
+
+    st = nd.builtin("minkowski", dim=4)
+    tau = nd.coordinate_time(st)
+    box = [[0.5, 3.5]] + [[-1.5, 1.5]] * 3
+    with monkeypatch.context() as m:
+        m.setattr(StencilSpec, "offsets", enumerated)
+        with pytest.raises(GridTooLarge, match=r"^28561 lattice points times the radius-300 "
+                                               r"stencil give \d+ candidate edges "
+                                               r"\(limit 100000000\)$"):
+            nd.build_grid(st, tau, box, 0.25, StencilSpec(radius=300))
+    # the largest scenes built today, 28,561 nodes times 312 offsets, stay well inside
+    assert 28561 * 312 * 10 < MAX_CANDIDATES
+    for name, n_nodes, n_edges in (("upper_half_minkowski", 28561, 852257),
+                                   ("missing_ray", 28554, 851739)):
+        st = nd.builtin(name, dim=4)
+        grid = nd.build_grid(st, nd.coordinate_time(st), box, 0.25, StencilSpec(radius=2))
+        assert (grid.n_nodes, len(grid.offsets_used), grid.n_edges) == (n_nodes, 312, n_edges)
 
 
 def test_empty_grid_and_swallowed_box():
