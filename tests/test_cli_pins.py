@@ -69,6 +69,10 @@ CASES = {
     "causal-2-in": ["causal", "mink2", "--p", "0,0", "--q", "0.2,0.1", "--out", "OUT"],
     "causal-2-out": ["causal", "mink2", "--p", "0,0", "--q", "0,1", "--out", "OUT"],
     "causal-3": ["causal", "mink3", "--p", "0,0,0", "--q", "0.4,0.2,-0.2", "--out", "OUT"],
+    "causal-2-past": ["causal", "mink2", "--p", "0.2,0.1", "--q", "0,0", "--out", "OUT"],
+    "causal-2-self": ["causal", "mink2", "--p", "0.1,0.5", "--q", "0.1,0.5", "--out", "OUT"],
+    "causal-3-upper": ["causal", "upper3", "--p", "0.2,0,0", "--q", "0.6,0.2,-0.2",
+                       "--out", "OUT"],
     "cosmo-time-2": ["cosmo-time", "upper2", "--out", "OUT"],
     "cosmo-time-3": ["cosmo-time", "upper3", "--out", "OUT"],
     "check-antilip-2": ["check-antilip", "mink2", "--n-sources", "8", "--seed", "3",
@@ -197,6 +201,21 @@ x0,x1,x2
 }
 """,
     'causal-3': """\
+{
+  "reachable": true
+}
+""",
+    'causal-2-past': """\
+{
+  "reachable": false
+}
+""",
+    'causal-2-self': """\
+{
+  "reachable": true
+}
+""",
+    'causal-3-upper': """\
 {
   "reachable": true
 }
