@@ -102,11 +102,24 @@ def box_bounds(box, dim: int):
 
 @dataclass(frozen=True, eq=False)
 class ReachSet:
-    origin: int
-    members: np.ndarray  # boolean mask over grid nodes
+    """J+(origin) on ``grid``, origin included.  ``q in`` searches for q
+    alone, through nodes no later than q in tau, and stops once it is found;
+    ``members``, the whole closure as a boolean mask over the grid's nodes,
+    is computed on each read.  An id that is no node of the grid is no member."""
 
-    def __contains__(self, node: int) -> bool:
-        return 0 <= node < self.members.shape[0] and bool(self.members[node])
+    grid: CausalGrid
+    origin: int
+
+    def __contains__(self, node) -> bool:
+        if not _is_node(self.grid, node):
+            return False
+        indptr, nbr = self.grid.csr_out()
+        found = _kernels.bfs_reach(indptr, nbr, self.origin, int(node), self.grid.tau_values)
+        return bool(found[node])
+
+    @property
+    def members(self) -> np.ndarray:
+        return _kernels.bfs_reach(*self.grid.csr_out(), self.origin)
 
 
 class Lattice:
@@ -454,12 +467,23 @@ def axis_corner_directions(n: int) -> np.ndarray:
     return np.array(dirs)
 
 
+def _is_node(grid: CausalGrid, node) -> bool:
+    """Whether ``node`` is an integer id (a bool is not) of one of grid's nodes."""
+    return (isinstance(node, (int, np.integer)) and not isinstance(node, bool)
+            and 0 <= node < grid.n_nodes)
+
+
+def _node_id(grid: CausalGrid, node) -> int:
+    """``node`` as a plain int; NodeNotInGrid unless it is a node id of grid."""
+    if not _is_node(grid, node):
+        raise NodeNotInGrid(f"node {node!r} not in grid")
+    return int(node)
+
+
 def reach(grid: CausalGrid, node: int) -> ReachSet:
-    """Directed causal closure J+(node), node included; q is in J-(p) iff p is in J+(q)."""
-    if not 0 <= node < grid.n_nodes:
-        raise NodeNotInGrid(f"node {node} not in grid")
-    indptr, nbr = grid.csr_out()
-    return ReachSet(origin=node, members=_kernels.bfs_reach(indptr, nbr, node))
+    """Directed causal closure J+(node), node included, searched for when
+    asked (see ReachSet); q is in J-(p) iff p is in J+(q)."""
+    return ReachSet(grid, _node_id(grid, node))
 
 
 def shortest_null_path(grid: CausalGrid, p_node: int, q_node: int):
@@ -469,9 +493,7 @@ def shortest_null_path(grid: CausalGrid, p_node: int, q_node: int):
     p to q.  The estimate always dominates |tau(q) - tau(p)| and upper-bounds
     the continuum null distance up to discretization error.
     """
-    for node in (p_node, q_node):
-        if not 0 <= node < grid.n_nodes:
-            raise NodeNotInGrid(f"node {node} not in grid")
+    p_node, q_node = _node_id(grid, p_node), _node_id(grid, q_node)
     if p_node == q_node:
         return 0.0, [p_node]
     # canonical source: makes estimate(p,q) == estimate(q,p) bit-exact
@@ -495,9 +517,7 @@ def shortest_null_path(grid: CausalGrid, p_node: int, q_node: int):
 
 def null_distances_from(grid: CausalGrid, node: int) -> np.ndarray:
     """Single-source variant of shortest_null_path (full sweep)."""
-    if not 0 <= node < grid.n_nodes:
-        raise NodeNotInGrid(f"node {node} not in grid")
-    dist, _ = _kernels.dijkstra(*grid.csr_undirected(), node, -1)
+    dist, _ = _kernels.dijkstra(*grid.csr_undirected(), _node_id(grid, node), -1)
     return dist
 
 

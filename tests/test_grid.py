@@ -418,6 +418,34 @@ def test_node_ids_outside_grid_rejected():
     assert grid.n_nodes - 1 in nd.reach(grid, grid.n_nodes - 1)
 
 
+@pytest.mark.parametrize("node", [True, 3.0, np.float64(2.0), "3"],
+                         ids=["bool", "float", "np-float", "str"])
+def test_non_integer_node_ids_rejected(node):
+    """A bool or float id is no node id, even where it equals one: it raises
+    NodeNotInGrid from every query and is no member of a reach set."""
+    st, tau, grid = mink_grid()
+    for query in (lambda: nd.null_distances_from(grid, node),
+                  lambda: nd.shortest_null_path(grid, node, 5),
+                  lambda: nd.shortest_null_path(grid, 5, node),
+                  lambda: nd.reach(grid, node)):
+        with pytest.raises(NodeNotInGrid, match="not in grid"):
+            query()
+    members = nd.reach(grid, 3)
+    assert 3 in members and 1 in nd.reach(grid, 1)
+    assert node not in members and node not in nd.reach(grid, 1)
+
+
+def test_numpy_integer_node_ids_accepted():
+    st, tau, grid = mink_grid()
+    p, q = grid.node_of([0.0, 0.5]), grid.node_of([0.2, 0.6])
+    assert np.int64(q) in nd.reach(grid, np.int64(p))
+    assert np.array_equal(nd.reach(grid, np.int64(p)).members, nd.reach(grid, p).members)
+    assert (nd.shortest_null_path(grid, np.int64(p), np.int64(q))
+            == nd.shortest_null_path(grid, p, q))
+    assert np.array_equal(nd.null_distances_from(grid, np.int64(p)),
+                          nd.null_distances_from(grid, p))
+
+
 def test_include_null_exact_filter():
     offs_with = StencilSpec(radius=1, include_null_exact=True).offsets(2)
     offs_without = StencilSpec(radius=1, include_null_exact=False).offsets(2)

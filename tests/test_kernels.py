@@ -13,6 +13,7 @@ itself.
 """
 
 from functools import lru_cache
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -179,14 +180,18 @@ def test_dijkstra_matches_reference(case):
     rise = grid.tau_values[grid.edge_v] - grid.tau_values[grid.edge_u]
     indptr, nbr, wt = undirected_csr(grid.n_nodes, grid.edge_u, grid.edge_v, rise)
     mixed = pad(indptr, *shuffle_neighbours(indptr, src, nbr, wt))
-    for target in (tgt, -1):
-        dist, pred = _kernels.dijkstra(*grid.csr_undirected(), src, target)
-        ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
-        assert np.array_equal(dist, ref_dist)
-        assert np.array_equal(pred, ref_pred)
-        dist, pred = _kernels.dijkstra(*mixed, src, target)
-        assert np.array_equal(dist, ref_dist)
-        assert np.array_equal(pred, ref_pred)
+    # a band split over steps of a few slots' rows (one row where a row has
+    # more) settles as one band does
+    for slots in (_kernels.CHUNK_SLOTS, 1, 40):
+        with mock.patch.object(_kernels, "CHUNK_SLOTS", slots):
+            for target in (tgt, -1):
+                dist, pred = _kernels.dijkstra(*grid.csr_undirected(), src, target)
+                ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
+                assert np.array_equal(dist, ref_dist)
+                assert np.array_equal(pred, ref_pred)
+                dist, pred = _kernels.dijkstra(*mixed, src, target)
+                assert np.array_equal(dist, ref_dist)
+                assert np.array_equal(pred, ref_pred)
 
 
 # weights whose sums tie (with or without zeros), differ in the last bit
@@ -219,18 +224,19 @@ def csr_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(csr_graphs())
-def test_dijkstra_matches_reference_on_random_graphs(case):
+@given(csr_graphs(), hs.sampled_from([_kernels.CHUNK_SLOTS, 1, 2]))
+def test_dijkstra_matches_reference_on_random_graphs(case, slots):
     indptr, nbr, wt, src, tgt = case
     mixed = pad(indptr, *shuffle_neighbours(indptr, tgt, nbr, wt))
     # padding ids are never followed: 0, or -1 as the lattice view reads
-    # off the box
-    for target in (tgt, -1):
-        ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
-        for graph in (pad(indptr, nbr, wt), pad(indptr, nbr, wt, fill=-1), mixed):
-            dist, pred = _kernels.dijkstra(*graph, src, target)
-            assert np.array_equal(dist, ref_dist)
-            assert np.array_equal(pred, ref_pred)
+    # off the box; a band may settle over steps of ``slots`` slots' rows
+    with mock.patch.object(_kernels, "CHUNK_SLOTS", slots):
+        for target in (tgt, -1):
+            ref_dist, ref_pred = ref_dijkstra(indptr, nbr, wt, src, target)
+            for graph in (pad(indptr, nbr, wt), pad(indptr, nbr, wt, fill=-1), mixed):
+                dist, pred = _kernels.dijkstra(*graph, src, target)
+                assert np.array_equal(dist, ref_dist)
+                assert np.array_equal(pred, ref_pred)
 
 
 @SETTINGS
@@ -273,7 +279,7 @@ def test_undirected_view_layout(case):
 @SETTINGS
 @given(grids())
 def test_bfs_reach_matches_reference_and_networkx(case):
-    grid, src, _ = case
+    grid, src, tgt = case
     graph = nx.DiGraph()
     graph.add_nodes_from(range(grid.n_nodes))
     graph.add_edges_from(zip(grid.edge_u.tolist(), grid.edge_v.tolist()))
@@ -286,6 +292,104 @@ def test_bfs_reach_matches_reference_and_networkx(case):
     assert set(np.flatnonzero(mask).tolist()) == nx.descendants(graph, src) | {src}
     assert np.array_equal(_kernels.bfs_reach(indptr, *shuffle_neighbours(indptr, src, nbr), src),
                           mask)
+    # asked for one target, the search marks part of the closure, nothing
+    # later than the target in tau, and the target iff the closure holds it
+    tau = grid.tau_values
+    for target in (tgt, src):
+        found = _kernels.bfs_reach(indptr, nbr, src, target, tau)
+        assert found[target] == mask[target]
+        assert not (found & ~mask).any()
+        assert not (found & (tau > tau[target])).any()
+        assert np.array_equal(_kernels.bfs_reach(indptr, *shuffle_neighbours(indptr, src, nbr),
+                                                 src, target, tau)[target], found[target])
+
+
+# the scenes of test_grid.py's test_causal_case_equality_random_pairs, then
+# the criterion-3 box in 2+1, its ray excised from t = 2 on
+REACH_SCENES = [
+    ("minkowski", 2, nd.coordinate_time, ((0.0, 2.0), (-1.0, 1.0)), 0.1),
+    ("minkowski", 2, nd.cubed_time, ((-0.5, 1.0), (-1.0, 1.0)), 0.05),
+    ("upper_half_minkowski", 3, nd.coordinate_time, ((0.1, 1.1), (-0.5, 0.5), (-0.5, 0.5)), 0.1),
+    ("missing_ray", 3, nd.coordinate_time, ((0.5, 3.5), (-1.0, 1.0), (-1.0, 1.0)), 0.25),
+    ("warped_product", 3, nd.coordinate_time, ((0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)), 0.125),
+    ("missing_ray", 3, nd.coordinate_time, ((0.5, 3.5), (-1.5, 1.5), (-1.5, 1.5)), 0.25),
+]
+
+
+@lru_cache(maxsize=None)
+def reach_scene(i):
+    name, dim, time, box, h = REACH_SCENES[i]
+    st = nd.builtin(name, dim=dim)
+    return nd.build_grid(st, time(st), box, h)
+
+
+@hs.composite
+def membership_queries(draw):
+    """(grid, p, q): q is p, earlier than p in tau, in p's time layer, in
+    J+(p), any node, or an id outside the grid."""
+    grid = reach_scene(draw(hs.integers(0, len(REACH_SCENES) - 1)))
+    n, tau = grid.n_nodes, grid.tau_values
+    p = draw(hs.integers(0, n - 1))
+    kind = draw(hs.sampled_from(["self", "past", "layer", "future", "any", "outside"]))
+    if kind == "outside":
+        return grid, p, draw(hs.sampled_from([-1, -n, n, n + 7]))
+    pool = {"self": np.array([p]), "past": np.flatnonzero(tau < tau[p]),
+            "layer": np.flatnonzero(grid.coords[:, 0] == grid.coords[p, 0]),
+            "future": np.flatnonzero(nd.reach(grid, p).members),
+            "any": np.arange(n)}[kind]
+    if not pool.size:
+        pool = np.array([p])
+    return grid, p, int(pool[draw(hs.integers(0, pool.size - 1))])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(membership_queries())
+def test_membership_matches_full_closure(query):
+    """``q in reach(grid, p)``, a search for q alone, answers as the whole
+    closure does, both as ``members`` and as the plain queue search."""
+    grid, p, q = query
+    found = nd.reach(grid, p)
+    if not 0 <= q < grid.n_nodes:
+        assert q not in found
+        return
+    ref = ref_bfs_reach(*grid.csr_out(), p)
+    assert np.array_equal(found.members, ref)
+    assert (q in found) is bool(ref[q])
+    if q == p:
+        assert q in found
+    elif grid.tau_values[q] <= grid.tau_values[p]:
+        assert q not in found
+
+
+def test_membership_marks_nothing_later_than_the_target(monkeypatch):
+    """``q in reach(grid, p)`` marks part of J+(p) and no node later than q
+    in tau: none when q is earlier than p, p alone when q is p or another
+    node of p's time layer."""
+    marked = []
+    search = _kernels.bfs_reach
+
+    def counted(*args):
+        mask = search(*args)
+        marked.append(mask)
+        return mask
+
+    monkeypatch.setattr("nulldist._kernels.bfs_reach", counted)
+    st = nd.builtin("minkowski", dim=2)
+    grid = nd.build_grid(st, nd.coordinate_time(st), [(0.0, 2.0), (-1.0, 1.0)], 0.1)
+    tau = grid.tau_values
+    p = grid.node_of([0.5, 0.0])
+    closure = search(*grid.csr_out(), p)
+    cases = [([1.5, 0.4], True, None), ([1.0, 0.9], False, None), ([0.2, 0.0], False, 0),
+             ([0.5, 0.0], True, 1), ([0.5, 0.3], False, 1)]
+    for point, inside, count in cases:
+        q = grid.node_of(point)
+        marked.clear()
+        assert (q in nd.reach(grid, p)) is inside
+        (mask,) = marked
+        assert not (mask & (tau > tau[q])).any()
+        assert not (mask & ~closure).any()
+        if count is not None:
+            assert np.count_nonzero(mask) == count
 
 
 @SETTINGS
